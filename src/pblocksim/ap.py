@@ -15,8 +15,8 @@ period grows, which is the analyzer's whole point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
+from .partitions import peel_finest
 from .prng import CounterRng
 
 
@@ -67,57 +67,27 @@ def _projection(support, mask: int) -> frozenset[int]:
     return frozenset(s & mask for s in support)
 
 
-def _find_factor(support, positions: list[int], max_size: int):
-    """Smallest subset (containing the lowest position) whose bit-projection
-    splits the support as a Cartesian product; None if all are > max_size."""
-    head, rest = positions[0], positions[1:]
-    total = len(support)
-    limit = min(max_size, len(positions))
-    for size in range(1, limit + 1):
-        if size == len(positions):
-            return tuple(positions)
-        for extra in combinations(rest, size - 1):
-            part = (head,) + extra
-            mask = 0
-            for pos in part:
-                mask |= 1 << pos
-            rest_mask = 0
-            for pos in positions:
-                if pos not in part:
-                    rest_mask |= 1 << pos
-            left = _projection(support, mask)
-            right = _projection(support, rest_mask)
-            if len(left) * len(right) == total:
-                return part
-    return None
-
-
 def analyze_blockedness(s: BasisSuperposition, p: int):
     """Finest partition of bit positions (parts <= p) over which the state
     factors, or None when no such partition exists.
 
     Because projections onto disjoint masks combine freely, the support is a
     product over a bipartition exactly when the projection sizes multiply to
-    the support size; peeling minimal factors off gives the unique finest
+    the support size; `peel_finest` turns that test into the unique finest
     partition."""
     if p < 1:
         raise BadArgs("p must be >= 1")
-    positions = list(range(s.width))
-    support = list(s.support)
-    parts = []
-    while positions:
-        part = _find_factor(support, positions, p)
-        if part is None:
-            return None
-        parts.append(tuple(sorted(part)))
-        positions = [q for q in positions if q not in part]
-        if positions:
-            rest_mask = 0
-            for q in positions:
-                rest_mask |= 1 << q
-            support = sorted(_projection(support, rest_mask))
-    parts.sort()
-    _self_check_partition(s.support, parts)
+    support = s.support
+    full = (1 << s.width) - 1
+
+    def splits_off(part) -> bool:
+        mask = sum(1 << q for q in part)
+        return len(_projection(support, mask)) * \
+            len(_projection(support, full ^ mask)) == len(support)
+
+    parts = peel_finest(range(s.width), splits_off, p)
+    if parts is not None:
+        _self_check_partition(support, parts)
     return parts
 
 

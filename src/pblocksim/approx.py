@@ -25,14 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .matrices import (ExactMatrix, mat_eq, kron_blocks, relabel_reorder,
-                       partial_trace, trace_norm_float,
+from .matrices import (ExactMatrix, mat_eq, partial_trace, trace_norm_float,
                        product_over_partition)
 from .circuits import (Circuit, CircuitStep, GateDef, LIBRARY,
                        gen_block_local, _fixed_cells)
 from .partitions import partitions_max_part
-from .blocked import (BlockedState, init_blocked, conjugate_block,
-                      measurement_marginal)
+from .blocked import (BlockedState, init_blocked, install_parts,
+                      measurement_marginal, merge_apply)
 from .prng import CounterRng
 from .sampling import OutcomeDistribution
 
@@ -45,8 +44,6 @@ _IDENTITY4 = GateDef("II", 2, ExactMatrix.identity(4))
 class ApproxConfig:
     p: int
     epsilon: float
-    eta_target: float | None = None
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -171,23 +168,9 @@ def approx_step(state: BlockedState, step, cfg: ApproxConfig,
         step = CircuitStep(nearest_exact_gate(step), step.targets)
     p = cfg.p
     out = state.copy()
-    ids = sorted({out.assignment[q] for q in step.targets})
-    if len(ids) == 1:
-        bid = ids[0]
-        block = conjugate_block(out.blocks[bid], step.gate.matrix,
-                                step.targets)
-        merged_id = bid
-    else:
-        id_a, id_b = ids
-        merged = kron_blocks([out.blocks[id_a], out.blocks[id_b]])
-        merged = relabel_reorder(merged, tuple(sorted(merged.labels)))
-        block = conjugate_block(merged, step.gate.matrix, step.targets)
-        del out.blocks[id_b]
-        merged_id = id_a
-        for q in block.labels:
-            out.assignment[q] = merged_id
+    block_id, block = merge_apply(out, step)
     if len(block.labels) <= p:
-        out.blocks[merged_id] = block
+        install_parts(out, block_id, [block])
         ledger.record_step(0.0)
         return out
     # best p-partition projection: exact reduced states, float selection
@@ -205,14 +188,8 @@ def approx_step(state: BlockedState, step, cfg: ApproxConfig,
             assert mat_eq(partial_trace(candidate, part).matrix,
                           partial_trace(block, part).matrix), \
                 "projection changed a part marginal"
-    del out.blocks[merged_id]
-    for part in parts:
-        new_id = out.next_id
-        out.next_id += 1
-        reduced = partial_trace(block, part)
-        out.blocks[new_id] = reduced
-        for q in part:
-            out.assignment[q] = new_id
+    install_parts(out, block_id,
+                  [partial_trace(block, part) for part in parts])
     ledger.record_step(d)
     return out
 

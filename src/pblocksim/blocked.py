@@ -192,42 +192,48 @@ def split_exact(block: DensityBlock, p: int,
                       f"does not factor into parts of size <= {p}")
 
 
+def merge_apply(state: BlockedState, step: CircuitStep
+                ) -> tuple[int, DensityBlock]:
+    """Conjugate the block holding the gate's targets, first merging the two
+    blocks in place when the gate straddles them; returns the block's id and
+    its conjugated density, which the caller still has to install."""
+    ids = sorted({state.assignment[q] for q in step.targets})
+    block = state.blocks[ids[0]]
+    if len(ids) == 2:
+        merged = kron_blocks([block, state.blocks.pop(ids[1])])
+        block = relabel_reorder(merged, tuple(sorted(merged.labels)))
+        for q in block.labels:
+            state.assignment[q] = ids[0]
+    return ids[0], conjugate_block(block, step.gate.matrix, step.targets)
+
+
+def install_parts(state: BlockedState, block_id: int,
+                  parts: list[DensityBlock]) -> None:
+    """Store `parts` in place of block `block_id`: a single part keeps the
+    id, several each get a fresh one."""
+    if len(parts) == 1:
+        state.blocks[block_id] = parts[0]
+        return
+    del state.blocks[block_id]
+    for part in parts:
+        state.blocks[state.next_id] = part
+        for q in part.labels:
+            state.assignment[q] = state.next_id
+        state.next_id += 1
+
+
 def apply_blocked(state: BlockedState, step: CircuitStep, p: int,
                   step_index: int = -1,
                   eager_split: bool = False) -> BlockedState:
     """One gate on a blocked state: conjugate inside a block, or merge two
     blocks, conjugate, and re-split if the merge exceeded p."""
     out = state.copy()
-    ids = sorted({out.assignment[q] for q in step.targets})
-    if len(ids) == 1:
-        bid = ids[0]
-        block = conjugate_block(out.blocks[bid], step.gate.matrix,
-                                step.targets)
-        merged_id = bid
-    else:
-        id_a, id_b = ids
-        block_a, block_b = out.blocks[id_a], out.blocks[id_b]
-        merged = kron_blocks([block_a, block_b])
-        merged = relabel_reorder(merged, tuple(sorted(merged.labels)))
-        block = conjugate_block(merged, step.gate.matrix, step.targets)
-        del out.blocks[id_b]
-        merged_id = id_a
-        for q in block.labels:
-            out.assignment[q] = merged_id
+    block_id, block = merge_apply(out, step)
     if len(block.labels) > p or eager_split:
         parts = split_exact(block, p, step_index)
     else:
         parts = [block]
-    if len(parts) == 1:
-        out.blocks[merged_id] = parts[0]
-    else:
-        del out.blocks[merged_id]
-        for part in parts:
-            new_id = out.next_id
-            out.next_id += 1
-            out.blocks[new_id] = part
-            for q in part.labels:
-                out.assignment[q] = new_id
+    install_parts(out, block_id, parts)
     return out
 
 

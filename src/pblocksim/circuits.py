@@ -75,6 +75,14 @@ class GateDef:
                 for i in range(dim)]
         return self._nonzero_rows
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GateDef):
+            return NotImplemented
+        return self.name == other.name and self.matrix == other.matrix
+
+    def __hash__(self):
+        return hash((self.name, self.matrix))
+
     def __repr__(self):
         return f"GateDef({self.name})"
 
@@ -269,7 +277,7 @@ def parse_circuit(text: str, extra_gates: dict[str, GateDef] | None = None
             blk = DensityBlock(labels, mat)
             try:
                 blk.validate()
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 fail(lineno, f"inputblock: {exc}")
             input_blocks.append(InputBlock(labels, mat))
         elif head == "defgate":
@@ -277,6 +285,8 @@ def parse_circuit(text: str, extra_gates: dict[str, GateDef] | None = None
                 fail(lineno, "usage: defgate <NAME> <arity>")
             name = toks[1]
             arity = parse_int(toks[2], lineno, "arity")
+            if arity not in (1, 2):
+                fail(lineno, f"gate {name}: arity must be 1 or 2")
             mat = read_matrix_rows(1 << arity, lineno, f"defgate {name}")
             try:
                 gates[name] = GateDef(name, arity, mat)
@@ -316,17 +326,28 @@ def parse_circuit(text: str, extra_gates: dict[str, GateDef] | None = None
                    tuple(input_blocks))
 
 
+def _matrix_lines(matrix: ExactMatrix) -> list[str]:
+    return [" ".join(matrix.at(r, c).to_text().replace(" ", "")
+                     for c in range(matrix.cols))
+            for r in range(matrix.rows)]
+
+
 def serialize_circuit(circuit: Circuit) -> str:
+    """Text that parse_circuit reads back to an equal circuit; a gate other
+    than the library's gate of its name is written as a defgate before its
+    first use."""
     out = [f"qubits {circuit.width}", f"input {circuit.input_bits}"]
     for blk in circuit.input_blocks:
         out.append("inputblock " + ",".join(str(q) for q in blk.labels))
-        dim = blk.matrix.rows
-        for r in range(dim):
-            out.append(" ".join(
-                blk.matrix.at(r, s).to_text().replace(" ", "")
-                for s in range(dim)))
+        out.extend(_matrix_lines(blk.matrix))
+    gates = dict(LIBRARY)
     for step in circuit.steps:
-        out.append("gate " + step.gate.name + " "
+        gate = step.gate
+        if gates.get(gate.name) is not gate:
+            out.append(f"defgate {gate.name} {gate.arity}")
+            out.extend(_matrix_lines(gate.matrix))
+            gates[gate.name] = gate
+        out.append("gate " + gate.name + " "
                    + " ".join(str(q) for q in step.targets))
     out.append(f"measure {circuit.measured_qubit}")
     return "\n".join(out) + "\n"

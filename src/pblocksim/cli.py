@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 from .exact import ExactScalar
 from .circuits import Circuit, CircuitError, parse_circuit
@@ -27,18 +26,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PBLOCK = 2
 EXIT_NONCLIFFORD = 3
-
-
-@dataclass
-class RunReport:
-    engine: str
-    circuit_path: str
-    p: int | None
-    distribution: OutcomeDistribution | None
-    sample_bits: tuple[int, ...]
-    ledger_summary: str | None
-    wall_time: float
-    digit_stats: int | None
 
 
 class _CliError(Exception):
@@ -86,7 +73,7 @@ def _run_engine(engine: str, circuit: Circuit, args):
     if engine == "approx":
         if args.p is None:
             raise _CliError(EXIT_USAGE, "--p is required for --engine approx")
-        cfg = ApproxConfig(args.p, args.epsilon, args.eta, args.seed)
+        cfg = ApproxConfig(args.p, args.epsilon)
         dist, ledger, cert = run_approx(circuit, cfg)
         return dist, (ledger, cert), None
     if engine == "stabilizer":
@@ -94,7 +81,7 @@ def _run_engine(engine: str, circuit: Circuit, args):
     raise _CliError(EXIT_USAGE, f"unknown engine {engine!r}")
 
 
-def cmd_simulate(args) -> RunReport:
+def cmd_simulate(args) -> None:
     circuit = _load_circuit(args.circuit)
     started = time.perf_counter()
     try:
@@ -111,16 +98,13 @@ def cmd_simulate(args) -> RunReport:
     print(_format_prob("p1", dist.p1))
     if digits is not None:
         print(f"digits = {digits}")
-    ledger_summary = None
     if ledger_info is not None:
         ledger, cert = ledger_info
-        ledger_summary = cert.summary()
-        print(ledger_summary)
+        print(cert.summary())
         if args.ledger:
             with open(args.ledger, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(ledger.export_lines()))
                 fh.write("\n" + cert.summary() + "\n")
-    bits: tuple[int, ...] = ()
     if args.samples:
         if not dist.is_exact():
             raise _CliError(EXIT_USAGE,
@@ -128,14 +112,11 @@ def cmd_simulate(args) -> RunReport:
         coins = CoinSource(args.seed)
         drawn = [sample_outcome(dist, args.eta, coins)
                  for _ in range(args.samples)]
-        bits = tuple(drawn)
         for b in drawn:
             print(b)
         print(f"samples={args.samples} zeros={drawn.count(0)} "
               f"ones={drawn.count(1)} seed={args.seed}")
     print(f"wall_time={wall:.3f}s", file=sys.stderr)
-    return RunReport(args.engine, args.circuit, args.p, dist, bits,
-                     ledger_summary, wall, digits)
 
 
 def cmd_compare(args) -> int:

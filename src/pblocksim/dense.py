@@ -9,10 +9,10 @@ is oracle duty, not scale.
 from __future__ import annotations
 
 import os
-from itertools import combinations
 
 from .exact import ExactScalar, ZERO, ONE
 from .circuits import Circuit, CircuitStep
+from .partitions import peel_finest
 from .sampling import OutcomeDistribution
 
 DEFAULT_WIDTH_CAP = 14
@@ -147,95 +147,40 @@ def dense_marginal(state: StateVector, qubit: int) -> OutcomeDistribution:
 
 # -- blockedness decision for pure states ---
 #
-# A pure state factors over a partition exactly when every part's reduced
-# state is pure, and the finest such partition is unique (group qubits by
-# the irreducible tensor factor they belong to).  The factor containing the
-# lowest unassigned qubit is the smallest subset containing it whose
-# amplitude matrix has rank one, so the search peels factors off one at a
-# time, trying subsets in ascending size and lexicographic order.
+# A pure state factors over a partition exactly when its amplitudes do:
+# arranged as a matrix with the part's index bits choosing the row and the
+# other bits the column, the support is a product of row and column sets
+# and the nonzero rows are proportional (rank one).  The finest such
+# partition is unique, and `peel_finest` finds it with that test as its
+# predicate.  The answer is then rebuilt amplitude by amplitude, so a wrong
+# split can never be returned silently.
 
-def _rank_one_rows(nonzeros: dict[int, ExactScalar], part_mask: int,
-                   rest_mask: int):
-    """If amplitudes split as (part) x (rest), return (part_factor, remainder);
-    otherwise None.  Dict keys keep their original index bits."""
+def _splits_off(nonzeros: dict[int, ExactScalar], part_mask: int) -> bool:
+    """Whether the amplitudes are rank one across (part) x (the rest)."""
     rows: dict[int, dict[int, ExactScalar]] = {}
     for idx, amp in nonzeros.items():
-        rows.setdefault(idx & part_mask, {})[idx & rest_mask] = amp
-    row_keys = sorted(rows)
-    b0 = row_keys[0]
-    row0 = rows[b0]
-    cols0 = sorted(row0)
-    j0 = cols0[0]
-    a00 = row0[j0]
-    for rb in row_keys[1:]:
-        row = rows[rb]
-        if len(row) != len(row0):
-            return None
+        rows.setdefault(idx & part_mask, {})[idx & ~part_mask] = amp
+    row_iter = iter(rows.values())
+    row0 = next(row_iter)
+    if len(rows) * len(row0) != len(nonzeros):
+        return False
+    j0, a00 = next(iter(row0.items()))
+    for row in row_iter:
         lead = row.get(j0)
-        if lead is None:
-            return None
+        if lead is None or len(row) != len(row0):
+            return False
         for j, v in row.items():
             ref = row0.get(j)
             if ref is None or v * a00 != ref * lead:
-                return None
-    factor = {rb: rows[rb][j0] for rb in row_keys}
-    return factor, dict(row0), a00
+                return False
+    return True
 
 
-def _finest_pure_factors(nonzeros: dict[int, ExactScalar], qubits: list[int],
-                         mask_of, max_part: int):
-    """Peel irreducible factors (each of size <= max_part) off a pure state.
-
-    Returns a list of (labels, factor_amps, norm_scalar) or None when some
-    irreducible factor exceeds max_part."""
-    remaining = sorted(qubits)
-    current = nonzeros
-    factors = []
-    while remaining:
-        if len(remaining) == 1:
-            q = remaining[0]
-            factors.append(((q,), {k & mask_of(q): v
-                                   for k, v in current.items()}, None))
-            break
-        head, rest = remaining[0], remaining[1:]
-        found = None
-        limit = min(max_part, len(remaining))
-        for size in range(1, limit + 1):
-            if len(remaining) == size:
-                candidates = [tuple(rest)]
-            else:
-                candidates = combinations(rest, size - 1)
-            for extra in candidates:
-                part = (head,) + tuple(extra)
-                part_mask = 0
-                for q in part:
-                    part_mask |= mask_of(q)
-                rest_mask = 0
-                for q in remaining:
-                    if q not in part:
-                        rest_mask |= mask_of(q)
-                if rest_mask == 0:
-                    # the whole remainder is one factor
-                    found = (part, {k & part_mask: v
-                                    for k, v in current.items()}, None, None)
-                    break
-                split = _rank_one_rows(current, part_mask, rest_mask)
-                if split is not None:
-                    factor, remainder, norm = split
-                    found = (part, factor, remainder, norm)
-                    break
-            if found:
-                break
-        if not found:
-            return None
-        if len(found[0]) == len(remaining):
-            factors.append((found[0], found[1], None))
-            break
-        part, factor, remainder, norm = found
-        factors.append((tuple(sorted(part)), factor, norm))
-        remaining = [q for q in remaining if q not in part]
-        current = remainder
-    return factors
+def _mask(state: StateVector, part) -> int:
+    mask = 0
+    for q in part:
+        mask |= state.bit_mask(q)
+    return mask
 
 
 def dense_blockedness(state: StateVector, p: int, cap: int | None = None):
@@ -248,30 +193,33 @@ def dense_blockedness(state: StateVector, p: int, cap: int | None = None):
     nonzeros = state.nonzeros()
     if not nonzeros:
         raise ValueError("zero state has no blockedness")
-    factors = _finest_pure_factors(
-        nonzeros, list(range(state.width)), state.bit_mask, p)
-    if factors is None:
-        return None
-    parts = sorted(labels for labels, _, _ in factors)
-    _self_check_product(nonzeros, factors, state.bit_mask)
+    parts = peel_finest(
+        range(state.width),
+        lambda part: _splits_off(nonzeros, _mask(state, part)), p)
+    if parts is not None:
+        _self_check_product(nonzeros, [_mask(state, part) for part in parts])
     return parts
 
 
-def _self_check_product(nonzeros, factors, mask_of):
-    """Assert the peeled factors reproduce every amplitude exactly."""
+def _self_check_product(nonzeros, masks):
+    """Assert the parts rebuild every amplitude exactly.
+
+    Each part's factor is read off the state with the other bits held at a
+    reference index idx0, which scales it by the other factors' values
+    there, so the product over the k parts is psi(idx) * psi(idx0)^(k-1).
+    Matching every nonzero amplitude and the support size pins the state."""
+    idx0, a0 = next(iter(nonzeros.items()))
+    factors = [{idx & m: amp for idx, amp in nonzeros.items()
+                if idx & ~m == idx0 & ~m} for m in masks]
     support = 1
-    for _, factor, _ in factors:
+    for factor in factors:
         support *= len(factor)
     assert support == len(nonzeros), "factor support mismatch"
-    norm = ONE
-    for _, _, scale in factors:
-        if scale is not None:
-            norm = norm * scale
+    scale = ONE
+    for _ in masks[1:]:
+        scale = scale * a0
     for idx, amp in nonzeros.items():
         prod = ONE
-        for labels, factor, _ in factors:
-            pm = 0
-            for q in labels:
-                pm |= mask_of(q)
-            prod = prod * factor[idx & pm]
-        assert prod == amp * norm, "factor product mismatch"
+        for m, factor in zip(masks, factors):
+            prod = prod * factor.get(idx & m, ZERO)
+        assert prod == amp * scale, "factor product mismatch"

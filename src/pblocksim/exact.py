@@ -250,10 +250,6 @@ TWO = ExactScalar(2)
 HALF = ExactScalar(Fraction(1, 2))
 
 
-def from_rational(p: int, q: int = 1) -> ExactScalar:
-    return ExactScalar(Fraction(p, q))
-
-
 # -- named operation surface ---
 
 def scalar_add(x: ExactScalar, y: ExactScalar) -> ExactScalar:

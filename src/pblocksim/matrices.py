@@ -101,6 +101,15 @@ class ExactMatrix:
     def scale(self, s: ExactScalar) -> "ExactMatrix":
         return ExactMatrix(self.rows, self.cols, [s * x for x in self.entries])
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
+        return (self.rows == other.rows and self.cols == other.cols
+                and self.entries == other.entries)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, tuple(self.entries)))
+
     def to_complex_rows(self) -> list[list[complex]]:
         return [[self.entries[i * self.cols + j].to_complex()
                  for j in range(self.cols)] for i in range(self.rows)]

@@ -1,9 +1,17 @@
-"""Set partitions with a cap on part size.
+"""Partitions of qubit labels into parts of bounded size.
 
-Engines that re-split merged blocks enumerate every partition of a small
-label set into parts of size <= p, most-refined first: descending part
-count, then lexicographic on the sorted part contents.  Sets here never
-exceed 2p labels, so materialize-and-sort is fine.
+Two routines serve the engines:
+
+- `partitions_max_part` enumerates every partition of a small label set
+  into parts of size <= p, most-refined first: descending part count, then
+  lexicographic on the sorted part contents.  The approx engine scores every
+  candidate, and `split_exact` takes the first that reproduces a merged
+  block; both only ever see a merged block of at most 2p labels, so
+  materialize-and-sort is fine.
+- `peel_finest` finds the unique finest factorization of a state at any
+  width by peeling one irreducible factor at a time, asking only whether a
+  candidate part splits off from everything else.  The dense and
+  arithmetic-progression blockedness deciders use it.
 """
 
 from __future__ import annotations
@@ -39,3 +47,32 @@ def partitions_max_part(items, max_size: int) -> list[list[tuple]]:
         all_parts.append(canon)
     all_parts.sort(key=lambda ps: (-len(ps), ps))
     return all_parts
+
+
+def peel_finest(labels, splits_off, max_part: int) -> list[tuple] | None:
+    """Finest partition of `labels` into parts of size <= max_part over which
+    a state factors, or None when some irreducible factor is larger.
+
+    `splits_off(part)` says whether the state is a product across `part`
+    and every other label.  Product bipartitions are closed under meet, so
+    the smallest part that holds the lowest remaining label and splits off is
+    that label's irreducible factor; parts are tried in ascending size, then
+    lexicographic order.  Peeled factors split off too, so testing against
+    the full complement stays correct at every level, and whatever remains
+    once the others are peeled is a factor without asking.  Parts come back
+    as sorted tuples in ascending order.
+    """
+    remaining = sorted(labels)
+    parts = []
+    while remaining:
+        head, rest = remaining[0], remaining[1:]
+        candidates = ((head,) + extra
+                      for size in range(min(max_part, len(remaining)))
+                      for extra in combinations(rest, size))
+        part = next((c for c in candidates
+                     if len(c) == len(remaining) or splits_off(c)), None)
+        if part is None:
+            return None
+        parts.append(part)
+        remaining = [q for q in rest if q not in part]
+    return parts

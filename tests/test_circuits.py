@@ -13,6 +13,39 @@ from pblocksim.circuits import (LIBRARY, builtin_library, parse_circuit,
 
 BELL_TEXT = "qubits 2\ninput 00\ngate H 0\ngate CNOT 0 1\nmeasure 0\n"
 
+DEFGATE_TEXT = """qubits 3
+input 010
+defgate SX 1
+1/2+1/2*i 1/2-1/2*i
+1/2-1/2*i 1/2+1/2*i
+gate SX 0
+gate CNOT 0 1
+defgate CS 2
+1 0 0 0
+0 1 0 0
+0 0 1 0
+0 0 0 i
+gate CS 1 2
+defgate H 1
+0 1
+1 0
+gate H 2
+gate SX 2
+measure 2
+"""
+
+INPUTBLOCK_TEXT = """qubits 3
+input 001
+inputblock 2,0
+1/2 0 0 1/4*r2
+0 0 0 0
+0 0 0 0
+1/4*r2 0 0 1/2
+gate H 1
+gate CNOT 1 0
+measure 1
+"""
+
 
 class TestLibrary:
     def test_exact_names(self):
@@ -131,6 +164,8 @@ class TestRoundTrip:
             circuits.append(gen_block_local(6, 2, 30, seed))
             circuits.append(gen_entangle_disentangle(5, 2, 30, seed))
         assert len(circuits) >= 20
+        circuits.append(parse_circuit(DEFGATE_TEXT))
+        circuits.append(parse_circuit(INPUTBLOCK_TEXT))
         for c in circuits:
             assert parse_circuit(serialize_circuit(c)) == c
 

@@ -1,0 +1,165 @@
+"""Property tests over generated circuits and texts: the text format
+round-trips, the parser fails only with CircuitError, and the dense
+blockedness decider agrees with brute-force enumeration."""
+
+from fractions import Fraction
+
+from hypothesis import example, given, settings, strategies as st
+
+from pblocksim.blocked import conjugate_block
+from pblocksim.circuits import (LIBRARY, Circuit, CircuitError, CircuitStep,
+                                GateDef, InputBlock, parse_circuit,
+                                serialize_circuit)
+from pblocksim.dense import dense_blockedness, dense_run
+from pblocksim.exact import ZERO, ExactScalar
+from pblocksim.matrices import DensityBlock, ExactMatrix, kron, mat_mul
+
+from helpers import brute_blockedness
+
+# derandomized so that every run checks the same examples
+PROPERTY = settings(deadline=None, derandomize=True)
+
+GATES = sorted(LIBRARY.values(), key=lambda g: g.name)
+GATES_1 = [g for g in GATES if g.arity == 1]
+GATES_2 = [g for g in GATES if g.arity == 2]
+# short names, some of which shadow a library gate
+NAMES = st.from_regex(r"[A-Z][A-Z0-9_]{0,3}", fullmatch=True)
+
+
+def _targets(draw, width, arity):
+    return tuple(draw(st.permutations(range(width)))[:arity])
+
+
+@st.composite
+def custom_gates(draw):
+    """A named product of library gates (kron pairs for two qubits)."""
+    arity = draw(st.sampled_from([1, 2]))
+    if arity == 1:
+        factor = st.sampled_from([g.matrix for g in GATES_1])
+    else:
+        pair = st.builds(lambda a, b: kron(a.matrix, b.matrix),
+                         st.sampled_from(GATES_1), st.sampled_from(GATES_1))
+        factor = st.one_of(st.sampled_from([g.matrix for g in GATES_2]), pair)
+    factors = draw(st.lists(factor, min_size=1, max_size=3))
+    matrix = factors[0]
+    for nxt in factors[1:]:
+        matrix = mat_mul(matrix, nxt)
+    return GateDef(draw(NAMES), arity, matrix)
+
+
+@st.composite
+def input_blocks(draw, labels):
+    """A mixture of basis states with rational weights, rotated by a few
+    library gates so that it has off-diagonal entries."""
+    k = len(labels)
+    dim = 1 << k
+    weights = draw(st.lists(st.integers(0, 3), min_size=dim, max_size=dim)
+                   .filter(any))
+    total = sum(weights)
+    entries = [ZERO] * (dim * dim)
+    for i, w in enumerate(weights):
+        entries[i * dim + i] = ExactScalar(Fraction(w, total))
+    block = DensityBlock(tuple(range(k)), ExactMatrix(dim, dim, entries))
+    pool = GATES_1 if k == 1 else GATES
+    for gate in draw(st.lists(st.sampled_from(pool), max_size=3)):
+        block = conjugate_block(block, gate.matrix,
+                                _targets(draw, k, gate.arity))
+    return InputBlock(labels, block.matrix)
+
+
+@st.composite
+def circuits(draw, max_width=5, custom=True):
+    width = draw(st.integers(1, max_width))
+    bits = draw(st.text("01", min_size=width, max_size=width))
+    gates = GATES + (draw(st.lists(custom_gates(), max_size=3))
+                     if custom else [])
+    usable = [g for g in gates if g.arity <= width]
+    steps = tuple(CircuitStep(g, _targets(draw, width, g.arity))
+                  for g in draw(st.lists(st.sampled_from(usable),
+                                         max_size=12)))
+    blocks = []
+    if custom:
+        free = draw(st.permutations(range(width)))
+        while free and draw(st.booleans()):
+            size = draw(st.integers(1, min(2, len(free))))
+            blocks.append(draw(input_blocks(tuple(free[:size]))))
+            free = free[size:]
+    return Circuit(width, bits, steps, draw(st.integers(0, width - 1)),
+                   tuple(blocks))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(circuits())
+def test_serialize_parse_roundtrip(circuit):
+    assert parse_circuit(serialize_circuit(circuit)) == circuit
+
+
+DIRECTIVES = st.sampled_from(
+    ["qubits", "input", "gate", "defgate", "inputblock", "measure", "#", ""])
+ARGS = st.sampled_from(
+    ["H", "CNOT", "0", "1", "2", "3", "-1", "99", "01", "10", "0,1", "1,1",
+     ",", "1/2", "1/0", "i", "r2", "-1/2*r2", "1+i", "x"])
+LINES = st.builds(lambda head, args: " ".join([head] + args),
+                  DIRECTIVES, st.lists(ARGS, max_size=3))
+
+
+@st.composite
+def mutated_texts(draw):
+    """The text of a valid circuit with lines dropped, repeated or replaced."""
+    lines = serialize_circuit(draw(circuits(max_width=3))).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(lines)))
+        op = draw(st.sampled_from(["drop", "repeat", "replace", "insert"]))
+        if op == "insert" or at == len(lines):
+            lines.insert(at, draw(LINES))
+        elif op == "drop":
+            del lines[at]
+        elif op == "repeat":
+            lines.insert(at, lines[at])
+        else:
+            lines[at] = draw(LINES)
+    return "\n".join(lines)
+
+
+@settings(PROPERTY, max_examples=300)
+@example("qubits 1\ndefgate G -1\n")
+@example("qubits 1\ninputblock 0\n1" + "0" * 400 + " 0\n0 -" + "9" * 400)
+@given(st.one_of(st.text(), st.lists(LINES, max_size=10).map("\n".join),
+                 mutated_texts()))
+def test_parser_raises_only_circuit_errors(text):
+    try:
+        circuit = parse_circuit(text)
+    except CircuitError:
+        return
+    assert isinstance(circuit, Circuit)
+
+
+@st.composite
+def factored_circuits(draw):
+    """Library-gate circuits of width <= 5; half of them keep every gate
+    inside one part of a hidden partition, so the state factors."""
+    circuit = draw(circuits(custom=False))
+    if not draw(st.booleans()):
+        return circuit
+    order = draw(st.permutations(range(circuit.width)))
+    parts = []
+    while order:
+        size = draw(st.integers(1, len(order)))
+        parts.append(order[:size])
+        order = order[size:]
+    steps = []
+    for _ in range(draw(st.integers(0, 12))):
+        part = draw(st.sampled_from(parts))
+        gate = draw(st.sampled_from(GATES if len(part) > 1 else GATES_1))
+        steps.append(CircuitStep(gate, tuple(
+            draw(st.permutations(part))[:gate.arity])))
+    return Circuit(circuit.width, circuit.input_bits, tuple(steps))
+
+
+@settings(PROPERTY, max_examples=40)
+@given(factored_circuits())
+def test_dense_blockedness_matches_brute_force(circuit):
+    state = dense_run(circuit)
+    for p in range(1, circuit.width + 1):
+        assert dense_blockedness(state, p) == \
+            brute_blockedness(state.amps, circuit.width, p)
