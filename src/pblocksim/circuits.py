@@ -11,9 +11,10 @@ width, an input basis string, a gate sequence, and the measured qubit
 
 with '#' comments.  `defgate <NAME> <arity>` followed by 2^arity rows of
 2^arity scalar literals defines extra gates; they must be exactly unitary
-over Q(i, sqrt2) or loading fails.  `inputblock <q1,q2,...>` followed by a
-density-matrix literal prepares a mixed input block (used by the blocked
-engine only).
+over Q(i, sqrt2) or loading fails.  A defgate whose matrix is Clifford runs
+on the stabilizer engine like a built-in gate, whatever its name.
+`inputblock <q1,q2,...>` followed by a density-matrix literal prepares a
+mixed input block (used by the blocked engine only).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 from .exact import (ExactScalar, ZERO, ONE, MINUS_ONE, I_UNIT, HALF_SQRT2,
                     parse_scalar)
-from .matrices import ExactMatrix, DensityBlock, is_unitary
+from .matrices import ExactMatrix, DensityBlock, is_unitary, mat_mul
 from .prng import CounterRng
 
 
@@ -47,10 +48,23 @@ class DuplicateTarget(CircuitError):
     pass
 
 
+_I_POWERS = (ONE, I_UNIT, MINUS_ONE, -I_UNIT)
+_UNDERIVED = object()
+
+
+def _pauli_matrix(dim: int, x: int, z: int, k: int = 0) -> ExactMatrix:
+    """i^k X^x Z^z: column c holds i^k (-1)^|z & c| in row c ^ x."""
+    entries = [ZERO] * (dim * dim)
+    for c in range(dim):
+        sign = 2 * (z & c).bit_count()
+        entries[(c ^ x) * dim + c] = _I_POWERS[(k + sign) & 3]
+    return ExactMatrix(dim, dim, entries)
+
+
 class GateDef:
     """Named unitary of arity 1 or 2 with exact entries."""
 
-    __slots__ = ("name", "arity", "matrix", "_nonzero_rows")
+    __slots__ = ("name", "arity", "matrix", "_nonzero_rows", "_clifford_table")
 
     def __init__(self, name: str, arity: int, matrix: ExactMatrix):
         if arity not in (1, 2):
@@ -64,6 +78,7 @@ class GateDef:
         self.arity = arity
         self.matrix = matrix
         self._nonzero_rows = None
+        self._clifford_table = _UNDERIVED
 
     def nonzero_rows(self):
         """Per-row list of (column, entry) pairs, cached for apply loops."""
@@ -74,6 +89,38 @@ class GateDef:
                  if not self.matrix.at(i, j).is_zero()]
                 for i in range(dim)]
         return self._nonzero_rows
+
+    def clifford_table(self):
+        """The gate's action on Paulis, or None when it is not Clifford.
+
+        Entry x | z << arity holds (x', z', k) with
+        U X^x Z^z U^dag = i^k X^x' Z^z'; bit arity-1-j of a Pauli's x and z
+        is target j, as in the matrix index.  Derived once and cached."""
+        if self._clifford_table is _UNDERIVED:
+            self._clifford_table = self._derive_clifford_table()
+        return self._clifford_table
+
+    def _derive_clifford_table(self):
+        dim = 1 << self.arity
+        u, u_dag = self.matrix, self.matrix.dagger()
+        table = []
+        for code in range(dim * dim):
+            image = mat_mul(mat_mul(u, _pauli_matrix(dim, code % dim,
+                                                     code // dim)), u_dag)
+            # column 0 of i^k X^x' Z^z' is i^k in row x'; column 1 << j
+            # carries the sign of Z_j
+            col0 = [r for r in range(dim) if not image.at(r, 0).is_zero()]
+            if len(col0) != 1 or image.at(col0[0], 0) not in _I_POWERS:
+                return None
+            x = col0[0]
+            phase = image.at(x, 0)
+            z = sum(1 << j for j in range(self.arity)
+                    if image.at(x ^ 1 << j, 1 << j) != phase)
+            k = _I_POWERS.index(phase)
+            if image != _pauli_matrix(dim, x, z, k):
+                return None
+            table.append((x, z, k))
+        return tuple(table)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GateDef):
@@ -125,10 +172,6 @@ def builtin_library() -> dict[str, GateDef]:
 
 
 LIBRARY = builtin_library()
-
-# gates with tableau update rules; everything else is rejected by the
-# stabilizer engine
-CLIFFORD_GATES = frozenset({"I", "X", "Y", "Z", "H", "S", "CNOT", "CZ", "SWAP"})
 
 ONE_QUBIT_GATES = tuple(n for n, g in LIBRARY.items() if g.arity == 1)
 TWO_QUBIT_GATES = tuple(n for n, g in LIBRARY.items() if g.arity == 2)

@@ -76,42 +76,27 @@ def dense_apply(state: StateVector, step: CircuitStep) -> StateVector:
     size = 1 << width
     amps = state.amps
     rows = step.gate.nonzero_rows()
+    # offsets[r] sets the index bits of matrix row r: target j is row bit
+    # arity-1-j, so a 2-qubit gate gets (0, mb, ma, ma | mb)
+    offsets = [0]
+    for q in reversed(step.targets):
+        mask = state.bit_mask(q)
+        offsets += [o | mask for o in offsets]
+    both = offsets[-1]
     out = [ZERO] * size
-    if step.gate.arity == 1:
-        (q,) = step.targets
-        mb = state.bit_mask(q)
-        for i in range(size):
-            if i & mb:
-                continue
-            a0, a1 = amps[i], amps[i | mb]
-            if a0.is_zero() and a1.is_zero():
-                continue
-            pair = (a0, a1)
-            for r, cols in enumerate(rows):
-                acc = ZERO
-                for col, coeff in cols:
-                    v = pair[col]
-                    if not v.is_zero():
-                        acc = acc + coeff * v
-                out[i | (mb if r else 0)] = acc
-    else:
-        qa, qb = step.targets
-        ma, mbm = state.bit_mask(qa), state.bit_mask(qb)
-        both = ma | mbm
-        offsets = (0, mbm, ma, both)
-        for i in range(size):
-            if i & both:
-                continue
-            quad = (amps[i], amps[i | mbm], amps[i | ma], amps[i | both])
-            if all(v.is_zero() for v in quad):
-                continue
-            for r, cols in enumerate(rows):
-                acc = ZERO
-                for col, coeff in cols:
-                    v = quad[col]
-                    if not v.is_zero():
-                        acc = acc + coeff * v
-                out[i | offsets[r]] = acc
+    for i in range(size):
+        if i & both:
+            continue
+        group = [amps[i | o] for o in offsets]
+        if all(v.is_zero() for v in group):
+            continue
+        for r, cols in enumerate(rows):
+            acc = ZERO
+            for col, coeff in cols:
+                v = group[col]
+                if not v.is_zero():
+                    acc = acc + coeff * v
+            out[i | offsets[r]] = acc
     return StateVector(width, out)
 
 

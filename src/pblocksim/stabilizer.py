@@ -2,11 +2,14 @@
 
 A state is the n commuting independent signed Pauli generators that fix it,
 stored as X/Z bitmasks plus a power-of-i phase per generator (the value is
-i^phase * prod_q X^x_q Z^z_q).  Conjugation by H, S, the Paulis, CNOT, CZ
-and SWAP updates masks and phases in O(n) per generator, so circuits far
-beyond any amplitude representation run in milliseconds; gates outside that
-set leave the stabilizer class and are rejected.  Measurement here is the
-end-of-circuit marginal only, computed without collapsing the state.
+i^phase * prod_q X^x_q Z^z_q).  Each gate's update rule is read off its
+exact matrix (`GateDef.clifford_table`), so any 1- or 2-qubit Clifford gate
+runs, built-in or defined, whatever its name.  Conjugation rebuilds only
+the generators that act on the gate's targets, so circuits far beyond any
+amplitude representation run in milliseconds.  A gate whose matrix maps
+some Pauli outside the Pauli group is not Clifford and is rejected.
+Measurement here is the end-of-circuit marginal only, computed without
+collapsing the state.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import ExactScalar
-from .circuits import Circuit, CircuitStep, CLIFFORD_GATES
+from .circuits import Circuit, CircuitStep
 from .sampling import OutcomeDistribution
 
 _HALF = ExactScalar(Fraction(1, 2))
@@ -90,9 +93,6 @@ class StabilizerTableau:
         self.width = width
         self.generators = generators
 
-    def copy(self) -> "StabilizerTableau":
-        return StabilizerTableau(self.width, list(self.generators))
-
     def check_invariants(self) -> None:
         gens = self.generators
         for i, g in enumerate(gens):
@@ -144,92 +144,44 @@ def tableau_init(width: int, bits: str) -> StabilizerTableau:
     return StabilizerTableau(width, gens)
 
 
-def _apply_h(g: PauliString, bit: int) -> PauliString:
-    x, z = bool(g.x_mask & bit), bool(g.z_mask & bit)
-    phase = (g.phase + (2 if x and z else 0)) & 3
-    xm = g.x_mask
-    zm = g.z_mask
-    if x != z:
-        xm ^= bit
-        zm ^= bit
-    return PauliString(g.width, xm, zm, phase)
-
-
-def _apply_s(g: PauliString, bit: int) -> PauliString:
-    # S X S^dag = i XZ ; S Z S^dag = Z
-    if not g.x_mask & bit:
-        return g
-    return PauliString(g.width, g.x_mask, g.z_mask ^ bit, (g.phase + 1) & 3)
-
-
-def _apply_pauli(g: PauliString, bit: int, anti_x: bool, anti_z: bool
-                 ) -> PauliString:
-    """Conjugation by a Pauli gate only flips signs: anti_x (anti_z) says
-    the gate anticommutes with X (Z) on that qubit."""
-    flip = False
-    if anti_x and g.x_mask & bit:
-        flip = not flip
-    if anti_z and g.z_mask & bit:
-        flip = not flip
-    return PauliString(g.width, g.x_mask, g.z_mask,
-                       (g.phase + (2 if flip else 0)) & 3)
-
-
-def _apply_cnot(g: PauliString, cbit: int, tbit: int) -> PauliString:
-    # X_c -> X_c X_t and Z_t -> Z_c Z_t; in the i^phase X^x Z^z convention
-    # the mapped factors land in canonical order, so no phase correction.
-    x, z = g.x_mask, g.z_mask
-    if x & cbit:
-        x ^= tbit
-    if z & tbit:
-        z ^= cbit
-    return PauliString(g.width, x, z, g.phase)
-
-
-def _apply_swap(g: PauliString, abit: int, bbit: int) -> PauliString:
-    x, z = g.x_mask, g.z_mask
-
-    def swap_bits(mask):
-        ia, ib = bool(mask & abit), bool(mask & bbit)
-        if ia != ib:
-            mask ^= abit | bbit
-        return mask
-
-    return PauliString(g.width, swap_bits(x), swap_bits(z), g.phase)
-
-
 def tableau_apply(t: StabilizerTableau, step: CircuitStep
                   ) -> StabilizerTableau:
-    name = step.gate.name
-    if name not in CLIFFORD_GATES:
-        raise NonCliffordGate(name)
-    if name == "I":
-        return t
-    gens = t.generators
+    """Conjugate every generator by the gate, by its table's entry for the
+    generator's Pauli on the targets; generators that act trivially there
+    are kept as they are."""
+    table = step.gate.clifford_table()
+    if table is None:
+        raise NonCliffordGate(step.gate.name)
+    width = t.width
+    gens = []
+    # one loop per arity: a loop over the targets inside the generator loop
+    # took ~1.8x as long per gate
     if step.gate.arity == 1:
-        bit = 1 << step.targets[0]
-        if name == "H":
-            gens = [_apply_h(g, bit) for g in gens]
-        elif name == "S":
-            gens = [_apply_s(g, bit) for g in gens]
-        elif name == "X":
-            gens = [_apply_pauli(g, bit, False, True) for g in gens]
-        elif name == "Y":
-            gens = [_apply_pauli(g, bit, True, True) for g in gens]
-        elif name == "Z":
-            gens = [_apply_pauli(g, bit, True, False) for g in gens]
+        (q,) = step.targets
+        spread = (0, 1 << q)
+        for g in t.generators:
+            x, z = g.x_mask, g.z_mask
+            xc, zc = x >> q & 1, z >> q & 1
+            if not (xc or zc):
+                gens.append(g)
+                continue
+            nx, nz, k = table[xc | zc << 1]
+            gens.append(PauliString(width, x ^ spread[xc ^ nx],
+                                    z ^ spread[zc ^ nz], g.phase + k))
     else:
-        abit = 1 << step.targets[0]
-        bbit = 1 << step.targets[1]
-        if name == "CNOT":
-            gens = [_apply_cnot(g, abit, bbit) for g in gens]
-        elif name == "CZ":
-            # CZ = (I x H) CNOT (I x H)
-            gens = [_apply_h(_apply_cnot(_apply_h(g, bbit), abit, bbit), bbit)
-                    for g in gens]
-        elif name == "SWAP":
-            gens = [_apply_swap(g, abit, bbit) for g in gens]
-    out = StabilizerTableau(t.width, gens)
+        a, b = step.targets
+        spread = (0, 1 << b, 1 << a, 1 << a | 1 << b)
+        for g in t.generators:
+            x, z = g.x_mask, g.z_mask
+            xc = (x >> a & 1) << 1 | x >> b & 1
+            zc = (z >> a & 1) << 1 | z >> b & 1
+            if not (xc or zc):
+                gens.append(g)
+                continue
+            nx, nz, k = table[xc | zc << 2]
+            gens.append(PauliString(width, x ^ spread[xc ^ nx],
+                                    z ^ spread[zc ^ nz], g.phase + k))
+    out = StabilizerTableau(width, gens)
     if DEBUG_CHECKS:
         out.check_invariants()
     return out
@@ -253,8 +205,9 @@ def tableau_marginal(t: StabilizerTableau, qubit: int) -> OutcomeDistribution:
     bit = 1 << qubit
     if any(g.x_mask & bit for g in t.generators):
         return OutcomeDistribution(_HALF, _HALF)
-    # all generators commute with Z_q, so some product equals +/-Z_q;
-    # solve sum c_i (x_i|z_i) = (0|e_q) over GF(2) and multiply out signs.
+    # all generators commute with Z_q, so in a full-rank tableau some
+    # product equals +/-Z_q; solve sum c_i (x_i|z_i) = (0|e_q) over GF(2)
+    # and multiply out signs.
     n = t.width
     basis: dict[int, tuple[int, int]] = {}
     for i, g in enumerate(t.generators):
@@ -275,10 +228,6 @@ def tableau_marginal(t: StabilizerTableau, qubit: int) -> OutcomeDistribution:
         bv, bt = basis[lead]
         vec ^= bv
         tag ^= bt
-    if vec != 0:
-        # Z_q not in the group (cannot happen for a full-rank tableau, but
-        # keep the fair-coin answer as a safe fallback)
-        return OutcomeDistribution(_HALF, _HALF)
     prod = PauliString(n)
     for i, g in enumerate(t.generators):
         if tag & (1 << i):

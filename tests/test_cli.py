@@ -10,6 +10,9 @@ from pblocksim.cli import main, EXIT_OK, EXIT_USAGE, EXIT_PBLOCK, \
 
 BELL = "qubits 2\ninput 00\ngate H 0\ngate CNOT 0 1\nmeasure 0\n"
 T_GATE = "qubits 1\ninput 0\ngate T 0\nmeasure 0\n"
+# defgates run on the stabilizer engine by matrix: "H" here is X, "TT" is T
+SHADOWED_H = "qubits 1\ndefgate H 1\n0 1\n1 0\ngate H 0\nmeasure 0\n"
+RENAMED_T = "qubits 1\ndefgate TT 1\n1 0\n0 1/2*r2+1/2*i*r2\ngate TT 0\n"
 
 
 @pytest.fixture
@@ -48,11 +51,14 @@ class TestSimulate:
         assert code == EXIT_PBLOCK
         assert "step 1" in err
 
-    def test_stabilizer_t_gate_exit3(self, t_path):
-        code, _, err = run_cli(["simulate", "--engine", "stabilizer",
-                                "--circuit", t_path])
-        assert code == EXIT_NONCLIFFORD
-        assert "step 0" in err
+    def test_stabilizer_t_gate_exit3(self, t_path, tmp_path):
+        renamed = tmp_path / "renamed_t.qc"
+        renamed.write_text(RENAMED_T)
+        for path, name in ((t_path, "T"), (str(renamed), "TT")):
+            code, _, err = run_cli(["simulate", "--engine", "stabilizer",
+                                    "--circuit", path])
+            assert code == EXIT_NONCLIFFORD
+            assert f"step 0: gate {name} has no tableau update rule" in err
 
     def test_parse_failure_exit1(self, tmp_path):
         bad = tmp_path / "bad.qc"
@@ -95,13 +101,17 @@ class TestSimulate:
 
 
 class TestCompare:
-    def test_match_across_engines(self, bell_path):
-        code, out, _ = run_cli(["compare",
-                                "--engines", "blocked,dense,stabilizer",
-                                "--p", "2", "--circuit", bell_path])
-        assert code == EXIT_OK
-        assert out.count("MATCH") == 3
-        assert "dist(blocked,dense) = 0.000000000000" in out
+    def test_match_across_engines(self, bell_path, tmp_path):
+        shadowed = tmp_path / "shadowed_h.qc"
+        shadowed.write_text(SHADOWED_H)
+        for path in (bell_path, str(shadowed)):
+            code, out, _ = run_cli(["compare",
+                                    "--engines", "blocked,dense,stabilizer",
+                                    "--p", "2", "--circuit", path])
+            assert code == EXIT_OK
+            assert out.count(" MATCH") == 3 and "MISMATCH" not in out
+            assert "dist(blocked,dense) = 0.000000000000" in out
+        assert "stabilizer p0 = 0 " in out    # the shadowing H is X
 
     def test_failing_engine_reports_code(self, t_path):
         code, out, _ = run_cli(["compare", "--engines", "stabilizer,dense",

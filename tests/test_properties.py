@@ -1,6 +1,7 @@
 """Property tests over generated circuits and texts: the text format
-round-trips, the parser fails only with CircuitError, and the dense
-blockedness decider agrees with brute-force enumeration."""
+round-trips, the parser fails only with CircuitError, the dense
+blockedness decider agrees with brute-force enumeration, and the
+stabilizer engine agrees with the dense state on Clifford circuits."""
 
 from fractions import Fraction
 
@@ -10,9 +11,10 @@ from pblocksim.blocked import conjugate_block
 from pblocksim.circuits import (LIBRARY, Circuit, CircuitError, CircuitStep,
                                 GateDef, InputBlock, parse_circuit,
                                 serialize_circuit)
-from pblocksim.dense import dense_blockedness, dense_run
-from pblocksim.exact import ZERO, ExactScalar
+from pblocksim.dense import dense_blockedness, dense_marginal, dense_run
+from pblocksim.exact import I_UNIT, MINUS_ONE, ONE, ZERO, ExactScalar
 from pblocksim.matrices import DensityBlock, ExactMatrix, kron, mat_mul
+from pblocksim.stabilizer import tableau_apply, tableau_init, tableau_marginal
 
 from helpers import brute_blockedness
 
@@ -22,6 +24,7 @@ PROPERTY = settings(deadline=None, derandomize=True)
 GATES = sorted(LIBRARY.values(), key=lambda g: g.name)
 GATES_1 = [g for g in GATES if g.arity == 1]
 GATES_2 = [g for g in GATES if g.arity == 2]
+CLIFFORDS = [g for g in GATES if g.name != "T"]
 # short names, some of which shadow a library gate
 NAMES = st.from_regex(r"[A-Z][A-Z0-9_]{0,3}", fullmatch=True)
 
@@ -31,20 +34,22 @@ def _targets(draw, width, arity):
 
 
 @st.composite
-def custom_gates(draw):
-    """A named product of library gates (kron pairs for two qubits)."""
+def custom_gates(draw, pool=GATES, names=NAMES):
+    """A named product of `pool` gates (kron pairs for two qubits)."""
     arity = draw(st.sampled_from([1, 2]))
+    pool_1 = [g for g in pool if g.arity == 1]
     if arity == 1:
-        factor = st.sampled_from([g.matrix for g in GATES_1])
+        factor = st.sampled_from([g.matrix for g in pool_1])
     else:
         pair = st.builds(lambda a, b: kron(a.matrix, b.matrix),
-                         st.sampled_from(GATES_1), st.sampled_from(GATES_1))
-        factor = st.one_of(st.sampled_from([g.matrix for g in GATES_2]), pair)
+                         st.sampled_from(pool_1), st.sampled_from(pool_1))
+        factor = st.one_of(st.sampled_from(
+            [g.matrix for g in pool if g.arity == 2]), pair)
     factors = draw(st.lists(factor, min_size=1, max_size=3))
     matrix = factors[0]
     for nxt in factors[1:]:
         matrix = mat_mul(matrix, nxt)
-    return GateDef(draw(NAMES), arity, matrix)
+    return GateDef(draw(names), arity, matrix)
 
 
 @st.composite
@@ -163,3 +168,50 @@ def test_dense_blockedness_matches_brute_force(circuit):
     for p in range(1, circuit.width + 1):
         assert dense_blockedness(state, p) == \
             brute_blockedness(state.amps, circuit.width, p)
+
+
+@st.composite
+def clifford_circuits(draw):
+    """Circuits of width <= 5 over the library's Clifford gates and products
+    of them, under fresh names and under the library's own names."""
+    width = draw(st.integers(1, 5))
+    bits = draw(st.text("01", min_size=width, max_size=width))
+    names = st.one_of(NAMES, st.sampled_from(sorted(LIBRARY)))
+    gates = CLIFFORDS + draw(st.lists(custom_gates(CLIFFORDS, names),
+                                      max_size=3))
+    usable = [g for g in gates if g.arity <= width]
+    steps = tuple(CircuitStep(g, _targets(draw, width, g.arity))
+                  for g in draw(st.lists(st.sampled_from(usable),
+                                         max_size=20)))
+    return Circuit(width, bits, steps)
+
+
+_I_POWERS = (ONE, I_UNIT, MINUS_ONE, -I_UNIT)
+
+
+def _pauli_fixes(gen, amps, width) -> bool:
+    """gen = i^phase X^x Z^z maps the state to itself; tableau bit q is
+    qubit q, which is index bit width-1-q of the dense state."""
+    def index_mask(mask):
+        return sum(1 << (width - 1 - q) for q in range(width) if mask >> q & 1)
+
+    x, z = index_mask(gen.x_mask), index_mask(gen.z_mask)
+    image = [ZERO] * len(amps)
+    for c, amp in enumerate(amps):
+        sign = 2 * (z & c).bit_count()
+        image[c ^ x] = _I_POWERS[(gen.phase + sign) & 3] * amp
+    return image == amps
+
+
+@settings(PROPERTY, max_examples=120)
+@given(clifford_circuits())
+def test_stabilizer_matches_dense_on_clifford_circuits(circuit):
+    tableau = tableau_init(circuit.width, circuit.input_bits)
+    for step in circuit.steps:
+        tableau = tableau_apply(tableau, step)
+    state = dense_run(circuit)
+    for gen in tableau.generators:
+        assert _pauli_fixes(gen, state.amps, circuit.width), gen
+    for q in range(circuit.width):
+        assert tableau_marginal(tableau, q).exact_eq(
+            dense_marginal(state, q))

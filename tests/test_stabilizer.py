@@ -6,9 +6,12 @@ from fractions import Fraction
 import pytest
 
 from pblocksim.exact import ExactScalar
-from pblocksim.circuits import Circuit, CircuitStep, LIBRARY, parse_circuit
+from pblocksim.circuits import (Circuit, CircuitStep, GateDef, LIBRARY,
+                                parse_circuit)
+from pblocksim.matrices import mat_mul
 from pblocksim.dense import dense_run, dense_marginal
 from pblocksim.stabilizer import (PauliString, NonCliffordGate,
+                                  StabilizerTableau,
                                   tableau_init, tableau_apply,
                                   tableau_marginal, run_stabilizer)
 from pblocksim.prng import CounterRng
@@ -20,8 +23,30 @@ ZERO = ExactScalar(0)
 HALF = ExactScalar(Fraction(1, 2))
 
 
+# a defgate that shadows a built-in name runs by its matrix: this "H" is X
+SHADOWED_H = "qubits 1\ndefgate H 1\n0 1\n1 0\ngate H 0\nmeasure 0\n"
+# H's matrix under a fresh name
+RENAMED_H = ("qubits 2\ndefgate HH 1\n1/2*r2 1/2*r2\n1/2*r2 -1/2*r2\n"
+             "gate HH 0\ngate CNOT 0 1\nmeasure 1\n")
+# T's matrix as the step-1 gate, under a fresh name and under S's name
+T_MATRIX = "defgate {} 1\n1 0\n0 1/2*r2+1/2*i*r2\n"
+NON_CLIFFORD = [
+    "qubits 1\ngate H 0\ngate T 0\nmeasure 0\n",
+    "qubits 1\n" + T_MATRIX.format("TT") + "gate H 0\ngate TT 0\n",
+    "qubits 1\n" + T_MATRIX.format("S") + "gate H 0\ngate S 0\n",
+]
+
+
 def step(name, *qs):
     return CircuitStep(LIBRARY[name], tuple(qs))
+
+
+def custom(name, *factors):
+    """A gate named `name` whose matrix is the product of library gates."""
+    matrix = LIBRARY[factors[0]].matrix
+    for f in factors[1:]:
+        matrix = mat_mul(matrix, LIBRARY[f].matrix)
+    return GateDef(name, LIBRARY[factors[0]].arity, matrix)
 
 
 class TestInit:
@@ -75,7 +100,12 @@ class TestApply:
         ]
         gates = [step("I", 0), step("X", 0), step("Y", 1), step("Z", 0),
                  step("H", 1), step("S", 0), step("CNOT", 1, 0),
-                 step("CZ", 0, 1), step("SWAP", 0, 1)]
+                 step("CZ", 0, 1), step("SWAP", 0, 1),
+                 # rules come from the matrix, not the name
+                 CircuitStep(custom("H", "X"), (0,)),
+                 CircuitStep(custom("HH", "H"), (1,)),
+                 CircuitStep(custom("SH", "S", "H"), (0,)),
+                 CircuitStep(custom("CNOT", "CZ", "SWAP"), (1, 0))]
         for prep in preps:
             for g in gates:
                 c = Circuit(2, "00", tuple(prep) + (g,))
@@ -98,6 +128,13 @@ class TestMarginal:
     def test_one_state(self):
         dist = tableau_marginal(tableau_init(1, "1"), 0)
         assert dist.p0 == ZERO and dist.p1 == ONE
+
+    def test_rank_deficient_tableau_is_an_error(self):
+        # Z_0 twice: no generator has X on qubit 1, yet Z_1 is not in the
+        # group, so no fair-coin answer may come back
+        z0 = PauliString(2, 0, 1)
+        with pytest.raises(AssertionError):
+            tableau_marginal(StabilizerTableau(2, [z0, z0]), 1)
 
     def test_ghz10_matches_dense(self):
         c = ghz_circuit(10)
@@ -122,10 +159,21 @@ class TestRunStabilizer:
         assert dist.p0 == HALF
 
     def test_t_gate_reports_step(self):
-        c = parse_circuit("qubits 1\ngate H 0\ngate T 0\nmeasure 0\n")
-        with pytest.raises(NonCliffordGate) as err:
-            run_stabilizer(c)
-        assert err.value.step_index == 1
+        for text in NON_CLIFFORD:
+            c = parse_circuit(text)
+            with pytest.raises(NonCliffordGate) as err:
+                run_stabilizer(c)
+            assert err.value.step_index == 1
+            name = c.steps[1].gate.name
+            assert str(err.value) == \
+                f"step 1: gate {name} has no tableau update rule"
+
+    def test_defgate_runs_by_matrix(self):
+        for text in (SHADOWED_H, RENAMED_H):
+            c = parse_circuit(text)
+            want = dense_marginal(dense_run(c), c.measured_qubit)
+            assert run_stabilizer(c).exact_eq(want), text
+        assert run_stabilizer(parse_circuit(SHADOWED_H)).p1 == ONE
 
     def test_random_clifford_vs_dense_all_qubits(self):
         rng = CounterRng(62, "cliff_sweep")
