@@ -13,8 +13,7 @@ Plus an analyzer for the blockedness of arithmetic-progression states and a
 fair-coin sampler for the output distributions.
 """
 
-from .exact import (BigRational, ExactScalar, parse_scalar, scalar_add,
-                    scalar_mul, scalar_conj, scalar_inverse, scalar_to_float)
+from .exact import BigRational, ExactScalar, parse_scalar
 from .matrices import (ExactMatrix, DensityBlock, mat_mul, mat_eq, kron,
                        is_unitary, partial_trace, relabel_reorder,
                        trace_norm_float, DimensionMismatch, NotHermitian)

@@ -250,28 +250,6 @@ TWO = ExactScalar(2)
 HALF = ExactScalar(Fraction(1, 2))
 
 
-# -- named operation surface ---
-
-def scalar_add(x: ExactScalar, y: ExactScalar) -> ExactScalar:
-    return x + y
-
-
-def scalar_mul(x: ExactScalar, y: ExactScalar) -> ExactScalar:
-    return x * y
-
-
-def scalar_conj(x: ExactScalar) -> ExactScalar:
-    return x.conjugate()
-
-
-def scalar_inverse(x: ExactScalar) -> ExactScalar:
-    return x.inverse()
-
-
-def scalar_to_float(x: ExactScalar) -> complex:
-    return x.to_complex()
-
-
 # -- parsing ---
 
 _TERM_RE = re.compile(r"[+-]|[^+-]+")

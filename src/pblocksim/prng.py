@@ -59,9 +59,6 @@ class CounterRng:
             if v < limit:
                 return v % bound
 
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
-
     def coin_bit(self) -> int:
         """One fair bit."""
         return self.next_u64() & 1

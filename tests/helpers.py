@@ -14,7 +14,7 @@ from itertools import combinations
 from pblocksim.exact import ExactScalar, ZERO, ONE
 from pblocksim.matrices import (ExactMatrix, DensityBlock, kron, mat_eq,
                                 mat_mul, partial_trace, relabel_reorder)
-from pblocksim.circuits import Circuit, CircuitStep, LIBRARY
+from pblocksim.circuits import Circuit, CircuitStep, GateDef, LIBRARY
 from pblocksim.blocked import embed_gate
 from pblocksim.prng import CounterRng
 
@@ -205,3 +205,10 @@ def ghz_circuit(n: int) -> Circuit:
     for q in range(n - 1):
         steps.append(CircuitStep(LIBRARY["CNOT"], (q, q + 1)))
     return Circuit(n, "0" * n, tuple(steps))
+
+
+# (S (x) H) CNOT: its action on the targets differs when they are swapped,
+# so it catches a tableau update that reads the targets in the wrong order
+S_H_CNOT = GateDef("SHCX", 2, mat_mul(kron(LIBRARY["S"].matrix,
+                                           LIBRARY["H"].matrix),
+                                      LIBRARY["CNOT"].matrix))

@@ -6,57 +6,54 @@ from fractions import Fraction
 import pytest
 
 from pblocksim.exact import (BigRational, ExactScalar, ZERO, ONE, MINUS_ONE,
-                             I_UNIT, SQRT2, HALF_SQRT2, parse_scalar,
-                             scalar_add, scalar_mul, scalar_conj,
-                             scalar_inverse, scalar_to_float)
+                             I_UNIT, SQRT2, HALF_SQRT2, parse_scalar)
 from pblocksim.prng import CounterRng
 
 from helpers import random_exact_scalar
 
 
 def test_half_plus_half():
-    assert scalar_add(ExactScalar(Fraction(1, 2)),
-                      ExactScalar(Fraction(1, 2))) == ONE
+    assert ExactScalar(Fraction(1, 2)) + ExactScalar(Fraction(1, 2)) == ONE
 
 
 def test_add_zero_identity():
     rng = CounterRng(1, "add_zero")
     for _ in range(50):
         x = random_exact_scalar(rng)
-        assert scalar_add(x, ZERO) == x
+        assert x + ZERO == x
 
 
 def test_sqrt2_halves_sum_to_sqrt2():
-    s = scalar_add(HALF_SQRT2, HALF_SQRT2)
+    s = HALF_SQRT2 + HALF_SQRT2
     assert s == SQRT2
     assert (s.a, s.b, s.c, s.d) == (0, 0, 1, 0)
 
 
 def test_t_phase_modulus():
     phase = ExactScalar(0, 0, Fraction(1, 2), Fraction(1, 2))
-    assert scalar_mul(phase, scalar_conj(phase)) == ONE
+    assert phase * phase.conjugate() == ONE
 
 
 def test_sqrt2_squared():
-    assert scalar_mul(SQRT2, SQRT2) == ExactScalar(2)
+    assert SQRT2 * SQRT2 == ExactScalar(2)
 
 
 def test_i_squared():
-    assert scalar_mul(I_UNIT, I_UNIT) == MINUS_ONE
+    assert I_UNIT * I_UNIT == MINUS_ONE
 
 
 def test_conjugation():
-    assert scalar_conj(I_UNIT) == -I_UNIT
-    assert scalar_conj(SQRT2) == SQRT2
+    assert I_UNIT.conjugate() == -I_UNIT
+    assert SQRT2.conjugate() == SQRT2
     rng = CounterRng(2, "conj")
     for _ in range(50):
         x = random_exact_scalar(rng)
-        assert scalar_conj(scalar_conj(x)) == x
+        assert x.conjugate().conjugate() == x
 
 
 def test_inverse_values():
-    assert scalar_inverse(SQRT2) == HALF_SQRT2
-    assert scalar_inverse(ExactScalar(2)) == ExactScalar(Fraction(1, 2))
+    assert SQRT2.inverse() == HALF_SQRT2
+    assert ExactScalar(2).inverse() == ExactScalar(Fraction(1, 2))
 
 
 def test_inverse_field_axiom():
@@ -65,37 +62,37 @@ def test_inverse_field_axiom():
         x = random_exact_scalar(rng)
         if x.is_zero():
             continue
-        assert scalar_mul(x, scalar_inverse(x)) == ONE
+        assert x * x.inverse() == ONE
 
 
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        scalar_inverse(ZERO)
+        ZERO.inverse()
 
 
 def test_to_float_sqrt2_half():
     # reference: sqrt(2)/2 from a 50-digit integer square root
     ref = Fraction(math.isqrt(2 * 10 ** 100), 2 * 10 ** 50)
-    assert abs(scalar_to_float(HALF_SQRT2).real - float(ref)) <= 1e-15
-    assert scalar_to_float(HALF_SQRT2).imag == 0.0
+    assert abs(HALF_SQRT2.to_complex().real - float(ref)) <= 1e-15
+    assert HALF_SQRT2.to_complex().imag == 0.0
 
 
 def test_to_float_third():
     ref = float(Fraction(1, 3))
-    got = scalar_to_float(ExactScalar(Fraction(1, 3)))
+    got = ExactScalar(Fraction(1, 3)).to_complex()
     assert abs(got.real - ref) <= 1e-15
 
 
 def test_to_float_zero():
-    assert scalar_to_float(ZERO) == 0j
+    assert ZERO.to_complex() == 0j
 
 
 def test_to_float_add_consistency():
     rng = CounterRng(4, "float_add")
     for _ in range(50):
         x, y = random_exact_scalar(rng), random_exact_scalar(rng)
-        lhs = scalar_to_float(scalar_add(x, y))
-        rhs = scalar_to_float(x) + scalar_to_float(y)
+        lhs = (x + y).to_complex()
+        rhs = x.to_complex() + y.to_complex()
         scale = max(1.0, abs(lhs), abs(rhs))
         assert abs(lhs - rhs) <= 1e-12 * scale
 

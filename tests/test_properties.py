@@ -1,7 +1,8 @@
 """Property tests over generated circuits and texts: the text format
 round-trips, the parser fails only with CircuitError, the dense
-blockedness decider agrees with brute-force enumeration, and the
-stabilizer engine agrees with the dense state on Clifford circuits."""
+blockedness decider agrees with brute-force enumeration, the stabilizer
+engine agrees with the dense state on Clifford circuits, and its tableau
+converts between columns and rows without loss."""
 
 from fractions import Fraction
 
@@ -14,9 +15,10 @@ from pblocksim.circuits import (LIBRARY, Circuit, CircuitError, CircuitStep,
 from pblocksim.dense import dense_blockedness, dense_marginal, dense_run
 from pblocksim.exact import I_UNIT, MINUS_ONE, ONE, ZERO, ExactScalar
 from pblocksim.matrices import DensityBlock, ExactMatrix, kron, mat_mul
-from pblocksim.stabilizer import tableau_apply, tableau_init, tableau_marginal
+from pblocksim.stabilizer import (StabilizerTableau, tableau_apply,
+                                  tableau_init, tableau_marginal)
 
-from helpers import brute_blockedness
+from helpers import S_H_CNOT, brute_blockedness
 
 # derandomized so that every run checks the same examples
 PROPERTY = settings(deadline=None, derandomize=True)
@@ -186,6 +188,13 @@ def clifford_circuits(draw):
     return Circuit(width, bits, steps)
 
 
+# S_H_CNOT both ways round, on adjacent and on distant qubits
+BOTH_ORDERS = Circuit(3, "010", tuple(
+    CircuitStep(gate, targets) for gate, targets in
+    [(LIBRARY["H"], (0,)), (S_H_CNOT, (0, 1)), (S_H_CNOT, (1, 0)),
+     (LIBRARY["H"], (2,)), (S_H_CNOT, (2, 0)), (S_H_CNOT, (0, 2))]))
+
+
 _I_POWERS = (ONE, I_UNIT, MINUS_ONE, -I_UNIT)
 
 
@@ -204,6 +213,7 @@ def _pauli_fixes(gen, amps, width) -> bool:
 
 
 @settings(PROPERTY, max_examples=120)
+@example(BOTH_ORDERS)
 @given(clifford_circuits())
 def test_stabilizer_matches_dense_on_clifford_circuits(circuit):
     tableau = tableau_init(circuit.width, circuit.input_bits)
@@ -215,3 +225,16 @@ def test_stabilizer_matches_dense_on_clifford_circuits(circuit):
     for q in range(circuit.width):
         assert tableau_marginal(tableau, q).exact_eq(
             dense_marginal(state, q))
+
+
+@settings(PROPERTY, max_examples=120)
+@example(BOTH_ORDERS)
+@given(clifford_circuits())
+def test_tableau_rows_round_trip_to_columns(circuit):
+    tableau = tableau_init(circuit.width, circuit.input_bits)
+    for step in circuit.steps:
+        tableau = tableau_apply(tableau, step)
+    again = StabilizerTableau(circuit.width, tableau.generators)
+    assert (again.xs, again.zs, again.signs) == \
+        (tableau.xs, tableau.zs, tableau.signs)
+    assert again.dump() == tableau.dump()

@@ -1,10 +1,14 @@
 """Tableau engine: update rules, marginals, scale, dense agreement."""
 
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import pblocksim
 from pblocksim.exact import ExactScalar
 from pblocksim.circuits import (Circuit, CircuitStep, GateDef, LIBRARY,
                                 parse_circuit)
@@ -16,7 +20,7 @@ from pblocksim.stabilizer import (PauliString, NonCliffordGate,
                                   tableau_marginal, run_stabilizer)
 from pblocksim.prng import CounterRng
 
-from helpers import ghz_circuit, random_clifford_circuit
+from helpers import S_H_CNOT, ghz_circuit, random_clifford_circuit
 
 ONE = ExactScalar(1)
 ZERO = ExactScalar(0)
@@ -35,6 +39,18 @@ NON_CLIFFORD = [
     "qubits 1\n" + T_MATRIX.format("TT") + "gate H 0\ngate TT 0\n",
     "qubits 1\n" + T_MATRIX.format("S") + "gate H 0\ngate S 0\n",
 ]
+
+
+# Z_0 twice: no generator has X on qubit 1, yet Z_1 is not in the group, so
+# no answer may come back, also under python -O, which strips asserts
+RANK_DEFICIENT = """
+from pblocksim.stabilizer import PauliString, StabilizerTableau, tableau_marginal
+z0 = PauliString(2, 0, 1)
+try:
+    tableau_marginal(StabilizerTableau(2, [z0, z0]), 1)
+except ValueError as exc:
+    print(exc)
+"""
 
 
 def step(name, *qs):
@@ -105,7 +121,9 @@ class TestApply:
                  CircuitStep(custom("H", "X"), (0,)),
                  CircuitStep(custom("HH", "H"), (1,)),
                  CircuitStep(custom("SH", "S", "H"), (0,)),
-                 CircuitStep(custom("CNOT", "CZ", "SWAP"), (1, 0))]
+                 CircuitStep(custom("CNOT", "CZ", "SWAP"), (1, 0)),
+                 CircuitStep(S_H_CNOT, (0, 1)),
+                 CircuitStep(S_H_CNOT, (1, 0))]
         for prep in preps:
             for g in gates:
                 c = Circuit(2, "00", tuple(prep) + (g,))
@@ -130,11 +148,21 @@ class TestMarginal:
         assert dist.p0 == ZERO and dist.p1 == ONE
 
     def test_rank_deficient_tableau_is_an_error(self):
-        # Z_0 twice: no generator has X on qubit 1, yet Z_1 is not in the
-        # group, so no fair-coin answer may come back
         z0 = PauliString(2, 0, 1)
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="generators are not independent"):
             tableau_marginal(StabilizerTableau(2, [z0, z0]), 1)
+        src = os.path.dirname(os.path.dirname(pblocksim.__file__))
+        out = subprocess.run([sys.executable, "-O", "-c", RANK_DEFICIENT],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout == "generators are not independent\n"
+
+    def test_anticommuting_tableau_is_an_error(self):
+        # X_0 and Z_0: full rank and no X on qubit 1, yet Z_1 is not in the
+        # span, because the generators do not commute
+        x0, z0 = PauliString(2, 1, 0), PauliString(2, 0, 1)
+        with pytest.raises(ValueError, match="generators do not commute"):
+            tableau_marginal(StabilizerTableau(2, [x0, z0]), 1)
 
     def test_ghz10_matches_dense(self):
         c = ghz_circuit(10)
