@@ -133,6 +133,8 @@ def census(r_bits: int, trials: int, p: int, n: int, seed: int
         raise BadArgs("need n >= r_bits + 3 to hold several periods")
     if r_bits < 1:
         raise BadArgs("r_bits must be >= 1")
+    if trials < 1:
+        raise BadArgs("trials must be >= 1")
     rng = CounterRng(seed, tag="ap_census")
     blocked = 0
     for _ in range(trials):

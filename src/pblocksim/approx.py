@@ -45,6 +45,10 @@ class ApproxConfig:
     p: int
     epsilon: float
 
+    def __post_init__(self):
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and >= 0")
+
 
 @dataclass(frozen=True)
 class LedgerEntry:

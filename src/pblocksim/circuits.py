@@ -52,6 +52,10 @@ _I_POWERS = (ONE, I_UNIT, MINUS_ONE, -I_UNIT)
 _UNDERIVED = object()
 
 
+def _reverse_bits(value: int, width: int) -> int:
+    return sum((value >> j & 1) << (width - 1 - j) for j in range(width))
+
+
 def _pauli_matrix(dim: int, x: int, z: int, k: int = 0) -> ExactMatrix:
     """i^k X^x Z^z: column c holds i^k (-1)^|z & c| in row c ^ x."""
     entries = [ZERO] * (dim * dim)
@@ -91,36 +95,60 @@ class GateDef:
         return self._nonzero_rows
 
     def clifford_table(self):
-        """The gate's action on Paulis, or None when it is not Clifford.
+        """The gate's action on the targets' Pauli bits, in the form the
+        stabilizer update uses, or None when the gate is not Clifford.
 
-        Entry x | z << arity holds (x', z', k) with
-        U X^x Z^z U^dag = i^k X^x' Z^z'; bit arity-1-j of a Pauli's x and z
-        is target j, as in the matrix index.  Derived once and cached."""
+        Column c < arity is the X bit of target c and column arity + c its
+        Z bit.  A Clifford acts linearly on these bits, so the table is
+        (rows, flips): each (c, inputs) in rows sets column c to the XOR of
+        the old columns in `inputs` (columns the gate leaves as they were
+        are not listed), and a Pauli's letter-form sign flips by the XOR,
+        over the tuples in flips, of the AND of each tuple's old columns.
+        Derived once from the exact matrix and cached."""
         if self._clifford_table is _UNDERIVED:
             self._clifford_table = self._derive_clifford_table()
         return self._clifford_table
 
     def _derive_clifford_table(self):
-        dim = 1 << self.arity
+        arity, dim = self.arity, 1 << self.arity
         u, u_dag = self.matrix, self.matrix.dagger()
-        table = []
+        images, flips = [], []
         for code in range(dim * dim):
-            image = mat_mul(mat_mul(u, _pauli_matrix(dim, code % dim,
-                                                     code // dim)), u_dag)
-            # column 0 of i^k X^x' Z^z' is i^k in row x'; column 1 << j
-            # carries the sign of Z_j
+            # in the matrix index, bit arity-1-c is target c
+            x = _reverse_bits(code % dim, arity)
+            z = _reverse_bits(code // dim, arity)
+            image = mat_mul(mat_mul(u, _pauli_matrix(dim, x, z)), u_dag)
+            # U X^x Z^z U^dag = i^k X^x' Z^z': column 0 is i^k in row x';
+            # column 1 << j carries the sign of Z_j
             col0 = [r for r in range(dim) if not image.at(r, 0).is_zero()]
             if len(col0) != 1 or image.at(col0[0], 0) not in _I_POWERS:
                 return None
-            x = col0[0]
-            phase = image.at(x, 0)
-            z = sum(1 << j for j in range(self.arity)
-                    if image.at(x ^ 1 << j, 1 << j) != phase)
+            x2 = col0[0]
+            phase = image.at(x2, 0)
+            z2 = sum(1 << j for j in range(arity)
+                     if image.at(x2 ^ 1 << j, 1 << j) != phase)
             k = _I_POWERS.index(phase)
-            if image != _pauli_matrix(dim, x, z, k):
+            if image != _pauli_matrix(dim, x2, z2, k):
                 return None
-            table.append((x, z, k))
-        return tuple(table)
+            images.append(_reverse_bits(x2, arity)
+                          | _reverse_bits(z2, arity) << arity)
+            # a letter-form sign changes by i^k and by the change in Ys
+            ys = (x & z).bit_count() - (x2 & z2).bit_count()
+            flips.append((k + ys) >> 1 & 1)
+        columns = range(2 * arity)
+        rows = []
+        for out in columns:
+            inputs = tuple(c for c in columns if images[1 << c] >> out & 1)
+            if inputs != (out,):
+                rows.append((out, inputs))
+        # Moebius transform: the flip's algebraic normal form
+        for c in columns:
+            for code in range(dim * dim):
+                if code >> c & 1:
+                    flips[code] ^= flips[code ^ 1 << c]
+        monomials = tuple(tuple(c for c in columns if code >> c & 1)
+                          for code, bit in enumerate(flips) if bit)
+        return tuple(rows), monomials
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GateDef):

@@ -82,6 +82,10 @@ def _run_engine(engine: str, circuit: Circuit, args):
 
 
 def cmd_simulate(args) -> None:
+    if args.samples < 0:
+        raise _CliError(EXIT_USAGE, "--samples must be >= 0")
+    if args.samples and not args.eta > 0:
+        raise _CliError(EXIT_USAGE, "--eta must be positive")
     circuit = _load_circuit(args.circuit)
     started = time.perf_counter()
     try:
@@ -102,9 +106,13 @@ def cmd_simulate(args) -> None:
         ledger, cert = ledger_info
         print(cert.summary())
         if args.ledger:
-            with open(args.ledger, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(ledger.export_lines()))
-                fh.write("\n" + cert.summary() + "\n")
+            try:
+                with open(args.ledger, "w", encoding="utf-8") as fh:
+                    fh.write("\n".join(ledger.export_lines()))
+                    fh.write("\n" + cert.summary() + "\n")
+            except OSError as exc:
+                raise _CliError(EXIT_USAGE,
+                                f"cannot write {args.ledger}: {exc}")
     if args.samples:
         if not dist.is_exact():
             raise _CliError(EXIT_USAGE,
@@ -156,8 +164,11 @@ def cmd_compare(args) -> int:
 
 def cmd_analyze_ap(args) -> int:
     if args.census:
-        result = ap_mod.census(args.rbits, args.trials, args.p, args.n,
-                               args.seed)
+        try:
+            result = ap_mod.census(args.rbits, args.trials, args.p, args.n,
+                                   args.seed)
+        except ap_mod.BadArgs as exc:
+            raise _CliError(EXIT_USAGE, f"bad --census: {exc}")
         print(result.line())
         return EXIT_OK
     if args.pair:
@@ -174,7 +185,10 @@ def cmd_analyze_ap(args) -> int:
             state = ap_mod.build_ap(args.x0, args.r, args.count, args.n)
         except (ap_mod.BadArgs, ap_mod.RangeOverflow) as exc:
             raise _CliError(EXIT_USAGE, str(exc))
-    parts = ap_mod.analyze_blockedness(state, args.p)
+    try:
+        parts = ap_mod.analyze_blockedness(state, args.p)
+    except ap_mod.BadArgs as exc:
+        raise _CliError(EXIT_USAGE, str(exc))
     if parts is None:
         print(f"NOT {args.p}-BLOCKED")
     else:

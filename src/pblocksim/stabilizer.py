@@ -3,19 +3,26 @@
 A state is the n commuting independent signed Pauli generators that fix it,
 stored by columns (Aaronson & Gottesman, quant-ph/0406196): per qubit, an
 n-bit mask of the generators with X there and one of those with Z there,
-plus a mask of the generators whose letter form is negative.  Each gate's
-update rule is read off its exact matrix (`GateDef.clifford_table`), so any
-1- or 2-qubit Clifford gate runs, built-in or defined, whatever its name; it
-rewrites the target columns and the sign mask with a constant number of
-n-bit mask operations.  A gate whose matrix maps some Pauli outside the
-Pauli group is not Clifford and is rejected.  Rows (`PauliString`s) are
-built only where they are read.  Measurement here is the end-of-circuit
-marginal only, computed without collapsing the state.
+plus a mask of the generators whose letter form is negative.  Beside them
+sit the n unsigned destabilizers, stored the same way: destabilizer i
+anticommutes with generator i and commutes with the others, starting from
+X_q against Z_q.  Each gate's action is compiled once from its exact matrix
+(`GateDef.clifford_table`), so any 1- or 2-qubit Clifford gate runs,
+built-in or defined, whatever its name: every target column it changes is
+an XOR of old target columns, and the sign mask flips on an XOR of ANDs of
+them, a constant number of n-bit mask operations done in place (as in Stim,
+Gidney, arXiv:2103.02202).  A gate whose matrix maps some Pauli outside the
+Pauli group is not Clifford and is rejected.  Measurement here is the
+end-of-circuit marginal only, computed without collapsing the state: a
+deterministic outcome's sign is the product of the generators that the
+qubit's destabilizer column names, so no elimination is needed.  Rows
+(`PauliString`s) are built only where they are read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 
 from .exact import ExactScalar
 from .circuits import Circuit, CircuitStep
@@ -25,7 +32,7 @@ _HALF = ExactScalar(Fraction(1, 2))
 _ONE = ExactScalar(1)
 _ZERO = ExactScalar(0)
 
-# re-verify commutation/rank invariants after every update
+# re-verify commutation and destabilizer duality after every update
 DEBUG_CHECKS = False
 
 
@@ -87,9 +94,12 @@ class PauliString:
 
 class StabilizerTableau:
     """By columns: bit i of `xs[q]` and `zs[q]` is generator i's X and Z on
-    qubit q; bit i of `signs` is set when its letter form is negative."""
+    qubit q; bit i of `signs` is set when its letter form is negative.
+    `dxs` and `dzs` hold the unsigned destabilizers the same way:
+    destabilizer i anticommutes with generator i and commutes with every
+    other generator."""
 
-    __slots__ = ("width", "xs", "zs", "signs")
+    __slots__ = ("width", "xs", "zs", "signs", "dxs", "dzs")
 
     def __init__(self, width: int, generators: list[PauliString]):
         if len(generators) != width:
@@ -99,13 +109,8 @@ class StabilizerTableau:
         self.zs = _transpose([g.z_mask for g in generators])
         self.signs = sum(1 << i for i, g in enumerate(generators)
                          if g.letter_sign() < 0)
-
-    @classmethod
-    def _from_columns(cls, width: int, xs: list[int], zs: list[int],
-                      signs: int) -> "StabilizerTableau":
-        t = cls.__new__(cls)
-        t.width, t.xs, t.zs, t.signs = width, xs, zs, signs
-        return t
+        self.dxs, self.dzs = _destabilizers(generators)
+        _check_commuting(generators)
 
     @property
     def generators(self) -> list[PauliString]:
@@ -118,12 +123,15 @@ class StabilizerTableau:
 
     def check_invariants(self) -> None:
         gens = self.generators
-        for i, g in enumerate(gens):
-            for h in gens[i + 1:]:
-                if not g.commutes(h):
-                    raise ValueError("generators do not commute")
-        if len(_echelon(gens)) != self.width:
-            raise ValueError("generators are not independent")
+        _check_commuting(gens)
+        # duality also makes the generators independent
+        for i, (dx, dz) in enumerate(zip(_transpose(self.dxs),
+                                         _transpose(self.dzs))):
+            d = PauliString(self.width, dx, dz)
+            for j, g in enumerate(gens):
+                if d.commutes(g) == (i == j):
+                    raise ValueError(
+                        "destabilizers are not dual to the generators")
 
     def dump(self) -> str:
         """The generators' letter forms, one a line, in reduced echelon form
@@ -158,103 +166,120 @@ def _transpose(masks: list[int]) -> list[int]:
     """Transpose of a square bit matrix: bit i of out[j] is bit j of
     masks[i].  Costs one step per set bit."""
     out = [0] * len(masks)
-    for i, mask in enumerate(masks):
-        bit = 1 << i
+    for i in compress(range(len(masks)), masks):
+        mask = masks[i]
         while mask:
             j = mask.bit_length() - 1
-            out[j] |= bit
+            out[j] |= 1 << i
             mask ^= 1 << j
     return out
 
 
+def _check_commuting(gens: list[PauliString]) -> None:
+    for i, g in enumerate(gens):
+        for h in gens[i + 1:]:
+            if not g.commutes(h):
+                raise ValueError("generators do not commute")
+
+
+def _destabilizers(gens: list[PauliString]) -> tuple[list[int], list[int]]:
+    """Columns (dxs, dzs) of destabilizers d_i with <d_i, g_j> = delta_ij.
+
+    <d, g> = d_x . g_z + d_z . g_x, so the d_i solve H d_i = e_i, where row
+    j of H is g_j's Z part above its X part.  In the reduced echelon form
+    T H = R with pivot columns p_k, d_i = sum_k T[k][i] e_{p_k}: the tag
+    (row k of T) of the row with pivot p_k is destabilizer column p_k."""
+    n = len(gens)
+    basis: dict[int, tuple[int, int]] = {}
+    for i, g in enumerate(gens):
+        vec, tag = (g.z_mask << n) | g.x_mask, 1 << i
+        for lead, (bv, bt) in basis.items():
+            if vec >> lead & 1:
+                vec, tag = vec ^ bv, tag ^ bt
+        if not vec:
+            raise ValueError("generators are not independent")
+        lead = vec.bit_length() - 1
+        for other, (bv, bt) in basis.items():
+            if bv >> lead & 1:
+                basis[other] = (bv ^ vec, bt ^ tag)
+        basis[lead] = (vec, tag)
+    # bit p < n of a row pairs with d_z on qubit p, bit n + q with d_x on q
+    dxs, dzs = [0] * n, [0] * n
+    for lead, (_, tag) in basis.items():
+        if lead >= n:
+            dxs[lead - n] = tag
+        else:
+            dzs[lead] = tag
+    return dxs, dzs
+
+
 def tableau_init(width: int, bits: str) -> StabilizerTableau:
-    """Basis state |b1...bn>: generators (-1)^b_q Z_q."""
-    if len(bits) != width or any(c not in "01" for c in bits):
+    """Basis state |b1...bn>: generators (-1)^b_q Z_q, destabilizers X_q."""
+    if len(bits) != width or bits.strip("01"):
         raise ValueError("input must be a bitstring of the given width")
-    return StabilizerTableau._from_columns(
-        width, [0] * width, [1 << q for q in range(width)],
-        sum(1 << q for q in range(width) if bits[q] == "1"))
+    t = StabilizerTableau.__new__(StabilizerTableau)
+    t.width = width
+    t.xs, t.dzs = [0] * width, [0] * width
+    t.zs = [1 << q for q in range(width)]
+    t.dxs = list(t.zs)
+    t.signs = int(bits[::-1] or "0", 2)
+    return t
 
 
 def tableau_apply(t: StabilizerTableau, step: CircuitStep
                   ) -> StabilizerTableau:
-    """Conjugate every generator by the gate.  The generators are grouped by
-    their Pauli on the targets, one mask per table code; each group is ORed
-    into the target columns its image sets, and its signs flip when the
-    entry's i^k and the change in the number of Ys on the targets make -1."""
+    """Conjugate every generator and destabilizer by the gate, in place,
+    and return `t`.  Each target column the gate changes becomes the XOR of
+    the old target columns its compiled table lists, and the signs flip on
+    the XOR of ANDs of old generator columns the table lists."""
     table = step.gate.clifford_table()
     if table is None:
         raise NonCliffordGate(step.gate.name)
-    arity = len(step.targets)
-    # code bit j is the X part of target arity-1-j, bit arity+j its Z part
-    targets = step.targets[::-1]
-    columns = [t.xs[q] for q in targets] + [t.zs[q] for q in targets]
-    groups = [(1 << t.width) - 1]
-    for column in columns:
-        groups = [g & ~column for g in groups] + [g & column for g in groups]
-    images = [0] * len(columns)
-    flips = 0
-    for code, (group, (x, z, k)) in enumerate(zip(groups, table)):
-        if not group:
-            continue
-        image = x | z << arity
-        for j in range(len(columns)):
-            if image >> j & 1:
-                images[j] |= group
-        ys_before = (code & code >> arity).bit_count()
-        if (k + ys_before - (x & z).bit_count()) & 2:
-            flips |= group
-    xs, zs = list(t.xs), list(t.zs)
-    for j, q in enumerate(targets):
-        xs[q] = images[j]
-        zs[q] = images[arity + j]
-    out = StabilizerTableau._from_columns(t.width, xs, zs, t.signs ^ flips)
+    rows, flips = table
+    targets = step.targets
+    arity = len(targets)
+    columns = (t.xs, t.zs, t.dxs, t.dzs)
+    # old[c] is generator column c of the table, old[c + 2 * arity] the
+    # destabilizer column
+    old = [side[q] for side in columns for q in targets]
+    for out, inputs in rows:
+        gen = dest = 0
+        for c in inputs:
+            gen ^= old[c]
+            dest ^= old[c + 2 * arity]
+        side, j = divmod(out, arity)
+        columns[side][targets[j]] = gen
+        columns[side + 2][targets[j]] = dest
+    signs = t.signs
+    for monomial in flips:
+        flip = old[monomial[0]]
+        for c in monomial[1:]:
+            flip &= old[c]
+        signs ^= flip
+    t.signs = signs
     if DEBUG_CHECKS:
-        out.check_invariants()
-    return out
-
-
-def _reduce(basis: dict, vec: int, tag: int = 0) -> tuple[int, int]:
-    while vec:
-        lead = vec.bit_length() - 1
-        if lead not in basis:
-            break
-        bv, bt = basis[lead]
-        vec ^= bv
-        tag ^= bt
-    return vec, tag
-
-
-def _echelon(gens: list[PauliString]) -> dict[int, tuple[int, int]]:
-    """GF(2) basis of the generators' (x|z) vectors by leading bit:
-    lead -> (vector, tag), bit i of the tag marking gens[i] in its sum."""
-    basis: dict[int, tuple[int, int]] = {}
-    for i, g in enumerate(gens):
-        vec, tag = _reduce(basis, (g.x_mask << g.width) | g.z_mask, 1 << i)
-        if vec:
-            basis[vec.bit_length() - 1] = (vec, tag)
-    return basis
+        t.check_invariants()
+    return t
 
 
 def tableau_marginal(t: StabilizerTableau, qubit: int) -> OutcomeDistribution:
-    """{p0, p1} in {{1,0}, {0,1}, {1/2,1/2}}: deterministic exactly when
-    +/-Z_q lies in the stabilizer group, found by a GF(2) solve."""
+    """{p0, p1} in {{1,0}, {0,1}, {1/2,1/2}}: random when a generator has X
+    on the qubit.  Otherwise Z_q is, up to sign, the product of the
+    generators g_i whose destabilizer d_i anticommutes with Z_q, that is
+    has X on q (<d_i, g_j> = delta_ij); only their rows are built, to
+    multiply out the sign."""
     if t.xs[qubit]:
         return OutcomeDistribution(_HALF, _HALF)
-    # all generators commute with Z_q, so in a full-rank tableau some
-    # product equals +/-Z_q; solve sum c_i (x_i|z_i) = (0|e_q) over GF(2)
-    # and multiply out signs.
-    gens = t.generators
-    basis = _echelon(gens)
-    if len(basis) != t.width:
-        raise ValueError("generators are not independent")
-    rest, tag = _reduce(basis, 1 << qubit)
-    if rest:
-        raise ValueError("generators do not commute")
+    chosen = t.dxs[qubit]
+    xrows = _transpose([x & chosen for x in t.xs])
+    zrows = _transpose([z & chosen for z in t.zs])
     prod = PauliString(t.width)
-    for i, g in enumerate(gens):
-        if tag >> i & 1:
-            prod = prod.mul(g)
+    while chosen:
+        i = chosen.bit_length() - 1
+        chosen ^= 1 << i
+        x, z = xrows[i], zrows[i]
+        prod = prod.mul(PauliString(
+            t.width, x, z, 2 * (t.signs >> i & 1) + (x & z).bit_count()))
     if prod.letter_sign() > 0:
         return OutcomeDistribution(_ONE, _ZERO)
     return OutcomeDistribution(_ZERO, _ONE)

@@ -17,6 +17,12 @@ BELL = parse_circuit("qubits 2\ninput 00\ngate H 0\ngate CNOT 0 1\nmeasure 0\n")
 
 
 class TestFormulas:
+    def test_config_rejects_negative_or_infinite_epsilon(self):
+        assert ApproxConfig(1, 0.0).epsilon == 0.0
+        for eps in (-1.0, -1e-300, math.nan, math.inf):
+            with pytest.raises(ValueError, match="epsilon"):
+                ApproxConfig(1, eps)
+
     def test_required_epsilon_instance(self):
         # eta=0.6, p=1, T=2: 0.6 / (4 * 36) = 1/240
         assert abs(required_epsilon(0.6, 1, 2) - 1 / 240) < 1e-18

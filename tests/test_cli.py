@@ -2,8 +2,13 @@
 
 import io
 import contextlib
+import os
+import subprocess
+import sys
 
 import pytest
+
+import pblocksim
 
 from pblocksim.cli import main, EXIT_OK, EXIT_USAGE, EXIT_PBLOCK, \
     EXIT_NONCLIFFORD
@@ -185,3 +190,37 @@ def test_stdout_byte_identical(bell_path):
         _, out1, _ = run_cli(args)
         _, out2, _ = run_cli(args)
         assert out1 == out2
+
+
+# inputs that must fail with a one-line message, never with a traceback
+REJECTED = [
+    ["simulate", "--engine", "approx", "--p", "1", "--circuit", "{bell}",
+     "--ledger", "{tmp}/no/such/dir/ledger.txt"],
+    ["simulate", "--engine", "dense", "--circuit", "{bell}",
+     "--samples", "3", "--eta", "0"],
+    ["simulate", "--engine", "dense", "--circuit", "{bell}",
+     "--samples", "3", "--eta", "-1"],
+    ["simulate", "--engine", "dense", "--circuit", "{bell}",
+     "--samples", "-2"],
+    ["simulate", "--engine", "approx", "--p", "1", "--circuit", "{bell}",
+     "--epsilon", "-1"],
+    ["simulate", "--engine", "approx", "--p", "1", "--circuit", "{bell}",
+     "--epsilon", "nan"],
+    ["analyze-ap", "--census", "--n", "3", "--rbits", "8", "--p", "2"],
+    ["analyze-ap", "--census", "--n", "9", "--rbits", "0", "--p", "2"],
+    ["analyze-ap", "--census", "--n", "11", "--p", "2", "--trials", "0"],
+    ["analyze-ap", "--p", "0", "--x0", "1", "--r", "1", "--count", "2",
+     "--n", "4"],
+]
+
+
+@pytest.mark.parametrize("argv", REJECTED, ids=" ".join)
+def test_bad_input_exits_1_without_traceback(argv, bell_path, tmp_path):
+    argv = [a.format(bell=bell_path, tmp=tmp_path) for a in argv]
+    src = os.path.dirname(os.path.dirname(pblocksim.__file__))
+    out = subprocess.run([sys.executable, "-m", "pblocksim.cli", *argv],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == EXIT_USAGE, out.stderr
+    assert "Traceback" not in out.stderr
+    assert len(out.stderr.splitlines()) == 1, out.stderr

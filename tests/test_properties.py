@@ -238,3 +238,7 @@ def test_tableau_rows_round_trip_to_columns(circuit):
     assert (again.xs, again.zs, again.signs) == \
         (tableau.xs, tableau.zs, tableau.signs)
     assert again.dump() == tableau.dump()
+    # the constructor's destabilizers answer like the evolved ones
+    for q in range(circuit.width):
+        assert tableau_marginal(again, q).exact_eq(
+            tableau_marginal(tableau, q))

@@ -90,6 +90,19 @@ class TestApply:
         t = tableau_apply(t, step("CNOT", 0, 1))
         assert t.dump().splitlines() == ["+XX", "+ZZ"]
 
+    def test_updates_in_place(self):
+        t = tableau_init(2, "01")
+        for s in (step("H", 0), step("CNOT", 0, 1), step("S", 1)):
+            assert tableau_apply(t, s) is t
+        assert t.dump().splitlines() == ["+XY", "-ZZ"]
+
+    def test_flipped_destabilizer_bit_is_caught(self):
+        t = tableau_apply(tableau_init(2, "00"), step("H", 0))
+        t.check_invariants()
+        t.dxs[1] ^= 1
+        with pytest.raises(ValueError, match="not dual"):
+            t.check_invariants()
+
     def test_t_gate_rejected(self):
         with pytest.raises(NonCliffordGate):
             tableau_apply(tableau_init(1, "0"), step("T", 0))
