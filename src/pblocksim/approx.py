@@ -4,7 +4,10 @@ The engine forces a p-blocked surrogate after every step: it applies the
 gate on the merged block, measures the trace-norm distance from that block
 to the product of its reduced states for every partition into parts <= p,
 keeps the closest product (ties: more parts, then lexicographic), and logs
-the residual.  The certified bound follows the recursion
+the residual.  Each part's reduced state is traced once per step and shared
+by every partition that holds the part and by the installed winner; in the
+difference block - product, entries that compare equal give zero without
+any arithmetic, and most do.  The certified bound follows the recursion
 
     e_0 = 0,   e_{j+1} = (2p+3) * (e_j + epsilon)
 
@@ -25,8 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .matrices import (ExactMatrix, mat_eq, partial_trace, trace_norm_float,
-                       product_over_partition)
+from .matrices import (DensityBlock, ExactMatrix, mat_eq, partial_trace,
+                       trace_norm_float, product_over_partition)
 from .circuits import (Circuit, CircuitStep, GateDef, LIBRARY,
                        gen_block_local, _fixed_cells)
 from .partitions import partitions_max_part
@@ -177,10 +180,16 @@ def approx_step(state: BlockedState, step, cfg: ApproxConfig,
         install_parts(out, block_id, [block])
         ledger.record_step(0.0)
         return out
-    # best p-partition projection: exact reduced states, float selection
+    # best p-partition projection: exact reduced states, float selection.
+    # A part recurs in many partitions; its reduced state is traced once.
+    reduced: dict[tuple, DensityBlock] = {}
     best = None
     for parts in partitions_max_part(block.labels, p):
-        candidate = product_over_partition(block, parts)
+        for part in parts:
+            if part not in reduced:
+                reduced[part] = partial_trace(block, part)
+        candidate = product_over_partition(
+            block.labels, [reduced[part] for part in parts])
         dist = trace_norm_float(block.matrix.sub(candidate.matrix))
         if best is None or dist < best[0]:
             best = (dist, parts, candidate)
@@ -192,8 +201,7 @@ def approx_step(state: BlockedState, step, cfg: ApproxConfig,
             assert mat_eq(partial_trace(candidate, part).matrix,
                           partial_trace(block, part).matrix), \
                 "projection changed a part marginal"
-    install_parts(out, block_id,
-                  [partial_trace(block, part) for part in parts])
+    install_parts(out, block_id, [reduced[part] for part in parts])
     ledger.record_step(d)
     return out
 

@@ -180,14 +180,15 @@ def split_exact(block: DensityBlock, p: int,
             if all(part_is_pure(part) for part in parts):
                 result = [reduced(part) for part in parts]
                 if DEBUG_CHECKS:
-                    assembled = relabel_reorder(kron_blocks(result), labels)
+                    assembled = product_over_partition(labels, result)
                     assert mat_eq(assembled.matrix, block.matrix), \
                         "pure split product mismatch"
                 return result
         else:
-            assembled = product_over_partition(block, parts)
+            result = [reduced(part) for part in parts]
+            assembled = product_over_partition(labels, result)
             if mat_eq(assembled.matrix, block.matrix):
-                return [reduced(part) for part in parts]
+                return result
     raise PBlockError(step_index, labels,
                       f"does not factor into parts of size <= {p}")
 

@@ -9,6 +9,7 @@ seed; timing goes to stderr.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -81,12 +82,29 @@ def _run_engine(engine: str, circuit: Circuit, args):
     raise _CliError(EXIT_USAGE, f"unknown engine {engine!r}")
 
 
+def _check_ledger_writable(path: str) -> None:
+    """Fail before the run, with nothing on stdout, when the ledger cannot
+    be written.  Opening for appending truncates nothing, and a file it
+    creates is removed again, so a run that fails leaves the path as it
+    was."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise _CliError(EXIT_USAGE, f"cannot write {path}: {exc}")
+    if not existed:
+        os.remove(path)
+
+
 def cmd_simulate(args) -> None:
     if args.samples < 0:
         raise _CliError(EXIT_USAGE, "--samples must be >= 0")
     if args.samples and not args.eta > 0:
         raise _CliError(EXIT_USAGE, "--eta must be positive")
     circuit = _load_circuit(args.circuit)
+    if args.engine == "approx" and args.ledger:
+        _check_ledger_writable(args.ledger)
     started = time.perf_counter()
     try:
         dist, ledger_info, digits = _run_engine(args.engine, circuit, args)

@@ -127,7 +127,14 @@ class ExactScalar:
         return out
 
     def __sub__(self, other: "ExactScalar") -> "ExactScalar":
-        return self + (-other)
+        sd, od = self.den, other.den
+        if sd == od:
+            return ExactScalar._raw(self.xa - other.xa, self.xb - other.xb,
+                                    self.xc - other.xc, self.xd - other.xd, sd)
+        return ExactScalar._raw(self.xa * od - other.xa * sd,
+                                self.xb * od - other.xb * sd,
+                                self.xc * od - other.xc * sd,
+                                self.xd * od - other.xd * sd, sd * od)
 
     def __mul__(self, other: "ExactScalar") -> "ExactScalar":
         if self.is_zero() or other.is_zero():

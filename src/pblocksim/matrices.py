@@ -93,10 +93,13 @@ class ExactMatrix:
                            [x + y for x, y in zip(self.entries, other.entries)])
 
     def sub(self, other: "ExactMatrix") -> "ExactMatrix":
+        """Entrywise difference; entries that compare equal give ZERO
+        without any arithmetic."""
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch("matrix sub shape mismatch")
         return ExactMatrix(self.rows, self.cols,
-                           [x - y for x, y in zip(self.entries, other.entries)])
+                           [ZERO if x == y else x - y
+                            for x, y in zip(self.entries, other.entries)])
 
     def scale(self, s: ExactScalar) -> "ExactMatrix":
         return ExactMatrix(self.rows, self.cols, [s * x for x in self.entries])
@@ -288,11 +291,10 @@ def kron_blocks(blocks) -> DensityBlock:
     return out
 
 
-def product_over_partition(rho: DensityBlock, parts) -> DensityBlock:
-    """kron of the exact reduced states of `parts`, reordered to rho's labels."""
-    reduced = [partial_trace(rho, part) for part in parts]
-    assembled = kron_blocks(reduced)
-    return relabel_reorder(assembled, rho.labels)
+def product_over_partition(labels, reduced) -> DensityBlock:
+    """kron of the reduced states of a partition's parts, reordered to
+    `labels` (the labels of the block they were traced from)."""
+    return relabel_reorder(kron_blocks(reduced), labels)
 
 
 # -- numeric trace norm (cyclic Jacobi on the real symmetric embedding) ---

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the code paths under test: partitions
 are enumerated by plain recursion, blockedness is decided by full density
-matrix comparison, reversible circuits are evaluated at the bit level, and
-eigenvalues come from exact characteristic polynomials.
+matrix comparison, the approx projection is scored with fresh partial
+traces and plain scalar arithmetic, reversible circuits are evaluated at
+the bit level, and eigenvalues come from exact characteristic polynomials.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from itertools import combinations
 
 from pblocksim.exact import ExactScalar, ZERO, ONE
 from pblocksim.matrices import (ExactMatrix, DensityBlock, kron, mat_eq,
-                                mat_mul, partial_trace, relabel_reorder)
+                                mat_mul, partial_trace, relabel_reorder,
+                                trace_norm_float)
 from pblocksim.circuits import Circuit, CircuitStep, GateDef, LIBRARY
 from pblocksim.blocked import embed_gate
 from pblocksim.prng import CounterRng
@@ -55,15 +57,40 @@ def brute_blockedness(amps: list[ExactScalar], width: int, p: int):
     best = None
     for parts in all_partitions(range(width), p):
         parts = sorted(tuple(p_) for p_ in parts)
-        reduced = [partial_trace(rho, part) for part in parts]
-        assembled = reduced[0]
-        for nxt in reduced[1:]:
-            assembled = DensityBlock(assembled.labels + nxt.labels,
-                                     kron(assembled.matrix, nxt.matrix))
-        assembled = relabel_reorder(assembled, rho.labels)
-        if mat_eq(assembled.matrix, rho.matrix):
+        if mat_eq(product_of_marginals(rho, parts).matrix, rho.matrix):
             if best is None or len(parts) > len(best):
                 best = parts
+    return best
+
+
+def product_of_marginals(rho: DensityBlock, parts) -> DensityBlock:
+    """kron of freshly traced reduced states of `parts`, in rho's order."""
+    reduced = [partial_trace(rho, part) for part in parts]
+    assembled = reduced[0]
+    for nxt in reduced[1:]:
+        assembled = DensityBlock(assembled.labels + nxt.labels,
+                                 kron(assembled.matrix, nxt.matrix))
+    return relabel_reorder(assembled, rho.labels)
+
+
+def brute_projection(rho: DensityBlock, p: int):
+    """(distance, parts) of the approx engine's projection, by brute force:
+    every partition into parts <= p, in the engine's order (more parts
+    first, then lexicographic), is scored by the trace norm of rho minus
+    the product of fresh marginals, each entry subtracted as x + (-y); the
+    first closest wins."""
+    candidates = sorted((sorted(parts)
+                         for parts in all_partitions(rho.labels, p)),
+                        key=lambda parts: (-len(parts), parts))
+    best = None
+    for parts in candidates:
+        product = product_of_marginals(rho, parts).matrix
+        diff = ExactMatrix(product.rows, product.cols,
+                           [x + (-y) for x, y in zip(rho.matrix.entries,
+                                                     product.entries)])
+        dist = trace_norm_float(diff)
+        if best is None or dist < best[0]:
+            best = (dist, parts)
     return best
 
 

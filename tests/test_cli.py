@@ -10,6 +10,7 @@ import pytest
 
 import pblocksim
 
+from pblocksim import cli
 from pblocksim.cli import main, EXIT_OK, EXIT_USAGE, EXIT_PBLOCK, \
     EXIT_NONCLIFFORD
 
@@ -98,6 +99,26 @@ class TestSimulate:
         assert len(lines) == 3  # two steps + certificate line
         assert lines[0].split()[0] == "1"
         assert lines[-1].startswith("e_T=")
+
+    def test_unwritable_ledger_fails_before_the_run(self, bell_path,
+                                                    tmp_path, monkeypatch):
+        def no_run(*args):
+            raise AssertionError("the approx run started")
+        monkeypatch.setattr(cli, "run_approx", no_run)
+        code, out, err = run_cli(["simulate", "--engine", "approx",
+                                  "--p", "1", "--circuit", bell_path,
+                                  "--ledger", str(tmp_path / "no" / "x.txt")])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("cannot write ") and len(err.splitlines()) == 1
+
+    def test_failed_run_leaves_no_ledger(self, bell_path, tmp_path):
+        ledger_path = tmp_path / "ledger.txt"
+        code, out, _ = run_cli(["simulate", "--engine", "approx",
+                                "--p", "0", "--circuit", bell_path,
+                                "--ledger", str(ledger_path)])
+        assert code == EXIT_USAGE and out == ""
+        assert not ledger_path.exists()
 
     def test_eager_split_flag(self, bell_path):
         code, _, _ = run_cli(["simulate", "--engine", "blocked", "--p", "2",
@@ -222,5 +243,6 @@ def test_bad_input_exits_1_without_traceback(argv, bell_path, tmp_path):
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.returncode == EXIT_USAGE, out.stderr
+    assert out.stdout == ""
     assert "Traceback" not in out.stderr
     assert len(out.stderr.splitlines()) == 1, out.stderr

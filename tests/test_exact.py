@@ -7,6 +7,7 @@ import pytest
 
 from pblocksim.exact import (BigRational, ExactScalar, ZERO, ONE, MINUS_ONE,
                              I_UNIT, SQRT2, HALF_SQRT2, parse_scalar)
+from pblocksim.matrices import ExactMatrix
 from pblocksim.prng import CounterRng
 
 from helpers import random_exact_scalar
@@ -120,6 +121,37 @@ class TestFieldAxioms:
         xs = self._samples(12, 30)
         for x, y, z in zip(xs, xs[1:], xs[2:]):
             assert x * (y + z) == x * y + x * z
+
+
+def test_subtraction_with_equal_and_different_denominators():
+    rng = CounterRng(6, "sub")
+    kinds = set()
+    for _ in range(50):
+        x = random_exact_scalar(rng)
+        # adding an integer keeps the denominator of a canonical scalar
+        same = x + ExactScalar(1 + rng.randrange(9))
+        assert same.den == x.den
+        for y in (same, random_exact_scalar(rng)):
+            kinds.add(y.den == x.den)
+            assert x - y == x + (-y)
+            assert (x - y) + y == x
+        diff = x - x
+        assert diff == ZERO and diff.den == 1
+    assert kinds == {True, False}
+
+
+def test_matrix_sub():
+    rng = CounterRng(7, "matrix sub")
+    a = ExactMatrix(3, 3, [random_exact_scalar(rng) for _ in range(9)])
+    assert all(e == ZERO and e.den == 1 for e in a.sub(a).entries)
+    # b agrees with a on the diagonal only
+    b = ExactMatrix(3, 3, [x if i % 4 == 0 else random_exact_scalar(rng)
+                           for i, x in enumerate(a.entries)])
+    diff = a.sub(b)
+    assert diff.entries == [x - y for x, y in zip(a.entries, b.entries)]
+    assert [e == ZERO for e in diff.entries] == [i % 4 == 0
+                                                 for i in range(9)]
+    assert diff.add(b) == a
 
 
 def test_canonical_invariants():

@@ -184,7 +184,8 @@ class TestMatEq:
 
     def test_bell_is_not_product_of_marginals(self):
         rho = DensityBlock((0, 1), bell_density())
-        product = product_over_partition(rho, [(0,), (1,)])
+        product = product_over_partition(
+            rho.labels, [partial_trace(rho, (0,)), partial_trace(rho, (1,))])
         assert not mat_eq(product.matrix, rho.matrix)
 
     def test_shape_mismatch(self):

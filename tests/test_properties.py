@@ -1,6 +1,7 @@
 """Property tests over generated circuits and texts: the text format
 round-trips, the parser fails only with CircuitError, the dense
-blockedness decider agrees with brute-force enumeration, the stabilizer
+blockedness decider agrees with brute-force enumeration, the approx
+engine's projection agrees with a brute-force search, the stabilizer
 engine agrees with the dense state on Clifford circuits, and its tableau
 converts between columns and rows without loss."""
 
@@ -8,17 +9,21 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
-from pblocksim.blocked import conjugate_block
+from pblocksim.approx import ApproxConfig, ErrorLedger, approx_step
+from pblocksim.blocked import BlockedState, conjugate_block, merge_apply
 from pblocksim.circuits import (LIBRARY, Circuit, CircuitError, CircuitStep,
                                 GateDef, InputBlock, parse_circuit,
                                 serialize_circuit)
 from pblocksim.dense import dense_blockedness, dense_marginal, dense_run
 from pblocksim.exact import I_UNIT, MINUS_ONE, ONE, ZERO, ExactScalar
-from pblocksim.matrices import DensityBlock, ExactMatrix, kron, mat_mul
+from pblocksim.matrices import (DensityBlock, ExactMatrix, kron, mat_mul,
+                                partial_trace)
+from pblocksim.prng import CounterRng
 from pblocksim.stabilizer import (StabilizerTableau, tableau_apply,
                                   tableau_init, tableau_marginal)
 
-from helpers import S_H_CNOT, brute_blockedness
+from helpers import (S_H_CNOT, brute_blockedness, brute_projection,
+                     random_mixed_density)
 
 # derandomized so that every run checks the same examples
 PROPERTY = settings(deadline=None, derandomize=True)
@@ -170,6 +175,80 @@ def test_dense_blockedness_matches_brute_force(circuit):
     for p in range(1, circuit.width + 1):
         assert dense_blockedness(state, p) == \
             brute_blockedness(state.amps, circuit.width, p)
+
+
+@st.composite
+def block_states(draw, labels):
+    """On `labels`: the state of a random circuit with entangling gates, or
+    on at most two labels a random mixed density.  (A wider one makes the
+    merged block dense, and a dense 5-qubit block costs a second per trace
+    norm.)"""
+    k = len(labels)
+    if k <= 2 and draw(st.booleans()):
+        rng = CounterRng(draw(st.integers(0, 1 << 16)), "block_states")
+        return DensityBlock(labels, random_mixed_density(rng, k).matrix)
+    dim = 1 << k
+    entries = [ZERO] * (dim * dim)
+    basis = draw(st.integers(0, dim - 1))
+    entries[basis * dim + basis] = ONE
+    block = DensityBlock(range(k), ExactMatrix(dim, dim, entries))
+    usable = [g for g in GATES if g.arity <= k]
+    for gate in draw(st.lists(st.sampled_from(usable), max_size=6)):
+        block = conjugate_block(block, gate.matrix,
+                                _targets(draw, k, gate.arity))
+    return DensityBlock(labels, block.matrix)
+
+
+@st.composite
+def merging_steps(draw):
+    """p = 1 or 2, two blocks and a two-qubit gate across them that merges
+    them into a block of 3 to 5 qubits.  Five only at p = 1: at p = 2 a
+    5-qubit block has 26 candidate products, each scored by a Jacobi
+    eigensolve of dimension 64, seconds per example."""
+    p = draw(st.integers(1, 2))
+    width = draw(st.integers(3, 5 if p == 1 else 4))
+    order = draw(st.permutations(range(width)))
+    cut = draw(st.integers(1, width - 1))
+    first, second = tuple(order[:cut]), tuple(order[cut:])
+    blocks = {1: draw(block_states(first)), 2: draw(block_states(second))}
+    assignment = [1 if q in first else 2 for q in range(width)]
+    targets = (draw(st.sampled_from(first)), draw(st.sampled_from(second)))
+    if draw(st.booleans()):
+        targets = targets[::-1]
+    step = CircuitStep(draw(st.sampled_from(GATES_2)), targets)
+    return BlockedState(width, assignment, blocks, 3), step, p
+
+
+# a mixed 3-qubit block and a mixed qubit, merged at p = 2 into 4 qubits
+MIXED_MERGE = (BlockedState(4, [1, 2, 1, 1], {
+    1: DensityBlock((2, 0, 3), random_mixed_density(
+        CounterRng(1, "mixed merge"), 3).matrix),
+    2: DensityBlock((1,), random_mixed_density(
+        CounterRng(2, "mixed merge"), 1).matrix)}, 3),
+    CircuitStep(LIBRARY["CNOT"], (1, 3)), 2)
+
+
+def test_approx_projection_matches_brute_force():
+    distances = []
+
+    @settings(PROPERTY, max_examples=60)
+    @example(MIXED_MERGE)
+    @given(merging_steps())
+    def check(case):
+        state, step, p = case
+        _, merged = merge_apply(state.copy(), step)
+        want_d, want_parts = brute_projection(merged, p)
+        ledger = ErrorLedger(p, 0.0)
+        out = approx_step(state, step, ApproxConfig(p, 0.0), ledger)
+        assert ledger.entries[-1].d == want_d
+        installed = {out.block_of(q) for q in merged.labels}
+        assert sorted((b.labels, b.matrix.entries) for b in installed) == \
+            sorted((r.labels, r.matrix.entries) for r in
+                   (partial_trace(merged, part) for part in want_parts))
+        distances.append(want_d)
+
+    check()
+    assert any(d > 0 for d in distances)
 
 
 @st.composite
