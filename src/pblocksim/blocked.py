@@ -224,13 +224,12 @@ def install_parts(state: BlockedState, block_id: int,
 
 
 def apply_blocked(state: BlockedState, step: CircuitStep, p: int,
-                  step_index: int = -1,
-                  eager_split: bool = False) -> BlockedState:
+                  step_index: int = -1) -> BlockedState:
     """One gate on a blocked state: conjugate inside a block, or merge two
     blocks, conjugate, and re-split if the merge exceeded p."""
     out = state.copy()
     block_id, block = merge_apply(out, step)
-    if len(block.labels) > p or eager_split:
+    if len(block.labels) > p:
         parts = split_exact(block, p, step_index)
     else:
         parts = [block]
@@ -249,7 +248,7 @@ def measurement_marginal(state: BlockedState, qubit: int
     return OutcomeDistribution(p0, p1)
 
 
-def run_blocked_full(circuit: Circuit, p: int, eager_split: bool = False
+def run_blocked_full(circuit: Circuit, p: int
                      ) -> tuple[BlockedState, OutcomeDistribution]:
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -259,13 +258,12 @@ def run_blocked_full(circuit: Circuit, p: int, eager_split: bool = False
             raise PBlockError(-1, state.block_of(q).labels,
                               f"input block larger than p = {p}")
     for j, step in enumerate(circuit.steps):
-        state = apply_blocked(state, step, p, j, eager_split)
+        state = apply_blocked(state, step, p, j)
         if DEBUG_CHECKS:
             assert state.max_block_size() <= p
     return state, measurement_marginal(state, circuit.measured_qubit)
 
 
-def run_blocked(circuit: Circuit, p: int,
-                eager_split: bool = False) -> OutcomeDistribution:
+def run_blocked(circuit: Circuit, p: int) -> OutcomeDistribution:
     """Exact output distribution of a p-blocked circuit."""
-    return run_blocked_full(circuit, p, eager_split)[1]
+    return run_blocked_full(circuit, p)[1]

@@ -15,7 +15,7 @@ import time
 
 from .exact import ExactScalar
 from .circuits import Circuit, CircuitError, parse_circuit
-from .dense import dense_run, dense_marginal, WidthCapExceeded
+from .dense import dense_run, dense_marginal
 from .blocked import PBlockError, run_blocked_full
 from .approx import ApproxConfig, run_approx
 from .stabilizer import NonCliffordGate, run_stabilizer
@@ -27,6 +27,12 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PBLOCK = 2
 EXIT_NONCLIFFORD = 3
+
+# exit code of each engine failure; the first row that matches wins
+_FAILURE_CODES = ((PBlockError, EXIT_PBLOCK),
+                  (NonCliffordGate, EXIT_NONCLIFFORD),
+                  (ValueError, EXIT_USAGE))  # WidthCapExceeded among them
+_ENGINE_FAILURES = tuple(kind for kind, _ in _FAILURE_CODES)
 
 
 class _CliError(Exception):
@@ -41,10 +47,13 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(EXIT_USAGE, f"usage error: {message}")
 
 
-def _format_prob(label: str, value) -> str:
-    if isinstance(value, ExactScalar):
-        return f"{label} = {value.to_text()} ({value.to_float():.12f})"
-    return f"{label} = {value:.12f} ({value:.12f})"
+def _format_prob(label: str, value: ExactScalar) -> str:
+    return f"{label} = {value.to_text()} ({value.to_float():.12f})"
+
+
+def _failure_code(exc: Exception) -> int:
+    return next(code for kind, code in _FAILURE_CODES
+                if isinstance(exc, kind))
 
 
 def _load_circuit(path: str) -> Circuit:
@@ -64,7 +73,7 @@ def _run_engine(engine: str, circuit: Circuit, args):
     if engine == "blocked":
         if args.p is None:
             raise _CliError(EXIT_USAGE, "--p is required for --engine blocked")
-        state, dist = run_blocked_full(circuit, args.p, args.eager_split)
+        state, dist = run_blocked_full(circuit, args.p)
         return dist, None, state.digit_count()
     if engine == "dense":
         state = dense_run(circuit)
@@ -102,18 +111,18 @@ def cmd_simulate(args) -> None:
         raise _CliError(EXIT_USAGE, "--samples must be >= 0")
     if args.samples and not args.eta > 0:
         raise _CliError(EXIT_USAGE, "--eta must be positive")
+    if args.ledger and args.engine != "approx":
+        raise _CliError(EXIT_USAGE, "--ledger needs --engine approx")
     circuit = _load_circuit(args.circuit)
-    if args.engine == "approx" and args.ledger:
+    if args.ledger:
         _check_ledger_writable(args.ledger)
     started = time.perf_counter()
     try:
         dist, ledger_info, digits = _run_engine(args.engine, circuit, args)
-    except PBlockError as exc:
-        raise _CliError(EXIT_PBLOCK, f"not p-blocked: {exc}")
-    except NonCliffordGate as exc:
-        raise _CliError(EXIT_NONCLIFFORD, str(exc))
-    except (WidthCapExceeded, ValueError) as exc:
-        raise _CliError(EXIT_USAGE, str(exc))
+    except _ENGINE_FAILURES as exc:
+        code = _failure_code(exc)
+        raise _CliError(code, f"not p-blocked: {exc}"
+                        if code == EXIT_PBLOCK else str(exc))
     wall = time.perf_counter() - started
 
     print(_format_prob("p0", dist.p0))
@@ -132,9 +141,6 @@ def cmd_simulate(args) -> None:
                 raise _CliError(EXIT_USAGE,
                                 f"cannot write {args.ledger}: {exc}")
     if args.samples:
-        if not dist.is_exact():
-            raise _CliError(EXIT_USAGE,
-                            "sampling needs an exact distribution")
         coins = CoinSource(args.seed)
         drawn = [sample_outcome(dist, args.eta, coins)
                  for _ in range(args.samples)]
@@ -157,23 +163,16 @@ def cmd_compare(args) -> int:
             dist, _, _ = _run_engine(engine, circuit, args)
             results[engine] = dist
             print(_format_prob(f"{engine} p0", dist.p0))
-        except PBlockError as exc:
-            failures[engine] = EXIT_PBLOCK
-            print(f"{engine}: not p-blocked ({exc})")
-        except NonCliffordGate as exc:
-            failures[engine] = EXIT_NONCLIFFORD
-            print(f"{engine}: {exc}")
-        except (WidthCapExceeded, ValueError) as exc:
-            failures[engine] = EXIT_USAGE
-            print(f"{engine}: {exc}")
+        except _ENGINE_FAILURES as exc:
+            failures[engine] = code = _failure_code(exc)
+            print(f"{engine}: not p-blocked ({exc})"
+                  if code == EXIT_PBLOCK else f"{engine}: {exc}")
     names = [e for e in engines if e in results]
     for i, a in enumerate(names):
         for b in names[i + 1:]:
             da, db = results[a], results[b]
             gap = dist_distance(da, db)
-            verdict = ""
-            if da.is_exact() and db.is_exact():
-                verdict = " MATCH" if da.exact_eq(db) else " MISMATCH"
+            verdict = " MATCH" if da.exact_eq(db) else " MISMATCH"
             print(f"dist({a},{b}) = {gap:.12f}{verdict}")
     if failures:
         return failures[next(iter(failures))]
@@ -229,8 +228,8 @@ def _build_parser() -> _Parser:
     sim.add_argument("--eta", type=float, default=1e-6)
     sim.add_argument("--samples", type=int, default=0)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--eager-split", action="store_true")
-    sim.add_argument("--ledger", default=None)
+    sim.add_argument("--ledger", default=None,
+                     help="write the error ledger here (approx only)")
 
     cmp_ = sub.add_parser("compare", help="run several engines and compare")
     cmp_.add_argument("--engines", required=True,
@@ -238,9 +237,6 @@ def _build_parser() -> _Parser:
     cmp_.add_argument("--circuit", required=True)
     cmp_.add_argument("--p", type=int, default=None)
     cmp_.add_argument("--epsilon", type=float, default=0.0)
-    cmp_.add_argument("--eta", type=float, default=1e-6)
-    cmp_.add_argument("--seed", type=int, default=0)
-    cmp_.add_argument("--eager-split", action="store_true")
 
     ana = sub.add_parser("analyze-ap",
                          help="blockedness of progression/pair states")

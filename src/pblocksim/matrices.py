@@ -2,9 +2,8 @@
 
 States stay exact end to end; only the trace norm goes through floats (it
 needs eigenvalues, which leave the field Q(i, sqrt2)).  The Hermitian
-eigensolve embeds the complex matrix into a real symmetric one of doubled
-dimension and runs cyclic Jacobi sweeps, so the only numeric kernel is a
-2x2 rotation.
+eigensolve runs cyclic Jacobi sweeps on the complex matrix itself, so the
+only numeric kernel is a phase followed by a real 2x2 rotation.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ import math
 from .exact import ExactScalar, ZERO, ONE
 
 _JACOBI_EPS = 1e-13
+_JACOBI_SWEEPS = 100
 _PSD_TOL = 1e-10
 
 
@@ -297,58 +297,44 @@ def product_over_partition(labels, reduced) -> DensityBlock:
     return relabel_reorder(kron_blocks(reduced), labels)
 
 
-# -- numeric trace norm (cyclic Jacobi on the real symmetric embedding) ---
+# -- numeric trace norm (cyclic Jacobi on the complex Hermitian matrix) ---
 
-def _jacobi_eigenvalues(a: list[list[float]], eps: float = _JACOBI_EPS,
-                        max_sweeps: int = 100) -> list[float]:
-    n = len(a)
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n):
-            row = a[p]
-            for q in range(p + 1, n):
-                if abs(row[q]) > off:
-                    off = abs(row[q])
-        if off <= eps:
+def _hermitian_eigenvalues_float(h: ExactMatrix) -> list[float]:
+    """Eigenvalues of the float image of an exactly Hermitian matrix.
+
+    Each rotation first scales index q by the phase of a_pq, which makes
+    a_pq real, and then zeroes it with a real 2x2 rotation."""
+    if not is_hermitian(h):
+        raise NotHermitian("matrix is not exactly Hermitian")
+    a = h.to_complex_rows()
+    n = h.rows
+    for _ in range(_JACOBI_SWEEPS):
+        off = max((abs(a[p][q]) for p in range(n) for q in range(p + 1, n)),
+                  default=0.0)
+        if off <= _JACOBI_EPS:
             break
         for p in range(n):
             for q in range(p + 1, n):
                 apq = a[p][q]
-                if abs(apq) <= eps:
+                r = abs(apq)
+                if r <= _JACOBI_EPS:
                     continue
-                app, aqq = a[p][p], a[q][q]
-                phi = 0.5 * math.atan2(2.0 * apq, aqq - app)
+                u = apq / r
+                phi = 0.5 * math.atan2(2.0 * r, a[q][q].real - a[p][p].real)
                 c = math.cos(phi)
                 s = math.sin(phi)
-                for i in range(n):
-                    aip, aiq = a[i][p], a[i][q]
-                    a[i][p] = c * aip - s * aiq
-                    a[i][q] = s * aip + c * aiq
-                for i in range(n):
-                    api, aqi = a[p][i], a[q][i]
-                    a[p][i] = c * api - s * aqi
-                    a[q][i] = s * api + c * aqi
-    return [a[i][i] for i in range(n)]
-
-
-def _hermitian_eigenvalues_float(h: ExactMatrix) -> list[float]:
-    """Eigenvalues of the float image of an exactly Hermitian matrix."""
-    if not is_hermitian(h):
-        raise NotHermitian("matrix is not exactly Hermitian")
-    n = h.rows
-    z = h.to_complex_rows()
-    big = [[0.0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            re, im = z[i][j].real, z[i][j].imag
-            big[i][j] = re
-            big[i + n][j + n] = re
-            big[i + n][j] = im
-            big[i][j + n] = -im
-    eig = _jacobi_eigenvalues(big)
-    # each eigenvalue of h appears twice; keep one copy by value pairing
-    eig.sort()
-    return eig[::2]
+                # columns: p <- c p - s u* q,  q <- s p + c u* q
+                su, cu = s * u.conjugate(), c * u.conjugate()
+                for row in a:
+                    aip, aiq = row[p], row[q]
+                    row[p] = c * aip - su * aiq
+                    row[q] = s * aip + cu * aiq
+                # rows: the conjugate transform
+                su, cu = s * u, c * u
+                rp, rq = a[p], a[q]
+                a[p] = [c * x - su * y for x, y in zip(rp, rq)]
+                a[q] = [s * x + cu * y for x, y in zip(rp, rq)]
+    return [a[i][i].real for i in range(n)]
 
 
 def trace_norm_float(h: ExactMatrix) -> float:

@@ -1,8 +1,10 @@
 """Two-outcome distributions and fair-coin sampling.
 
-Sampling an n-bit probability x costs exactly n fair coin tosses: draw bits
-j_1..j_n and report outcome 0 when the draw, read as a binary integer, is
-below 2^n * x.  Truncating an exact probability to n bits uses only exact
+Every engine returns its distribution with exact p0 and p1, so sampling and
+engine comparison never see a float probability.  Sampling an n-bit
+probability x costs exactly n fair coin tosses: draw bits j_1..j_n and
+report outcome 0 when the draw, read as a binary integer, is below 2^n * x.
+Truncating an exact probability to n bits uses only exact
 comparisons against dyadic rationals, so the sampling error bound is an
 identity, not an estimate.
 """
@@ -14,11 +16,16 @@ from .prng import CounterRng
 
 
 class OutcomeDistribution:
-    """{p0, p1} with exact entries (exact engines) or floats (approx engine)."""
+    """{p0, p1} as exact scalars.  Every engine produces them exactly; the
+    approx engine reads them off its surrogate state's exact marginal.
+
+    The range check runs on floats with a small tolerance: a mixed input
+    block is PSD only up to a numeric check, so its probabilities are not
+    sign-checked exactly."""
 
     __slots__ = ("p0", "p1")
 
-    def __init__(self, p0, p1):
+    def __init__(self, p0: ExactScalar, p1: ExactScalar):
         self.p0 = p0
         self.p1 = p1
         f0, f1 = self.floats()
@@ -26,29 +33,17 @@ class OutcomeDistribution:
             raise ValueError(f"probabilities out of range: {f0}, {f1}")
         if abs(f0 + f1 - 1.0) > 1e-10:
             raise ValueError(f"probabilities sum to {f0 + f1}, not 1")
-        if self.is_exact() and self.p0 + self.p1 != ONE:
+        if self.p0 + self.p1 != ONE:
             raise ValueError("exact probabilities do not sum to 1")
 
-    def is_exact(self) -> bool:
-        return isinstance(self.p0, ExactScalar) and \
-            isinstance(self.p1, ExactScalar)
-
     def floats(self) -> tuple[float, float]:
-        f0 = self.p0.to_float() if isinstance(self.p0, ExactScalar) else \
-            float(self.p0)
-        f1 = self.p1.to_float() if isinstance(self.p1, ExactScalar) else \
-            float(self.p1)
-        return f0, f1
+        return self.p0.to_float(), self.p1.to_float()
 
     def exact_eq(self, other: "OutcomeDistribution") -> bool:
-        if not (self.is_exact() and other.is_exact()):
-            raise ValueError("exact comparison needs exact distributions")
         return self.p0 == other.p0 and self.p1 == other.p1
 
     def __repr__(self):
-        if self.is_exact():
-            return f"OutcomeDistribution({self.p0.to_text()}, {self.p1.to_text()})"
-        return f"OutcomeDistribution({self.p0}, {self.p1})"
+        return f"OutcomeDistribution({self.p0.to_text()}, {self.p1.to_text()})"
 
 
 def dist_distance(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
@@ -94,8 +89,6 @@ def sample_outcome(dist: OutcomeDistribution, eta: float,
 
     Truncates p0 to eta/2 so the sampled distribution P' satisfies
     ||P' - P|| = 2 * |trunc(p0) - p0| <= eta."""
-    if not dist.is_exact():
-        raise ValueError("sampling needs an exact distribution")
     bits = truncate_prob(dist.p0, eta / 2)
     return coin_sample(bits, coins)
 

@@ -194,16 +194,15 @@ class TestRunBlocked:
         with pytest.raises(PBlockError):
             run_blocked(c, 1)  # the transient Bell pair needs p >= 2
 
-    def test_eager_split_keeps_blocks_minimal(self):
+    def test_amalgamation_persists_within_p(self):
+        """A merged block within p is kept, even once it factors again."""
         text = ("qubits 2\ninput 00\n"
                 "gate H 0\ngate CNOT 0 1\ngate CNOT 0 1\ngate H 0\n"
                 "measure 0\n")
         c = parse_circuit(text)
-        lazy_state, lazy_dist = run_blocked_full(c, 2)
-        eager_state, eager_dist = run_blocked_full(c, 2, eager_split=True)
-        assert lazy_dist.exact_eq(eager_dist)
-        assert lazy_state.max_block_size() == 2  # amalgamation persists
-        assert eager_state.max_block_size() == 1  # re-split when possible
+        state, dist = run_blocked_full(c, 2)
+        assert dist.exact_eq(dense_marginal(dense_run(c), 0))
+        assert state.max_block_size() == 2  # amalgamation persists
 
     def test_mixed_input_matches_density_oracle(self):
         """Mixed per-block inputs; full-width exact density as the oracle."""

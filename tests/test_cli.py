@@ -120,11 +120,6 @@ class TestSimulate:
         assert code == EXIT_USAGE and out == ""
         assert not ledger_path.exists()
 
-    def test_eager_split_flag(self, bell_path):
-        code, _, _ = run_cli(["simulate", "--engine", "blocked", "--p", "2",
-                              "--eager-split", "--circuit", bell_path])
-        assert code == EXIT_OK
-
 
 class TestCompare:
     def test_match_across_engines(self, bell_path, tmp_path):
@@ -217,6 +212,8 @@ def test_stdout_byte_identical(bell_path):
 REJECTED = [
     ["simulate", "--engine", "approx", "--p", "1", "--circuit", "{bell}",
      "--ledger", "{tmp}/no/such/dir/ledger.txt"],
+    ["simulate", "--engine", "blocked", "--p", "2", "--circuit", "{bell}",
+     "--ledger", "{tmp}/ledger.txt"],
     ["simulate", "--engine", "dense", "--circuit", "{bell}",
      "--samples", "3", "--eta", "0"],
     ["simulate", "--engine", "dense", "--circuit", "{bell}",

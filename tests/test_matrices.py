@@ -9,7 +9,8 @@ from pblocksim.matrices import (ExactMatrix, DensityBlock, DimensionMismatch,
                                 NotHermitian, LabelNotInBlock, BadPermutation,
                                 mat_mul, mat_eq, kron, is_unitary,
                                 partial_trace, relabel_reorder,
-                                trace_norm_float, product_over_partition)
+                                trace_norm_float, min_eigenvalue_float,
+                                product_over_partition)
 from pblocksim.circuits import LIBRARY
 from pblocksim.blocked import embed_gate
 from pblocksim.prng import CounterRng
@@ -153,6 +154,32 @@ class TestTraceNorm:
             diff = rho.matrix.sub(sigma.matrix)
             conj = mat_mul(mat_mul(u, diff), u.dagger())
             assert abs(trace_norm_float(diff) - trace_norm_float(conj)) <= 1e-9
+
+    @pytest.mark.parametrize("qubits", [3, 4, 5])
+    def test_known_spectrum_at_block_sizes(self, qubits):
+        """U diag(lam) U^dagger with an exact U from H, T, S and CNOT: the
+        off-diagonal entries carry complex phases, the spectrum has negative
+        entries and a repeated one."""
+        dim = 1 << qubits
+        labels = tuple(range(qubits))
+        gates = ([("H", (q,)) for q in labels]
+                 + [("T", (q,)) for q in labels]
+                 + [("CNOT", (q, q + 1)) for q in labels[:-1]]
+                 + [("S", (0,)), ("H", (qubits - 1,)), ("T", (qubits - 1,)),
+                    ("H", (0,))])
+        u = ExactMatrix.identity(dim)
+        for name, targets in gates:
+            u = mat_mul(embed_gate(LIBRARY[name].matrix, labels, targets), u)
+        assert is_unitary(u)
+        lam = [Fraction(i - dim // 3, 5) for i in range(dim)]
+        lam[1] = lam[0]
+        diag = ExactMatrix.zeros(dim, dim)
+        for i, x in enumerate(lam):
+            diag.entries[i * dim + i] = ExactScalar(x)
+        h = mat_mul(mat_mul(u, diag), u.dagger())
+        assert sum(not e.is_real() for e in h.entries) > dim
+        assert abs(trace_norm_float(h) - float(sum(map(abs, lam)))) <= 1e-9
+        assert abs(min_eigenvalue_float(h) - float(min(lam))) <= 1e-9
 
     def test_contractivity_under_partial_trace(self):
         rng = CounterRng(26, "contract")

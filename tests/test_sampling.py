@@ -89,15 +89,17 @@ class TestDistance:
 
     def test_quarter(self):
         a = OutcomeDistribution(HALF, HALF)
-        b = OutcomeDistribution(0.75, 0.25)
+        b = OutcomeDistribution(ExactScalar(Fraction(3, 4)),
+                                ExactScalar(Fraction(1, 4)))
         assert abs(dist_distance(a, b) - 0.5) <= 1e-12
 
     def test_metric_properties(self):
         rng = CounterRng(81, "metric")
         dists = []
         for _ in range(9):
-            x = rng.randrange(1001) / 1000
-            dists.append(OutcomeDistribution(x, 1 - x))
+            x = Fraction(rng.randrange(1001), 1000)
+            dists.append(OutcomeDistribution(ExactScalar(x),
+                                             ExactScalar(1 - x)))
         for a in dists:
             for b in dists:
                 assert abs(dist_distance(a, b) - dist_distance(b, a)) < 1e-15
@@ -129,7 +131,8 @@ class TestEndToEnd:
 
 def test_distribution_validation():
     with pytest.raises(ValueError):
-        OutcomeDistribution(0.9, 0.3)
+        OutcomeDistribution(ExactScalar(Fraction(9, 10)),
+                            ExactScalar(Fraction(3, 10)))
     with pytest.raises(ValueError):
         OutcomeDistribution(ExactScalar(Fraction(3, 4)),
                             ExactScalar(Fraction(3, 4)))
