@@ -3,11 +3,13 @@
 The engine forces a p-blocked surrogate after every step: it applies the
 gate on the merged block, measures the trace-norm distance from that block
 to the product of its reduced states for every partition into parts <= p,
-keeps the closest product (ties: more parts, then lexicographic), and logs
-the residual.  Each part's reduced state is traced once per step and shared
-by every partition that holds the part and by the installed winner; in the
-difference block - product, entries that compare equal give zero without
-any arithmetic, and most do.  The certified bound follows the recursion
+keeps the closest product (ties, within a relative TIE_RTOL so that the
+eigensolver's rounding cannot decide them: more parts, then lexicographic),
+and logs the residual.  Each part's reduced state is traced once per step
+and shared by every partition that holds the part and by the installed
+winner; in the difference block - product, entries that compare equal give
+zero without any arithmetic, and most do.  The certified bound follows the
+recursion
 
     e_0 = 0,   e_{j+1} = (2p+3) * (e_j + epsilon)
 
@@ -20,7 +22,11 @@ ledger but does not stop the run.
 Validation circuits interleave exactly-blocked gates with tiny two-qubit
 rotations exp(-i*theta*P).  Those rotations model the true process and are
 applied only by the float reference here; the engine substitutes the nearest
-exact gate (the identity, for small theta).
+exact gate (the identity, for small theta).  The float reference is a
+complex statevector run on the dense engine's gate kernel (`apply_rows`),
+the loop that applies exact gates there.  The generator calibrates the
+rotations in one forward pass: each angle is set on the float state just
+before its rotation, which is then applied.
 """
 
 from __future__ import annotations
@@ -35,10 +41,16 @@ from .circuits import (Circuit, CircuitStep, GateDef, LIBRARY,
 from .partitions import partitions_max_part
 from .blocked import (BlockedState, init_blocked, install_parts,
                       measurement_marginal, merge_apply)
+from .dense import apply_rows, target_offsets
 from .prng import CounterRng
 from .sampling import OutcomeDistribution
 
 DEBUG_CHECKS = False
+
+# A later partition replaces the closest so far only when it is closer by
+# more than this relative margin, so partitions at an exactly equal distance
+# keep the first in order whatever the eigensolver's rounding.
+TIE_RTOL = 1e-12
 
 _IDENTITY4 = GateDef("II", 2, ExactMatrix.identity(4))
 
@@ -191,7 +203,7 @@ def approx_step(state: BlockedState, step, cfg: ApproxConfig,
         candidate = product_over_partition(
             block.labels, [reduced[part] for part in parts])
         dist = trace_norm_float(block.matrix.sub(candidate.matrix))
-        if best is None or dist < best[0]:
+        if best is None or dist < best[0] * (1 - TIE_RTOL):
             best = (dist, parts, candidate)
     d, parts, candidate = best
     if DEBUG_CHECKS:
@@ -234,6 +246,9 @@ def _as_plain_circuit(circuit) -> Circuit:
 
 
 # -- float reference for perturbed circuits ---
+#
+# A complex statevector under the true rotations.  Gates, rotations and the
+# Pauli pair of an expectation all go through the dense engine's kernel.
 
 _PAULI_1Q = {
     "X": [[0, 1], [1, 0]],
@@ -242,97 +257,60 @@ _PAULI_1Q = {
 }
 
 
-def _rotation_matrix(pauli: str, theta: float) -> list[list[complex]]:
+def _pauli_pair(pauli: str) -> list[list]:
+    """4x4 matrix of a Pauli pair like 'ZZ', the first letter on the first
+    target."""
     pa, pb = _PAULI_1Q[pauli[0]], _PAULI_1Q[pauli[1]]
+    return [[pa[i >> 1][j >> 1] * pb[i & 1][j & 1] for j in range(4)]
+            for i in range(4)]
+
+
+def _rotation_matrix(pauli: str, theta: float) -> list[list[complex]]:
+    """exp(-i * theta * P) = cos(theta) I - i sin(theta) P."""
     c, s = math.cos(theta), math.sin(theta)
-    out = [[0j] * 4 for _ in range(4)]
-    for i in range(4):
-        out[i][i] += c
-        for j in range(4):
-            pij = pa[i >> 1][j >> 1] * pb[i & 1][j & 1]
-            out[i][j] += -1j * s * pij
-    return out
+    pair = _pauli_pair(pauli)
+    return [[(0j + c if i == j else 0j) + -1j * s * pair[i][j]
+             for j in range(4)] for i in range(4)]
 
 
 def _float_apply(amps: list[complex], width: int, mat, targets) -> list[complex]:
-    size = 1 << width
-    out = [0j] * size
-    if len(targets) == 1:
-        mb = 1 << (width - 1 - targets[0])
-        for i in range(size):
-            if i & mb:
-                continue
-            a0, a1 = amps[i], amps[i | mb]
-            out[i] += mat[0][0] * a0 + mat[0][1] * a1
-            out[i | mb] += mat[1][0] * a0 + mat[1][1] * a1
+    rows = [[(col, v) for col, v in enumerate(row) if v] for row in mat]
+    return apply_rows(amps, target_offsets(width, targets), rows, 0j)
+
+
+def _float_step(amps: list[complex], width: int, step) -> list[complex]:
+    if isinstance(step, Rotation):
+        mat = _rotation_matrix(step.pauli, step.theta)
     else:
-        ma = 1 << (width - 1 - targets[0])
-        mb = 1 << (width - 1 - targets[1])
-        both = ma | mb
-        offs = (0, mb, ma, both)
-        for i in range(size):
-            if i & both:
-                continue
-            quad = (amps[i], amps[i | mb], amps[i | ma], amps[i | both])
-            for r in range(4):
-                acc = 0j
-                row = mat[r]
-                for col in range(4):
-                    if row[col]:
-                        acc += row[col] * quad[col]
-                out[i | offs[r]] = acc
-    return out
+        mat = step.gate.matrix.to_complex_rows()
+    return _float_apply(amps, width, mat, step.targets)
+
+
+def _float_basis(width: int, bits: str) -> list[complex]:
+    amps = [0j] * (1 << width)
+    amps[int(bits, 2)] = 1.0 + 0j
+    return amps
 
 
 def simulate_perturbed_floats(pc: PerturbedCircuit) -> tuple[float, float]:
     """Float statevector reference that applies the true rotations."""
-    amps = _float_state(pc, len(pc.steps))
+    amps = _float_basis(pc.width, pc.input_bits)
+    for step in pc.steps:
+        amps = _float_step(amps, pc.width, step)
     mb = 1 << (pc.width - 1 - pc.measured_qubit)
     p1 = sum(abs(a) ** 2 for i, a in enumerate(amps) if i & mb)
     p0 = sum(abs(a) ** 2 for i, a in enumerate(amps) if not i & mb)
     return p0, p1
 
 
-def _float_state(pc: PerturbedCircuit, upto: int) -> list[complex]:
-    amps = [0j] * (1 << pc.width)
-    amps[int(pc.input_bits, 2)] = 1.0 + 0j
-    for step in pc.steps[:upto]:
-        if isinstance(step, Rotation):
-            amps = _float_apply(amps, pc.width,
-                                _rotation_matrix(step.pauli, step.theta),
-                                step.targets)
-        else:
-            amps = _float_apply(amps, pc.width,
-                                step.gate.matrix.to_complex_rows(),
-                                step.targets)
-    return amps
-
-
 def _pauli_expectation(amps: list[complex], width: int, pauli: str,
                        targets) -> float:
     """<psi| P |psi> for a 2-qubit Pauli pair, from the raw amplitudes."""
-    pa, pb = _PAULI_1Q[pauli[0]], _PAULI_1Q[pauli[1]]
-    ma = 1 << (width - 1 - targets[0])
-    mb = 1 << (width - 1 - targets[1])
+    moved = _float_apply(amps, width, _pauli_pair(pauli), targets)
     acc = 0j
-    for i, a in enumerate(amps):
-        if not a:
-            continue
-        ia, ib = bool(i & ma), bool(i & mb)
-        for ja in range(2):
-            ca = pa[int(ia)][ja]
-            if not ca:
-                continue
-            for jb in range(2):
-                cb = pb[int(ib)][jb]
-                if not cb:
-                    continue
-                src = i
-                if ja != ia:
-                    src ^= ma
-                if jb != ib:
-                    src ^= mb
-                acc += a.conjugate() * ca * cb * amps[src]
+    for a, b in zip(amps, moved):
+        if a:
+            acc += a.conjugate() * b
     return acc.real
 
 
@@ -349,14 +327,8 @@ def gen_perturbed(n: int, p: int, steps: int, eps: float, seed: int
     cells = _fixed_cells(n, p)
     positions = sorted(rng.randrange(len(base.steps) + 1)
                        for _ in range(n_rot))
-    letters = "XYZ"
-    mixed: list = []
-    base_iter = list(base.steps)
-    cursor = 0
-    for pos in positions:
-        while cursor < pos:
-            mixed.append(base_iter[cursor])
-            cursor += 1
+    mixed = list(base.steps)
+    for k, pos in enumerate(positions):
         ca = rng.randrange(len(cells))
         cb = ca
         while cb == ca and len(cells) > 1:
@@ -365,24 +337,24 @@ def gen_perturbed(n: int, p: int, steps: int, eps: float, seed: int
         qb = cells[cb][rng.randrange(len(cells[cb]))]
         if qa == qb:
             qb = (qa + 1) % n
-        pauli = letters[rng.randrange(3)] + letters[rng.randrange(3)]
-        mixed.append(Rotation(pauli, 0.0, (qa, qb)))  # theta set below
-    mixed.extend(base_iter[cursor:])
-    # calibrate each rotation angle so the state moves by <= eps
-    final_steps = list(mixed)
-    for idx, step in enumerate(final_steps):
-        if not isinstance(step, Rotation):
-            continue
-        amps = _float_state(
-            PerturbedCircuit(n, base.input_bits, tuple(final_steps), 0, p),
-            idx)
-        expv = _pauli_expectation(amps, n, step.pauli, step.targets)
-        wobble = math.sqrt(max(0.0, 1.0 - expv * expv))
-        if wobble < 1e-9:
-            theta = eps / 2.0
-        else:
-            theta = min(math.asin(min(1.0, eps / (2.0 * wobble))), 0.2)
-        moved = 2.0 * math.sin(theta) * wobble
-        assert moved <= eps * (1 + 1e-9), "rotation calibration overshoot"
-        final_steps[idx] = Rotation(step.pauli, theta, step.targets)
+        pauli = "XYZ"[rng.randrange(3)] + "XYZ"[rng.randrange(3)]
+        # after the base steps before pos and the k rotations spliced so far
+        mixed.insert(pos + k, Rotation(pauli, 0.0, (qa, qb)))  # theta below
+    # one forward pass: calibrate each rotation on the float state just
+    # before it so that the state moves by <= eps, then apply it
+    amps = _float_basis(n, base.input_bits)
+    final_steps = []
+    for step in mixed:
+        if isinstance(step, Rotation):
+            expv = _pauli_expectation(amps, n, step.pauli, step.targets)
+            wobble = math.sqrt(max(0.0, 1.0 - expv * expv))
+            if wobble < 1e-9:
+                theta = eps / 2.0
+            else:
+                theta = min(math.asin(min(1.0, eps / (2.0 * wobble))), 0.2)
+            moved = 2.0 * math.sin(theta) * wobble
+            assert moved <= eps * (1 + 1e-9), "rotation calibration overshoot"
+            step = Rotation(step.pauli, theta, step.targets)
+        final_steps.append(step)
+        amps = _float_step(amps, n, step)
     return PerturbedCircuit(n, base.input_bits, tuple(final_steps), 0, p)

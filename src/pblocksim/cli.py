@@ -28,6 +28,8 @@ EXIT_USAGE = 1
 EXIT_PBLOCK = 2
 EXIT_NONCLIFFORD = 3
 
+ENGINES = ("blocked", "approx", "dense", "stabilizer")
+
 # exit code of each engine failure; the first row that matches wins
 _FAILURE_CODES = ((PBlockError, EXIT_PBLOCK),
                   (NonCliffordGate, EXIT_NONCLIFFORD),
@@ -68,11 +70,17 @@ def _load_circuit(path: str) -> Circuit:
         raise _CliError(EXIT_USAGE, f"{path}: {exc}")
 
 
+def _check_engine(engine: str, args) -> None:
+    if engine not in ENGINES:
+        raise _CliError(EXIT_USAGE, f"unknown engine {engine!r}")
+    if engine in ("blocked", "approx") and args.p is None:
+        raise _CliError(EXIT_USAGE, f"--p is required for --engine {engine}")
+
+
 def _run_engine(engine: str, circuit: Circuit, args):
     """Returns (distribution, ledger, digit_stats)."""
+    _check_engine(engine, args)
     if engine == "blocked":
-        if args.p is None:
-            raise _CliError(EXIT_USAGE, "--p is required for --engine blocked")
         state, dist = run_blocked_full(circuit, args.p)
         return dist, None, state.digit_count()
     if engine == "dense":
@@ -81,14 +89,10 @@ def _run_engine(engine: str, circuit: Circuit, args):
         digits = max(a.digit_count() for a in state.amps)
         return dist, None, digits
     if engine == "approx":
-        if args.p is None:
-            raise _CliError(EXIT_USAGE, "--p is required for --engine approx")
         cfg = ApproxConfig(args.p, args.epsilon)
         dist, ledger, cert = run_approx(circuit, cfg)
         return dist, (ledger, cert), None
-    if engine == "stabilizer":
-        return run_stabilizer(circuit), None, None
-    raise _CliError(EXIT_USAGE, f"unknown engine {engine!r}")
+    return run_stabilizer(circuit), None, None
 
 
 def _check_ledger_writable(path: str) -> None:
@@ -156,6 +160,8 @@ def cmd_compare(args) -> int:
     engines = [e.strip() for e in args.engines.split(",") if e.strip()]
     if len(engines) < 2:
         raise _CliError(EXIT_USAGE, "--engines needs at least two entries")
+    for engine in engines:
+        _check_engine(engine, args)
     results: dict[str, OutcomeDistribution] = {}
     failures: dict[str, int] = {}
     for engine in engines:
@@ -221,7 +227,7 @@ def _build_parser() -> _Parser:
 
     sim = sub.add_parser("simulate", help="run one engine on a circuit file")
     sim.add_argument("--engine", required=True,
-                     choices=["blocked", "approx", "dense", "stabilizer"])
+                     choices=ENGINES)
     sim.add_argument("--circuit", required=True)
     sim.add_argument("--p", type=int, default=None)
     sim.add_argument("--epsilon", type=float, default=0.0)

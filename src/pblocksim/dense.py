@@ -3,7 +3,9 @@
 Amplitudes are exact scalars, so two engines agreeing here agree as rational
 identities, not to a tolerance.  Width is capped (default 14, override with
 the PBLOCK_DENSE_CAP environment variable) because the point of this module
-is oracle duty, not scale.
+is oracle duty, not scale.  The gate kernel `apply_rows` works for any
+scalar whose zero tests false, so the approx engine's float reference runs
+complex amplitudes through the same loop.
 """
 
 from __future__ import annotations
@@ -70,34 +72,43 @@ class StateVector:
         return 1 << (self.width - 1 - qubit)
 
 
-def dense_apply(state: StateVector, step: CircuitStep) -> StateVector:
-    """Exact amplitude update for a 1- or 2-qubit gate at any positions."""
-    width = state.width
-    size = 1 << width
-    amps = state.amps
-    rows = step.gate.nonzero_rows()
-    # offsets[r] sets the index bits of matrix row r: target j is row bit
-    # arity-1-j, so a 2-qubit gate gets (0, mb, ma, ma | mb)
+def target_offsets(width: int, targets) -> list[int]:
+    """offsets[r] sets the index bits of matrix row r: target j is row bit
+    arity-1-j, so a 2-qubit gate gets (0, mb, ma, ma | mb)."""
     offsets = [0]
-    for q in reversed(step.targets):
-        mask = state.bit_mask(q)
+    for q in reversed(targets):
+        mask = 1 << (width - 1 - q)
         offsets += [o | mask for o in offsets]
+    return offsets
+
+
+def apply_rows(amps: list, offsets: list[int], rows, zero) -> list:
+    """Apply a gate given by its nonzero rows (per row, (column, entry)
+    pairs) to the amplitudes at `offsets`.  Works for any scalar type whose
+    zero tests false: exact scalars and complex floats alike."""
     both = offsets[-1]
-    out = [ZERO] * size
-    for i in range(size):
+    out = [zero] * len(amps)
+    for i in range(len(amps)):
         if i & both:
             continue
         group = [amps[i | o] for o in offsets]
-        if all(v.is_zero() for v in group):
+        if not any(group):
             continue
         for r, cols in enumerate(rows):
-            acc = ZERO
+            acc = zero
             for col, coeff in cols:
                 v = group[col]
-                if not v.is_zero():
+                if v:
                     acc = acc + coeff * v
             out[i | offsets[r]] = acc
-    return StateVector(width, out)
+    return out
+
+
+def dense_apply(state: StateVector, step: CircuitStep) -> StateVector:
+    """Exact amplitude update for a 1- or 2-qubit gate at any positions."""
+    return StateVector(state.width, apply_rows(
+        state.amps, target_offsets(state.width, step.targets),
+        step.gate.nonzero_rows(), ZERO))
 
 
 def dense_run(circuit: Circuit, cap: int | None = None) -> StateVector:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
+from pblocksim.approx import TIE_RTOL
 from pblocksim.exact import ExactScalar, ZERO, ONE
 from pblocksim.matrices import (ExactMatrix, DensityBlock, kron, mat_eq,
                                 mat_mul, partial_trace, relabel_reorder,
@@ -77,8 +78,9 @@ def brute_projection(rho: DensityBlock, p: int):
     """(distance, parts) of the approx engine's projection, by brute force:
     every partition into parts <= p, in the engine's order (more parts
     first, then lexicographic), is scored by the trace norm of rho minus
-    the product of fresh marginals, each entry subtracted as x + (-y); the
-    first closest wins."""
+    the product of fresh marginals, each entry subtracted as x + (-y); a
+    later partition wins only when closer by more than the engine's
+    relative tie margin, so the first of equally close partitions wins."""
     candidates = sorted((sorted(parts)
                          for parts in all_partitions(rho.labels, p)),
                         key=lambda parts: (-len(parts), parts))
@@ -89,7 +91,7 @@ def brute_projection(rho: DensityBlock, p: int):
                            [x + (-y) for x, y in zip(rho.matrix.entries,
                                                      product.entries)])
         dist = trace_norm_float(diff)
-        if best is None or dist < best[0]:
+        if best is None or dist < best[0] * (1 - TIE_RTOL):
             best = (dist, parts)
     return best
 

@@ -1,15 +1,17 @@
 """Tolerant engine: ledger recursion, projection residuals, bound checks."""
 
+import hashlib
 import math
 
 import pytest
 
+import pblocksim.approx
 from pblocksim.circuits import parse_circuit, gen_block_local
 from pblocksim.dense import dense_run
-from pblocksim.blocked import run_blocked
+from pblocksim.blocked import init_blocked, run_blocked
 from pblocksim.approx import (ApproxConfig, ErrorLedger, Rotation,
-                              run_approx, required_epsilon, bound_e,
-                              gen_perturbed, nearest_exact_gate,
+                              approx_step, run_approx, required_epsilon,
+                              bound_e, gen_perturbed, nearest_exact_gate,
                               simulate_perturbed_floats)
 from pblocksim.prng import CounterRng
 
@@ -123,6 +125,32 @@ class TestApproxRuns:
             assert all(e.d == 0.0 for e in ledger.entries)
             assert not cert.hypothesis_violated
 
+    def test_exact_ties_keep_the_first_partition(self, monkeypatch):
+        """GHZ at p = 2: the last merge scores 1.75 for three parts and
+        exactly 1.5 for each of {0}{1,2}, {0,1}{2} and {0,2}{1}.  Rounding
+        that shaves each later trace norm by one more 1e-15 must not move
+        the choice off the first of the equal partitions."""
+        true_norm = pblocksim.approx.trace_norm_float
+        norms = []
+
+        def shaved(matrix):
+            norms.append(true_norm(matrix) * (1 - len(norms) * 1e-15))
+            return norms[-1]
+
+        monkeypatch.setattr(pblocksim.approx, "trace_norm_float", shaved)
+        ghz = parse_circuit("qubits 3\ninput 000\ngate H 0\n"
+                            "gate CNOT 0 1\ngate CNOT 1 2\nmeasure 0\n")
+        cfg = ApproxConfig(2, 0.0)
+        ledger = ErrorLedger(2, 0.0)
+        state = init_blocked(ghz)
+        for step in ghz.steps:
+            state = approx_step(state, step, cfg, ledger)
+        # the scored partitions; any later call is the debug recheck
+        assert [round(d, 12) for d in norms[:4]] == [1.75, 1.5, 1.5, 1.5]
+        assert sorted(b.labels for b in state.blocks.values()) == \
+            [(0,), (1, 2)]
+        assert ledger.entries[-1].d == norms[1]
+
     def test_ledger_length_matches_steps(self):
         c = gen_block_local(5, 2, 23, 4)
         _, ledger, _ = run_approx(c, ApproxConfig(2, 1e-6))
@@ -144,6 +172,19 @@ class TestPerturbed:
         a = gen_perturbed(6, 1, 5, 1e-5, 3)
         b = gen_perturbed(6, 1, 5, 1e-5, 3)
         assert a == b
+
+    def test_generator_output_is_pinned(self):
+        """Steps and float reference of 3 configurations x 5 seeds, hashed
+        by their reprs; a change to the generator, the calibration or the
+        float kernel shows here."""
+        digest = hashlib.sha256()
+        for cfg in [(8, 3, 12, 1.25e-13), (6, 2, 16, 1e-3), (5, 1, 10, 1e-2)]:
+            for seed in range(5):
+                pc = gen_perturbed(*cfg, seed)
+                digest.update(repr(
+                    (pc.steps, simulate_perturbed_floats(pc))).encode())
+        assert digest.hexdigest() == ("09272bece416cc45379d69f3c23ae5fd"
+                                      "8f081465464bb165f1df444f2bed5cb1")
 
     def test_rotations_move_state_at_most_eps(self):
         """Trace-norm move of each splice, measured on float states."""

@@ -224,6 +224,9 @@ REJECTED = [
      "--epsilon", "-1"],
     ["simulate", "--engine", "approx", "--p", "1", "--circuit", "{bell}",
      "--epsilon", "nan"],
+    ["compare", "--engines", "dense,nosuch", "--circuit", "{bell}"],
+    ["compare", "--engines", "dense,blocked", "--circuit", "{bell}"],
+    ["compare", "--engines", "dense,approx", "--circuit", "{bell}"],
     ["analyze-ap", "--census", "--n", "3", "--rbits", "8", "--p", "2"],
     ["analyze-ap", "--census", "--n", "9", "--rbits", "0", "--p", "2"],
     ["analyze-ap", "--census", "--n", "11", "--p", "2", "--trials", "0"],

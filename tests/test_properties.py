@@ -1,6 +1,7 @@
 """Property tests over generated circuits and texts: the text format
 round-trips, the parser fails only with CircuitError, the dense
-blockedness decider agrees with brute-force enumeration, the approx
+blockedness decider agrees with brute-force enumeration, the float
+reference runs the dense engine's kernel to the same marginals, the approx
 engine's projection agrees with a brute-force search, the stabilizer
 engine agrees with the dense state on Clifford circuits, and its tableau
 converts between columns and rows without loss."""
@@ -9,7 +10,8 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
-from pblocksim.approx import ApproxConfig, ErrorLedger, approx_step
+from pblocksim.approx import (ApproxConfig, ErrorLedger, PerturbedCircuit,
+                              approx_step, simulate_perturbed_floats)
 from pblocksim.blocked import BlockedState, conjugate_block, merge_apply
 from pblocksim.circuits import (LIBRARY, Circuit, CircuitError, CircuitStep,
                                 GateDef, InputBlock, parse_circuit,
@@ -175,6 +177,22 @@ def test_dense_blockedness_matches_brute_force(circuit):
     for p in range(1, circuit.width + 1):
         assert dense_blockedness(state, p) == \
             brute_blockedness(state.amps, circuit.width, p)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(circuits())
+def test_float_reference_matches_exact_dense(circuit):
+    """With no rotations, the float reference's marginals are the exact
+    dense engine's, as floats, for every measured qubit: one kernel serves
+    complex and exact amplitudes, for library gates in both target orders
+    and for defgates."""
+    state = dense_run(Circuit(circuit.width, circuit.input_bits,
+                              circuit.steps))
+    for qubit in range(circuit.width):
+        got = simulate_perturbed_floats(PerturbedCircuit(
+            circuit.width, circuit.input_bits, circuit.steps, qubit))
+        want = dense_marginal(state, qubit).floats()
+        assert all(abs(g - w) <= 1e-12 for g, w in zip(got, want))
 
 
 @st.composite
