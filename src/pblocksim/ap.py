@@ -45,8 +45,8 @@ class BasisSuperposition:
 
 def build_ap(x0: int, r: int, count: int, n: int) -> BasisSuperposition:
     """Equal superposition over the progression x0, x0+r, ..., count terms."""
-    if r < 1 or count < 1 or x0 < 0:
-        raise BadArgs("need r >= 1, count >= 1, x0 >= 0")
+    if n < 1 or r < 1 or count < 1 or x0 < 0:
+        raise BadArgs("need n >= 1, r >= 1, count >= 1, x0 >= 0")
     top = x0 + (count - 1) * r
     if top >= (1 << n):
         raise RangeOverflow(
@@ -56,6 +56,8 @@ def build_ap(x0: int, r: int, count: int, n: int) -> BasisSuperposition:
 
 def build_pair(x0: int, x1: int, n: int) -> BasisSuperposition:
     """The two-string superposition (|x0> + |x1>)/sqrt(2)."""
+    if n < 1:
+        raise BadArgs(f"register width n must be >= 1, got {n}")
     if x0 == x1:
         raise BadArgs("pair values must differ")
     if not (0 <= x0 < (1 << n) and 0 <= x1 < (1 << n)):

@@ -35,13 +35,14 @@ import math
 from dataclasses import dataclass, field
 
 from .matrices import (DensityBlock, ExactMatrix, mat_eq, partial_trace,
-                       trace_norm_float, product_over_partition)
+                       trace_norm_float, product_over_partition,
+                       target_offsets)
 from .circuits import (Circuit, CircuitStep, GateDef, LIBRARY,
                        gen_block_local, _fixed_cells)
 from .partitions import partitions_max_part
 from .blocked import (BlockedState, init_blocked, install_parts,
                       measurement_marginal, merge_apply)
-from .dense import apply_rows, target_offsets
+from .dense import apply_rows
 from .prng import CounterRng
 from .sampling import OutcomeDistribution
 
@@ -181,7 +182,7 @@ def nearest_exact_gate(rotation: Rotation) -> GateDef:
 
 
 def approx_step(state: BlockedState, step, cfg: ApproxConfig,
-                ledger: ErrorLedger, step_index: int = -1) -> BlockedState:
+                ledger: ErrorLedger) -> BlockedState:
     """Apply one step and force the state back to p-blocked form."""
     if isinstance(step, Rotation):
         step = CircuitStep(nearest_exact_gate(step), step.targets)
@@ -230,8 +231,8 @@ def run_approx(circuit, cfg: ApproxConfig
     if state.max_block_size() > cfg.p:
         raise ValueError("input block larger than p; the surrogate must "
                          "start p-blocked")
-    for j, step in enumerate(circuit.steps):
-        state = approx_step(state, step, cfg, ledger, j)
+    for step in circuit.steps:
+        state = approx_step(state, step, cfg, ledger)
     dist = measurement_marginal(state, circuit.measured_qubit)
     cert = Certificate(ledger.e_final, cfg.epsilon,
                        ledger.hypothesis_violated())

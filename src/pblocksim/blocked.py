@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from .exact import ZERO, ONE
 from .matrices import (ExactMatrix, DensityBlock, mat_mul, mat_eq,
-                       kron_blocks, partial_trace, relabel_reorder,
-                       product_over_partition)
+                       kron_blocks, partial_trace, product_over_partition,
+                       target_offsets)
 from .circuits import Circuit, CircuitStep
 from .partitions import partitions_max_part
 from .sampling import OutcomeDistribution
@@ -57,9 +57,7 @@ class BlockedState:
 
     def global_density(self) -> DensityBlock:
         """kron of all blocks in ascending qubit order (small widths only)."""
-        ordered = sorted(self.blocks.values(), key=lambda b: b.labels[0])
-        assembled = kron_blocks(ordered)
-        return relabel_reorder(assembled, tuple(range(self.width)))
+        return kron_blocks(self.blocks.values(), range(self.width))
 
     def digit_count(self) -> int:
         return max(e.digit_count() for b in self.blocks.values()
@@ -107,25 +105,16 @@ def embed_gate(gate_matrix: ExactMatrix, block_labels, targets) -> ExactMatrix:
     index bits routed to the targets' positions inside the block."""
     k = len(block_labels)
     dim = 1 << k
-    positions = [block_labels.index(t) for t in targets]
-    shifts = [k - 1 - pos for pos in positions]
-    g = len(targets)
-    other_mask = (dim - 1) ^ sum(1 << s for s in shifts)
+    offsets = target_offsets(k, [block_labels.index(t) for t in targets])
+    g = gate_matrix.rows
+    nonzero = [(offsets[e // g], offsets[e % g], x)
+               for e, x in enumerate(gate_matrix.entries) if not x.is_zero()]
     ent = [ZERO] * (dim * dim)
-    for r in range(dim):
-        rbits = 0
-        for t in range(g):
-            rbits = (rbits << 1) | ((r >> shifts[t]) & 1)
-        base = r & other_mask
-        for cbits in range(1 << g):
-            coeff = gate_matrix.at(rbits, cbits)
-            if coeff.is_zero():
-                continue
-            s = base
-            for t in range(g):
-                if (cbits >> (g - 1 - t)) & 1:
-                    s |= 1 << shifts[t]
-            ent[r * dim + s] = coeff
+    for base in range(dim):
+        if base & offsets[-1]:
+            continue
+        for r, c, x in nonzero:
+            ent[(base | r) * dim + (base | c)] = x
     return ExactMatrix(dim, dim, ent)
 
 
@@ -201,8 +190,8 @@ def merge_apply(state: BlockedState, step: CircuitStep
     ids = sorted({state.assignment[q] for q in step.targets})
     block = state.blocks[ids[0]]
     if len(ids) == 2:
-        merged = kron_blocks([block, state.blocks.pop(ids[1])])
-        block = relabel_reorder(merged, tuple(sorted(merged.labels)))
+        pair = (block, state.blocks.pop(ids[1]))
+        block = kron_blocks(pair, sorted(pair[0].labels + pair[1].labels))
         for q in block.labels:
             state.assignment[q] = ids[0]
     return ids[0], conjugate_block(block, step.gate.matrix, step.targets)

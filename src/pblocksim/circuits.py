@@ -260,12 +260,9 @@ class Circuit:
 
 # -- text format ---
 
-def parse_circuit(text: str, extra_gates: dict[str, GateDef] | None = None
-                  ) -> Circuit:
+def parse_circuit(text: str) -> Circuit:
     """Parse the line-oriented circuit format; diagnostics carry line numbers."""
     gates = dict(LIBRARY)
-    if extra_gates:
-        gates.update(extra_gates)
     width = None
     input_bits = None
     steps: list[CircuitStep] = []

@@ -62,7 +62,7 @@ def _load_circuit(path: str) -> Circuit:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(EXIT_USAGE, f"cannot read {path}: {exc}")
     try:
         return parse_circuit(text)

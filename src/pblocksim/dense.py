@@ -14,6 +14,7 @@ import os
 
 from .exact import ExactScalar, ZERO, ONE
 from .circuits import Circuit, CircuitStep
+from .matrices import target_offsets
 from .partitions import peel_finest
 from .sampling import OutcomeDistribution
 
@@ -70,16 +71,6 @@ class StateVector:
     def bit_mask(self, qubit: int) -> int:
         """Index bit carrying `qubit` (qubit 0 is the most significant)."""
         return 1 << (self.width - 1 - qubit)
-
-
-def target_offsets(width: int, targets) -> list[int]:
-    """offsets[r] sets the index bits of matrix row r: target j is row bit
-    arity-1-j, so a 2-qubit gate gets (0, mb, ma, ma | mb)."""
-    offsets = [0]
-    for q in reversed(targets):
-        mask = 1 << (width - 1 - q)
-        offsets += [o | mask for o in offsets]
-    return offsets
 
 
 def apply_rows(amps: list, offsets: list[int], rows, zero) -> list:

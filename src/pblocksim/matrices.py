@@ -4,6 +4,11 @@ States stay exact end to end; only the trace norm goes through floats (it
 needs eigenvalues, which leave the field Q(i, sqrt2)).  The Hermitian
 eigensolve runs cyclic Jacobi sweeps on the complex matrix itself, so the
 only numeric kernel is a phase followed by a real 2x2 rotation.
+
+`target_offsets` is the one index map: every routine that spreads a local
+index onto bit positions (partial traces, reorders, embedded gates, the
+dense engine's gate kernel) takes its offsets from it.  `kron_blocks` uses
+it to lay each block's entries straight into the requested label order.
 """
 
 from __future__ import annotations
@@ -221,6 +226,17 @@ class DensityBlock:
         return f"DensityBlock(labels={self.labels}, {self.matrix!r})"
 
 
+def target_offsets(width: int, positions) -> list[int]:
+    """offsets[r] is local index r spread onto an index of `width` bits:
+    positions[j] (0 is the most significant bit) carries bit len-1-j of r,
+    so positions (a, b) give (0, mb, ma, ma | mb)."""
+    offsets = [0]
+    for pos in reversed(positions):
+        mask = 1 << (width - 1 - pos)
+        offsets += [o | mask for o in offsets]
+    return offsets
+
+
 def partial_trace(rho: DensityBlock, keep) -> DensityBlock:
     """Exact reduced state on the kept labels (original order preserved)."""
     keep = tuple(keep)
@@ -233,20 +249,11 @@ def partial_trace(rho: DensityBlock, keep) -> DensityBlock:
     k = len(rho.labels)
     kept_pos = [rho.labels.index(l) for l in kept]
     other_pos = [p for p in range(k) if p not in kept_pos]
-    nk, no = len(kept_pos), len(other_pos)
-    dim_out = 1 << nk
+    dim_out = 1 << len(kept_pos)
     out = [ZERO] * (dim_out * dim_out)
     src = rho.matrix
-
-    def build(idx_bits, positions):
-        full = 0
-        for bit_i, pos in enumerate(positions):
-            if (idx_bits >> (len(positions) - 1 - bit_i)) & 1:
-                full |= 1 << (k - 1 - pos)
-        return full
-
-    kept_masks = [build(i, kept_pos) for i in range(dim_out)]
-    other_masks = [build(e, other_pos) for e in range(1 << no)]
+    kept_masks = target_offsets(k, kept_pos)
+    other_masks = target_offsets(k, other_pos)
     for r in range(dim_out):
         for s in range(dim_out):
             acc = ZERO
@@ -265,36 +272,46 @@ def relabel_reorder(rho: DensityBlock, new_label_order) -> DensityBlock:
             f"{new_order} is not a permutation of {rho.labels}")
     k = len(rho.labels)
     dim = 1 << k
-    # position of each new label in the old ordering
-    old_pos = [rho.labels.index(l) for l in new_order]
-
-    def to_old(idx: int) -> int:
-        out = 0
-        for new_p, old_p in enumerate(old_pos):
-            if (idx >> (k - 1 - new_p)) & 1:
-                out |= 1 << (k - 1 - old_p)
-        return out
-
-    index_map = [to_old(i) for i in range(dim)]
+    # new index i reads old index index_map[i]
+    index_map = target_offsets(k, [rho.labels.index(l) for l in new_order])
     src = rho.matrix
     ent = [src.at(index_map[r], index_map[s])
            for r in range(dim) for s in range(dim)]
     return DensityBlock(new_order, ExactMatrix(dim, dim, ent))
 
 
-def kron_blocks(blocks) -> DensityBlock:
-    """Tensor together density blocks; labels concatenate in order."""
-    blocks = list(blocks)
-    out = blocks[0]
-    for nxt in blocks[1:]:
-        out = DensityBlock(out.labels + nxt.labels, kron(out.matrix, nxt.matrix))
-    return out
+def kron_blocks(blocks, labels) -> DensityBlock:
+    """Tensor product of density blocks, laid out in the order of `labels`
+    (a permutation of the blocks' labels): each product entry is written
+    once, straight to its index, with factors multiplied in block order."""
+    blocks, labels = list(blocks), tuple(labels)
+    where = {l: p for p, l in enumerate(labels)}
+    if len(where) != len(labels) or \
+            sorted(where) != sorted(l for b in blocks for l in b.labels):
+        raise BadPermutation(f"{labels} is not a permutation of the labels "
+                             f"of {[b.labels for b in blocks]}")
+    k = len(labels)
+    dim = 1 << k
+    # (flat index, value) of each nonzero entry of the product so far
+    terms = None
+    for block in blocks:
+        off = target_offsets(k, [where[l] for l in block.labels])
+        bdim = block.matrix.rows
+        local = [(off[e // bdim] * dim + off[e % bdim], x)
+                 for e, x in enumerate(block.matrix.entries)
+                 if not x.is_zero()]
+        terms = local if terms is None else \
+            [(f + g, y * x) for f, y in terms for g, x in local]
+    ent = [ZERO] * (dim * dim)
+    for f, x in terms:
+        ent[f] = x
+    return DensityBlock(labels, ExactMatrix(dim, dim, ent))
 
 
 def product_over_partition(labels, reduced) -> DensityBlock:
-    """kron of the reduced states of a partition's parts, reordered to
+    """kron of the reduced states of a partition's parts, in the order of
     `labels` (the labels of the block they were traced from)."""
-    return relabel_reorder(kron_blocks(reduced), labels)
+    return kron_blocks(reduced, labels)
 
 
 # -- numeric trace norm (cyclic Jacobi on the complex Hermitian matrix) ---

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths under test: partitions
 are enumerated by plain recursion, blockedness is decided by full density
 matrix comparison, the approx projection is scored with fresh partial
-traces and plain scalar arithmetic, reversible circuits are evaluated at
+traces and plain scalar arithmetic, tensor factors are placed and gates
+widened by per-bit loops of their own, reversible circuits are evaluated at
 the bit level, and eigenvalues come from exact characteristic polynomials.
 """
 
@@ -15,10 +16,8 @@ from itertools import combinations
 from pblocksim.approx import TIE_RTOL
 from pblocksim.exact import ExactScalar, ZERO, ONE
 from pblocksim.matrices import (ExactMatrix, DensityBlock, kron, mat_eq,
-                                mat_mul, partial_trace, relabel_reorder,
-                                trace_norm_float)
+                                mat_mul, partial_trace, trace_norm_float)
 from pblocksim.circuits import Circuit, CircuitStep, GateDef, LIBRARY
-from pblocksim.blocked import embed_gate
 from pblocksim.prng import CounterRng
 
 
@@ -64,14 +63,43 @@ def brute_blockedness(amps: list[ExactScalar], width: int, p: int):
     return best
 
 
-def product_of_marginals(rho: DensityBlock, parts) -> DensityBlock:
-    """kron of freshly traced reduced states of `parts`, in rho's order."""
-    reduced = [partial_trace(rho, part) for part in parts]
-    assembled = reduced[0]
-    for nxt in reduced[1:]:
+def _bit_of(index: int, width: int, position: int) -> int:
+    """Bit of `index` at `position` (0 is the most significant)."""
+    return (index >> (width - 1 - position)) & 1
+
+
+def reorder_bits(matrix: ExactMatrix, labels, new_labels) -> ExactMatrix:
+    """`matrix` on the ordered `labels`, with its tensor factors moved into
+    the order of `new_labels`, one index bit at a time."""
+    labels, new_labels = tuple(labels), tuple(new_labels)
+    k = len(labels)
+    dim = 1 << k
+
+    def old_index(new):
+        old = 0
+        for new_p, label in enumerate(new_labels):
+            if _bit_of(new, k, new_p):
+                old |= 1 << (k - 1 - labels.index(label))
+        return old
+
+    return ExactMatrix(dim, dim, [matrix.at(old_index(r), old_index(c))
+                                  for r in range(dim) for c in range(dim)])
+
+
+def kron_chain(blocks, labels) -> DensityBlock:
+    """kron of `blocks` in order, then reordered bit by bit to `labels`."""
+    assembled = blocks[0]
+    for nxt in blocks[1:]:
         assembled = DensityBlock(assembled.labels + nxt.labels,
                                  kron(assembled.matrix, nxt.matrix))
-    return relabel_reorder(assembled, rho.labels)
+    return DensityBlock(labels, reorder_bits(assembled.matrix,
+                                             assembled.labels, labels))
+
+
+def product_of_marginals(rho: DensityBlock, parts) -> DensityBlock:
+    """kron of freshly traced reduced states of `parts`, in rho's order."""
+    return kron_chain([partial_trace(rho, part) for part in parts],
+                      rho.labels)
 
 
 def brute_projection(rho: DensityBlock, p: int):
@@ -146,14 +174,38 @@ def poly_eval(coeffs: list[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
+def full_gate(gate_matrix: ExactMatrix, labels, targets) -> ExactMatrix:
+    """The gate on `targets` as a matrix on all of `labels`: entry (i, j)
+    is the gate's entry at the targets' bits of i and j when i and j agree
+    on every other bit, and zero otherwise."""
+    k = len(labels)
+    positions = [labels.index(t) for t in targets]
+    others = [p for p in range(k) if p not in positions]
+
+    def gate_index(i):
+        g = 0
+        for pos in positions:
+            g = (g << 1) | _bit_of(i, k, pos)
+        return g
+
+    dim = 1 << k
+    ent = [ZERO] * (dim * dim)
+    for i in range(dim):
+        for j in range(dim):
+            if all(_bit_of(i, k, p) == _bit_of(j, k, p) for p in others):
+                ent[i * dim + j] = gate_matrix.at(gate_index(i),
+                                                  gate_index(j))
+    return ExactMatrix(dim, dim, ent)
+
+
 def float_statevector(circuit: Circuit) -> list[complex]:
     """Plain complex-float simulation, written independently of the dense
-    engine's loops (full-width embedded matrices)."""
+    engine's loops (full-width matrices from `full_gate`)."""
     n = circuit.width
     amps = [0j] * (1 << n)
     amps[int(circuit.input_bits, 2)] = 1.0
     for step in circuit.steps:
-        full = embed_gate(step.gate.matrix, tuple(range(n)), step.targets)
+        full = full_gate(step.gate.matrix, tuple(range(n)), step.targets)
         rows = full.to_complex_rows()
         amps = [sum(rows[i][j] * amps[j] for j in range(1 << n)
                     if rows[i][j] != 0)
@@ -166,7 +218,7 @@ def evolve_density_exact(circuit: Circuit, rho: DensityBlock) -> DensityBlock:
     independent oracle for mixed-input runs (keep widths small)."""
     out = rho
     for step in circuit.steps:
-        u = embed_gate(step.gate.matrix, out.labels, step.targets)
+        u = full_gate(step.gate.matrix, out.labels, step.targets)
         out = DensityBlock(out.labels, mat_mul(mat_mul(u, out.matrix),
                                                u.dagger()))
     return out

@@ -232,11 +232,17 @@ REJECTED = [
     ["analyze-ap", "--census", "--n", "11", "--p", "2", "--trials", "0"],
     ["analyze-ap", "--p", "0", "--x0", "1", "--r", "1", "--count", "2",
      "--n", "4"],
+    ["analyze-ap", "--n", "-1", "--x0", "0", "--r", "1", "--count", "1",
+     "--p", "1"],
+    ["analyze-ap", "--n", "0", "--x0", "0", "--r", "1", "--count", "1",
+     "--p", "1"],
+    ["simulate", "--engine", "dense", "--circuit", "{tmp}/not_utf8.qc"],
 ]
 
 
 @pytest.mark.parametrize("argv", REJECTED, ids=" ".join)
 def test_bad_input_exits_1_without_traceback(argv, bell_path, tmp_path):
+    (tmp_path / "not_utf8.qc").write_bytes(b"qubits 1\n\xff\xfe gate H 0\n")
     argv = [a.format(bell=bell_path, tmp=tmp_path) for a in argv]
     src = os.path.dirname(os.path.dirname(pblocksim.__file__))
     out = subprocess.run([sys.executable, "-m", "pblocksim.cli", *argv],

@@ -1,5 +1,6 @@
 """Property tests over generated circuits and texts: the text format
-round-trips, the parser fails only with CircuitError, the dense
+round-trips, the parser fails only with CircuitError, tensor products of
+blocks land in label order and trace back to their factors, the dense
 blockedness decider agrees with brute-force enumeration, the float
 reference runs the dense engine's kernel to the same marginals, the approx
 engine's projection agrees with a brute-force search, the stabilizer
@@ -18,14 +19,15 @@ from pblocksim.circuits import (LIBRARY, Circuit, CircuitError, CircuitStep,
                                 serialize_circuit)
 from pblocksim.dense import dense_blockedness, dense_marginal, dense_run
 from pblocksim.exact import I_UNIT, MINUS_ONE, ONE, ZERO, ExactScalar
-from pblocksim.matrices import (DensityBlock, ExactMatrix, kron, mat_mul,
-                                partial_trace)
+from pblocksim.matrices import (DensityBlock, ExactMatrix, kron,
+                                kron_blocks, mat_mul, partial_trace)
 from pblocksim.prng import CounterRng
 from pblocksim.stabilizer import (StabilizerTableau, tableau_apply,
                                   tableau_init, tableau_marginal)
 
 from helpers import (S_H_CNOT, brute_blockedness, brute_projection,
-                     random_mixed_density)
+                     kron_chain, random_mixed_density, random_pure_density,
+                     reorder_bits)
 
 # derandomized so that every run checks the same examples
 PROPERTY = settings(deadline=None, derandomize=True)
@@ -168,6 +170,37 @@ def factored_circuits(draw):
         steps.append(CircuitStep(gate, tuple(
             draw(st.permutations(part))[:gate.arity])))
     return Circuit(circuit.width, circuit.input_bits, tuple(steps))
+
+
+@st.composite
+def tensor_factors(draw):
+    """2-3 random pure or mixed blocks of 1-3 qubits whose labels interleave
+    at random, and a random label order for their product."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    width = sum(sizes)
+    shuffled = draw(st.permutations(range(width)))
+    seed = draw(st.integers(0, 1 << 16))
+    blocks = []
+    for i, size in enumerate(sizes):
+        make = draw(st.sampled_from([random_pure_density,
+                                     random_mixed_density]))
+        matrix = make(CounterRng(seed, f"factor {i}"), size).matrix
+        start = sum(sizes[:i])
+        blocks.append(DensityBlock(shuffled[start:start + size], matrix))
+    return blocks, tuple(draw(st.permutations(range(width))))
+
+
+@settings(PROPERTY, max_examples=40)
+@given(tensor_factors())
+def test_kron_blocks_lays_factors_out_in_label_order(case):
+    blocks, labels = case
+    product = kron_blocks(blocks, labels)
+    assert product.labels == labels
+    assert product.matrix == kron_chain(blocks, labels).matrix
+    for block in blocks:
+        reduced = partial_trace(product, block.labels)
+        assert reduced.matrix == reorder_bits(block.matrix, block.labels,
+                                              reduced.labels)
 
 
 @settings(PROPERTY, max_examples=40)
