@@ -14,9 +14,9 @@ fair-coin sampler for the output distributions.
 """
 
 from .exact import BigRational, ExactScalar, parse_scalar
-from .matrices import (ExactMatrix, DensityBlock, mat_mul, mat_eq, kron,
-                       is_unitary, partial_trace, relabel_reorder,
-                       trace_norm_float, DimensionMismatch, NotHermitian)
+from .matrices import (ExactMatrix, DensityBlock, mat_mul, mat_eq,
+                       is_unitary, partial_trace, trace_norm_float,
+                       DimensionMismatch, NotHermitian)
 from .circuits import (GateDef, CircuitStep, Circuit, builtin_library,
                        LIBRARY, parse_circuit, serialize_circuit,
                        gen_block_local, gen_entangle_disentangle,
@@ -31,8 +31,7 @@ from .approx import (ApproxConfig, ErrorLedger, Certificate, Rotation,
                      required_epsilon, bound_e, gen_perturbed,
                      simulate_perturbed_floats)
 from .stabilizer import (PauliString, StabilizerTableau, NonCliffordGate,
-                         tableau_init, tableau_apply, tableau_marginal,
-                         run_stabilizer)
+                         tableau_apply, tableau_marginal, run_stabilizer)
 from .ap import (BasisSuperposition, build_ap, build_pair,
                  analyze_blockedness, census, format_partition)
 from .sampling import (OutcomeDistribution, CoinSource, coin_sample,

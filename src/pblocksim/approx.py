@@ -84,10 +84,6 @@ class ErrorLedger:
     def e_current(self) -> float:
         return self.entries[-1].e_bound if self.entries else 0.0
 
-    @property
-    def e_final(self) -> float:
-        return self.e_current
-
     def record_step(self, d: float) -> LedgerEntry:
         e_prev = self.e_current
         e_next = (2 * self.p + 3) * (e_prev + self.epsilon)
@@ -234,7 +230,7 @@ def run_approx(circuit, cfg: ApproxConfig
     for step in circuit.steps:
         state = approx_step(state, step, cfg, ledger)
     dist = measurement_marginal(state, circuit.measured_qubit)
-    cert = Certificate(ledger.e_final, cfg.epsilon,
+    cert = Certificate(ledger.e_current, cfg.epsilon,
                        ledger.hypothesis_violated())
     return dist, ledger, cert
 

@@ -70,22 +70,16 @@ def _basis_block(label: int, bit: int) -> DensityBlock:
     return DensityBlock((label,), ExactMatrix(2, 2, ent))
 
 
-def init_blocked(circuit_or_bits) -> BlockedState:
-    """All-singleton start state |b><b| per qubit; circuits may override
-    chosen qubits with mixed input blocks."""
-    if isinstance(circuit_or_bits, Circuit):
-        circuit = circuit_or_bits
-        bits = circuit.input_bits
-        preset = circuit.input_blocks
-    else:
-        bits = circuit_or_bits
-        preset = ()
+def init_blocked(circuit: Circuit) -> BlockedState:
+    """The circuit's start state: its input blocks, and |b><b| for each
+    other qubit."""
+    bits = circuit.input_bits
     width = len(bits)
     assignment = [0] * width
     blocks: dict[int, DensityBlock] = {}
     next_id = 1
     covered = set()
-    for blk in preset:
+    for blk in circuit.input_blocks:
         blocks[next_id] = DensityBlock(blk.labels, blk.matrix)
         for q in blk.labels:
             assignment[q] = next_id

@@ -325,6 +325,8 @@ def parse_circuit(text: str) -> Circuit:
             if width < 1:
                 fail(lineno, "qubit count must be positive")
         elif head == "input":
+            if input_bits is not None:
+                fail(lineno, "duplicate 'input' line")
             if len(toks) != 2:
                 fail(lineno, "usage: input <bitstring>")
             if width is None:

@@ -128,6 +128,16 @@ def cmd_simulate(args) -> None:
         raise _CliError(code, f"not p-blocked: {exc}"
                         if code == EXIT_PBLOCK else str(exc))
     wall = time.perf_counter() - started
+    # drawn before anything prints: a p0 outside [0, 1], which the
+    # inputblock tolerance lets through, leaves stdout empty
+    drawn = []
+    if args.samples:
+        coins = CoinSource(args.seed)
+        try:
+            drawn = [sample_outcome(dist, args.eta, coins)
+                     for _ in range(args.samples)]
+        except ValueError as exc:
+            raise _CliError(EXIT_USAGE, f"cannot sample: {exc}")
 
     print(_format_prob("p0", dist.p0))
     print(_format_prob("p1", dist.p1))
@@ -145,9 +155,6 @@ def cmd_simulate(args) -> None:
                 raise _CliError(EXIT_USAGE,
                                 f"cannot write {args.ledger}: {exc}")
     if args.samples:
-        coins = CoinSource(args.seed)
-        drawn = [sample_outcome(dist, args.eta, coins)
-                 for _ in range(args.samples)]
         for b in drawn:
             print(b)
         print(f"samples={args.samples} zeros={drawn.count(0)} "

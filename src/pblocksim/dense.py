@@ -1,16 +1,14 @@
 """Exact full-statevector simulator: the ground truth for the other engines.
 
 Amplitudes are exact scalars, so two engines agreeing here agree as rational
-identities, not to a tolerance.  Width is capped (default 14, override with
-the PBLOCK_DENSE_CAP environment variable) because the point of this module
-is oracle duty, not scale.  The gate kernel `apply_rows` works for any
-scalar whose zero tests false, so the approx engine's float reference runs
-complex amplitudes through the same loop.
+identities, not to a tolerance.  Width is capped at the constant 14
+(`WIDTH_CAP`), because the point of this module is oracle duty, not scale.
+The gate kernel `apply_rows` works for any scalar whose zero tests false,
+so the approx engine's float reference runs complex amplitudes through the
+same loop.
 """
 
 from __future__ import annotations
-
-import os
 
 from .exact import ExactScalar, ZERO, ONE
 from .circuits import Circuit, CircuitStep
@@ -18,17 +16,16 @@ from .matrices import target_offsets
 from .partitions import peel_finest
 from .sampling import OutcomeDistribution
 
-DEFAULT_WIDTH_CAP = 14
+WIDTH_CAP = 14
 
 
 class WidthCapExceeded(ValueError):
     pass
 
 
-def _width_cap(cap: int | None) -> int:
-    if cap is not None:
-        return cap
-    return int(os.environ.get("PBLOCK_DENSE_CAP", DEFAULT_WIDTH_CAP))
+def _check_width(width: int) -> None:
+    if width > WIDTH_CAP:
+        raise WidthCapExceeded(f"width {width} exceeds dense cap {WIDTH_CAP}")
 
 
 class StateVector:
@@ -102,11 +99,8 @@ def dense_apply(state: StateVector, step: CircuitStep) -> StateVector:
         step.gate.nonzero_rows(), ZERO))
 
 
-def dense_run(circuit: Circuit, cap: int | None = None) -> StateVector:
-    cap = _width_cap(cap)
-    if circuit.width > cap:
-        raise WidthCapExceeded(
-            f"width {circuit.width} exceeds dense cap {cap}")
+def dense_run(circuit: Circuit) -> StateVector:
+    _check_width(circuit.width)
     if circuit.input_blocks:
         raise ValueError("dense statevector engine cannot take mixed inputs")
     state = StateVector.from_bits(circuit.input_bits)
@@ -170,13 +164,10 @@ def _mask(state: StateVector, part) -> int:
     return mask
 
 
-def dense_blockedness(state: StateVector, p: int, cap: int | None = None):
+def dense_blockedness(state: StateVector, p: int):
     """Finest partition (parts <= p) over which the state factors exactly,
     or None when the state is not p-blocked."""
-    cap = _width_cap(cap)
-    if state.width > cap:
-        raise WidthCapExceeded(
-            f"width {state.width} exceeds dense cap {cap}")
+    _check_width(state.width)
     nonzeros = state.nonzeros()
     if not nonzeros:
         raise ValueError("zero state has no blockedness")

@@ -6,8 +6,8 @@ eigensolve runs cyclic Jacobi sweeps on the complex matrix itself, so the
 only numeric kernel is a phase followed by a real 2x2 rotation.
 
 `target_offsets` is the one index map: every routine that spreads a local
-index onto bit positions (partial traces, reorders, embedded gates, the
-dense engine's gate kernel) takes its offsets from it.  `kron_blocks` uses
+index onto bit positions (partial traces, embedded gates, the dense
+engine's gate kernel) takes its offsets from it.  `kron_blocks` uses
 it to lay each block's entries straight into the requested label order.
 """
 
@@ -156,26 +156,6 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(a.rows, b.cols, out)
 
 
-def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Tensor product; the first factor supplies the high-order index bits."""
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
-    out = [ZERO] * (rows * cols)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            aij = a.entries[i * a.cols + j]
-            if aij.is_zero():
-                continue
-            for k in range(b.rows):
-                orow = (i * b.rows + k) * cols + j * b.cols
-                brow = k * b.cols
-                for l in range(b.cols):
-                    bkl = b.entries[brow + l]
-                    if not bkl.is_zero():
-                        out[orow + l] = aij * bkl
-    return ExactMatrix(rows, cols, out)
-
-
 def is_unitary(u: ExactMatrix) -> bool:
     if u.rows != u.cols:
         return False
@@ -261,23 +241,6 @@ def partial_trace(rho: DensityBlock, keep) -> DensityBlock:
                 acc = acc + src.at(kept_masks[r] | om, kept_masks[s] | om)
             out[r * dim_out + s] = acc
     return DensityBlock(kept, ExactMatrix(dim_out, dim_out, out))
-
-
-def relabel_reorder(rho: DensityBlock, new_label_order) -> DensityBlock:
-    """Permute tensor factors so labels appear in the requested order."""
-    new_order = tuple(new_label_order)
-    if sorted(new_order) != sorted(rho.labels) or \
-            len(set(new_order)) != len(new_order):
-        raise BadPermutation(
-            f"{new_order} is not a permutation of {rho.labels}")
-    k = len(rho.labels)
-    dim = 1 << k
-    # new index i reads old index index_map[i]
-    index_map = target_offsets(k, [rho.labels.index(l) for l in new_order])
-    src = rho.matrix
-    ent = [src.at(index_map[r], index_map[s])
-           for r in range(dim) for s in range(dim)]
-    return DensityBlock(new_order, ExactMatrix(dim, dim, ent))
 
 
 def kron_blocks(blocks, labels) -> DensityBlock:

@@ -40,8 +40,6 @@ class CounterRng:
     """Counter-based generator; splittable by tag, reproducible by seed."""
 
     def __init__(self, seed: int, tag: str = ""):
-        self.seed = seed
-        self.tag = tag
         self.key = _mix64((seed * _GOLDEN) ^ _fnv1a64(tag))
         self.counter = 0
 

@@ -5,8 +5,11 @@ stored by columns (Aaronson & Gottesman, quant-ph/0406196): per qubit, an
 n-bit mask of the generators with X there and one of those with Z there,
 plus a mask of the generators whose letter form is negative.  Beside them
 sit the n unsigned destabilizers, stored the same way: destabilizer i
-anticommutes with generator i and commutes with the others, starting from
-X_q against Z_q.  Each gate's action is compiled once from its exact matrix
+anticommutes with generator i and commutes with the others.  A tableau is
+built one way, from the circuit's input bits (generators (-1)^b_q Z_q,
+destabilizers X_q), and changes only by gate updates, so it always holds
+n commuting independent generators with their dual destabilizers.  Each
+gate's action is compiled once from its exact matrix
 (`GateDef.clifford_table`), so any 1- or 2-qubit Clifford gate runs,
 built-in or defined, whatever its name: every target column it changes is
 an XOR of old target columns, and the sign mask flips on an XOR of ANDs of
@@ -101,16 +104,16 @@ class StabilizerTableau:
 
     __slots__ = ("width", "xs", "zs", "signs", "dxs", "dzs")
 
-    def __init__(self, width: int, generators: list[PauliString]):
-        if len(generators) != width:
-            raise ValueError("need exactly n generators for n qubits")
+    def __init__(self, width: int, bits: str):
+        """Basis state |b1...bn>: generators (-1)^b_q Z_q, destabilizers
+        X_q."""
+        if len(bits) != width or bits.strip("01"):
+            raise ValueError("input must be a bitstring of the given width")
         self.width = width
-        self.xs = _transpose([g.x_mask for g in generators])
-        self.zs = _transpose([g.z_mask for g in generators])
-        self.signs = sum(1 << i for i, g in enumerate(generators)
-                         if g.letter_sign() < 0)
-        self.dxs, self.dzs = _destabilizers(generators)
-        _check_commuting(generators)
+        self.xs, self.dzs = [0] * width, [0] * width
+        self.zs = [1 << q for q in range(width)]
+        self.dxs = list(self.zs)
+        self.signs = int(bits[::-1] or "0", 2)
 
     @property
     def generators(self) -> list[PauliString]:
@@ -133,34 +136,6 @@ class StabilizerTableau:
                     raise ValueError(
                         "destabilizers are not dual to the generators")
 
-    def dump(self) -> str:
-        """The generators' letter forms, one a line, in reduced echelon form
-        over GF(2), pivoting X parts then Z parts; row operations multiply
-        generators so signs stay consistent."""
-        gens = self.generators
-        n = self.width
-        row = 0
-        for col_kind in ("x", "z"):
-            for q in range(n):
-                bit = 1 << q
-                pivot = None
-                for r in range(row, n):
-                    mask = gens[r].x_mask if col_kind == "x" else gens[r].z_mask
-                    if mask & bit:
-                        pivot = r
-                        break
-                if pivot is None:
-                    continue
-                gens[row], gens[pivot] = gens[pivot], gens[row]
-                for r in range(n):
-                    if r == row:
-                        continue
-                    mask = gens[r].x_mask if col_kind == "x" else gens[r].z_mask
-                    if mask & bit:
-                        gens[r] = gens[r].mul(gens[row])
-                row += 1
-        return "\n".join(g.to_text() for g in gens)
-
 
 def _transpose(masks: list[int]) -> list[int]:
     """Transpose of a square bit matrix: bit i of out[j] is bit j of
@@ -180,50 +155,6 @@ def _check_commuting(gens: list[PauliString]) -> None:
         for h in gens[i + 1:]:
             if not g.commutes(h):
                 raise ValueError("generators do not commute")
-
-
-def _destabilizers(gens: list[PauliString]) -> tuple[list[int], list[int]]:
-    """Columns (dxs, dzs) of destabilizers d_i with <d_i, g_j> = delta_ij.
-
-    <d, g> = d_x . g_z + d_z . g_x, so the d_i solve H d_i = e_i, where row
-    j of H is g_j's Z part above its X part.  In the reduced echelon form
-    T H = R with pivot columns p_k, d_i = sum_k T[k][i] e_{p_k}: the tag
-    (row k of T) of the row with pivot p_k is destabilizer column p_k."""
-    n = len(gens)
-    basis: dict[int, tuple[int, int]] = {}
-    for i, g in enumerate(gens):
-        vec, tag = (g.z_mask << n) | g.x_mask, 1 << i
-        for lead, (bv, bt) in basis.items():
-            if vec >> lead & 1:
-                vec, tag = vec ^ bv, tag ^ bt
-        if not vec:
-            raise ValueError("generators are not independent")
-        lead = vec.bit_length() - 1
-        for other, (bv, bt) in basis.items():
-            if bv >> lead & 1:
-                basis[other] = (bv ^ vec, bt ^ tag)
-        basis[lead] = (vec, tag)
-    # bit p < n of a row pairs with d_z on qubit p, bit n + q with d_x on q
-    dxs, dzs = [0] * n, [0] * n
-    for lead, (_, tag) in basis.items():
-        if lead >= n:
-            dxs[lead - n] = tag
-        else:
-            dzs[lead] = tag
-    return dxs, dzs
-
-
-def tableau_init(width: int, bits: str) -> StabilizerTableau:
-    """Basis state |b1...bn>: generators (-1)^b_q Z_q, destabilizers X_q."""
-    if len(bits) != width or bits.strip("01"):
-        raise ValueError("input must be a bitstring of the given width")
-    t = StabilizerTableau.__new__(StabilizerTableau)
-    t.width = width
-    t.xs, t.dzs = [0] * width, [0] * width
-    t.zs = [1 << q for q in range(width)]
-    t.dxs = list(t.zs)
-    t.signs = int(bits[::-1] or "0", 2)
-    return t
 
 
 def tableau_apply(t: StabilizerTableau, step: CircuitStep
@@ -288,7 +219,7 @@ def tableau_marginal(t: StabilizerTableau, qubit: int) -> OutcomeDistribution:
 def run_stabilizer(circuit: Circuit) -> OutcomeDistribution:
     if circuit.input_blocks:
         raise ValueError("stabilizer engine cannot take mixed inputs")
-    t = tableau_init(circuit.width, circuit.input_bits)
+    t = StabilizerTableau(circuit.width, circuit.input_bits)
     for j, step in enumerate(circuit.steps):
         try:
             t = tableau_apply(t, step)

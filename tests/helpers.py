@@ -15,8 +15,9 @@ from itertools import combinations
 
 from pblocksim.approx import TIE_RTOL
 from pblocksim.exact import ExactScalar, ZERO, ONE
-from pblocksim.matrices import (ExactMatrix, DensityBlock, kron, mat_eq,
-                                mat_mul, partial_trace, trace_norm_float)
+from pblocksim.matrices import (ExactMatrix, DensityBlock, BadPermutation,
+                                mat_eq, mat_mul, partial_trace,
+                                trace_norm_float)
 from pblocksim.circuits import Circuit, CircuitStep, GateDef, LIBRARY
 from pblocksim.prng import CounterRng
 
@@ -86,14 +87,43 @@ def reorder_bits(matrix: ExactMatrix, labels, new_labels) -> ExactMatrix:
                                   for r in range(dim) for c in range(dim)])
 
 
+def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """Tensor product; the first factor supplies the high-order index bits."""
+    rows = a.rows * b.rows
+    cols = a.cols * b.cols
+    out = [ZERO] * (rows * cols)
+    for i in range(a.rows):
+        for j in range(a.cols):
+            aij = a.entries[i * a.cols + j]
+            if aij.is_zero():
+                continue
+            for k in range(b.rows):
+                orow = (i * b.rows + k) * cols + j * b.cols
+                brow = k * b.cols
+                for l in range(b.cols):
+                    bkl = b.entries[brow + l]
+                    if not bkl.is_zero():
+                        out[orow + l] = aij * bkl
+    return ExactMatrix(rows, cols, out)
+
+
+def relabel_reorder(rho: DensityBlock, new_label_order) -> DensityBlock:
+    """Permute tensor factors so labels appear in the requested order."""
+    new_order = tuple(new_label_order)
+    if sorted(new_order) != sorted(rho.labels):
+        raise BadPermutation(
+            f"{new_order} is not a permutation of {rho.labels}")
+    return DensityBlock(new_order,
+                        reorder_bits(rho.matrix, rho.labels, new_order))
+
+
 def kron_chain(blocks, labels) -> DensityBlock:
     """kron of `blocks` in order, then reordered bit by bit to `labels`."""
     assembled = blocks[0]
     for nxt in blocks[1:]:
         assembled = DensityBlock(assembled.labels + nxt.labels,
                                  kron(assembled.matrix, nxt.matrix))
-    return DensityBlock(labels, reorder_bits(assembled.matrix,
-                                             assembled.labels, labels))
+    return relabel_reorder(assembled, labels)
 
 
 def product_of_marginals(rho: DensityBlock, parts) -> DensityBlock:

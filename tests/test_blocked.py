@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from pblocksim.exact import ExactScalar, ZERO, ONE, HALF_SQRT2
-from pblocksim.matrices import DensityBlock, kron, mat_eq, partial_trace
+from pblocksim.matrices import DensityBlock, mat_eq, partial_trace
 from pblocksim.circuits import (Circuit, CircuitStep, LIBRARY, parse_circuit,
                                 gen_block_local, gen_entangle_disentangle)
 from pblocksim.dense import dense_run, dense_marginal
@@ -15,8 +15,8 @@ from pblocksim.blocked import (PBlockError, init_blocked, apply_blocked,
 from pblocksim.prng import CounterRng
 
 from helpers import (classical_bits, density_from_statevector,
-                     evolve_density_exact, random_mixed_density,
-                     random_pure_density)
+                     evolve_density_exact, kron, kron_chain,
+                     random_mixed_density, random_pure_density)
 
 BELL = parse_circuit("qubits 2\ninput 00\ngate H 0\ngate CNOT 0 1\nmeasure 0\n")
 HALF = ExactScalar(Fraction(1, 2))
@@ -24,7 +24,7 @@ HALF = ExactScalar(Fraction(1, 2))
 
 class TestInit:
     def test_bits(self):
-        state = init_blocked("01")
+        state = init_blocked(Circuit(2, "01", ()))
         assert state.assignment == [1, 2]
         b0 = state.block_of(0)
         assert b0.matrix.at(0, 0) == ONE
@@ -32,14 +32,14 @@ class TestInit:
         assert b1.matrix.at(1, 1) == ONE
 
     def test_every_block_singleton(self):
-        state = init_blocked("0110")
+        state = init_blocked(Circuit(4, "0110", ()))
         assert state.max_block_size() == 1
         assert sorted(state.assignment) == [1, 2, 3, 4]
 
 
 class TestApply:
     def test_case1_same_block(self):
-        state = init_blocked("00")
+        state = init_blocked(Circuit(2, "00", ()))
         state = apply_blocked(state, CircuitStep(LIBRARY["H"], (0,)), 2)
         state = apply_blocked(state, CircuitStep(LIBRARY["CNOT"], (0, 1)), 2)
         assignment_after_merge = list(state.assignment)
@@ -48,7 +48,7 @@ class TestApply:
         assert state.assignment == assignment_after_merge
 
     def test_case2_merges_to_bell(self):
-        state = init_blocked("01")
+        state = init_blocked(Circuit(2, "01", ()))
         state = apply_blocked(state, CircuitStep(LIBRARY["H"], (0,)), 2)
         state = apply_blocked(state, CircuitStep(LIBRARY["CNOT"], (0, 1)), 2)
         block = state.block_of(0)
@@ -60,7 +60,7 @@ class TestApply:
         assert mat_eq(block.matrix, want)
 
     def test_case2_p1_raises(self):
-        state = init_blocked("01")
+        state = init_blocked(Circuit(2, "01", ()))
         state = apply_blocked(state, CircuitStep(LIBRARY["H"], (0,)), 1)
         with pytest.raises(PBlockError):
             apply_blocked(state, CircuitStep(LIBRARY["CNOT"], (0, 1)), 1,
@@ -102,13 +102,7 @@ class TestSplitExact:
             b = random_pure_density(rng, 2)
             joint = DensityBlock((0, 1, 2), kron(a.matrix, b.matrix))
             parts = split_exact(joint, 2)
-            reassembled = parts[0]
-            for nxt in parts[1:]:
-                reassembled = DensityBlock(
-                    reassembled.labels + nxt.labels,
-                    kron(reassembled.matrix, nxt.matrix))
-            from pblocksim.matrices import relabel_reorder
-            reassembled = relabel_reorder(reassembled, joint.labels)
+            reassembled = kron_chain(parts, joint.labels)
             assert mat_eq(reassembled.matrix, joint.matrix)
 
     def test_mixed_block_split(self):

@@ -102,6 +102,16 @@ class TestParse:
         with pytest.raises(CircuitSyntaxError, match="line 3"):
             parse_circuit("qubits 2\ninput 00\nbogus stuff\n")
 
+    def test_repeated_header_lines_rejected(self):
+        for text, message in (
+                ("qubits 2\nqubits 2\n", "line 2: duplicate 'qubits' line"),
+                ("qubits 2\ninput 01\ninput 10\n",
+                 "line 3: duplicate 'input' line"),
+                ("qubits 2\nmeasure 0\nmeasure 1\n",
+                 "line 3: duplicate 'measure' line")):
+            with pytest.raises(CircuitSyntaxError, match=message):
+                parse_circuit(text)
+
     def test_missing_qubits(self):
         with pytest.raises(CircuitSyntaxError):
             parse_circuit("gate H 0\n")

@@ -209,6 +209,11 @@ def test_stdout_byte_identical(bell_path):
 
 
 # inputs that must fail with a one-line message, never with a traceback
+# PSD within the parser's tolerance, so p0 = 1 + 1e-12 and p1 = -1e-12:
+# printable, but no sample can be drawn from it
+OVER_ONE = ("qubits 1\ninputblock 0\n1000000000001/1000000000000 0\n"
+            "0 -1/1000000000000\nmeasure 0\n")
+
 REJECTED = [
     ["simulate", "--engine", "approx", "--p", "1", "--circuit", "{bell}",
      "--ledger", "{tmp}/no/such/dir/ledger.txt"],
@@ -237,12 +242,17 @@ REJECTED = [
     ["analyze-ap", "--n", "0", "--x0", "0", "--r", "1", "--count", "1",
      "--p", "1"],
     ["simulate", "--engine", "dense", "--circuit", "{tmp}/not_utf8.qc"],
+    ["simulate", "--engine", "blocked", "--p", "1", "--circuit",
+     "{tmp}/over_one.qc", "--samples", "2"],
+    ["simulate", "--engine", "dense", "--circuit", "{tmp}/two_inputs.qc"],
 ]
 
 
 @pytest.mark.parametrize("argv", REJECTED, ids=" ".join)
 def test_bad_input_exits_1_without_traceback(argv, bell_path, tmp_path):
     (tmp_path / "not_utf8.qc").write_bytes(b"qubits 1\n\xff\xfe gate H 0\n")
+    (tmp_path / "over_one.qc").write_text(OVER_ONE)
+    (tmp_path / "two_inputs.qc").write_text("qubits 1\ninput 0\ninput 1\n")
     argv = [a.format(bell=bell_path, tmp=tmp_path) for a in argv]
     src = os.path.dirname(os.path.dirname(pblocksim.__file__))
     out = subprocess.run([sys.executable, "-m", "pblocksim.cli", *argv],

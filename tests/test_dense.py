@@ -105,12 +105,6 @@ class TestDenseRun:
     def test_width_cap(self):
         with pytest.raises(WidthCapExceeded):
             dense_run(Circuit(15, "0" * 15, ()))
-        dense_run(Circuit(15, "0" * 15, ()), cap=15)
-
-    def test_width_cap_env(self, monkeypatch):
-        monkeypatch.setenv("PBLOCK_DENSE_CAP", "3")
-        with pytest.raises(WidthCapExceeded):
-            dense_run(Circuit(4, "0000", ()))
 
 
 class TestMarginal:

@@ -1,22 +1,17 @@
 """Tableau engine: update rules, marginals, scale, dense agreement."""
 
-import os
-import subprocess
-import sys
 import time
 from fractions import Fraction
 
 import pytest
 
-import pblocksim
 from pblocksim.exact import ExactScalar
 from pblocksim.circuits import (Circuit, CircuitStep, GateDef, LIBRARY,
                                 parse_circuit)
 from pblocksim.matrices import mat_mul
 from pblocksim.dense import dense_run, dense_marginal
 from pblocksim.stabilizer import (PauliString, NonCliffordGate,
-                                  StabilizerTableau,
-                                  tableau_init, tableau_apply,
+                                  StabilizerTableau, tableau_apply,
                                   tableau_marginal, run_stabilizer)
 from pblocksim.prng import CounterRng
 
@@ -41,20 +36,13 @@ NON_CLIFFORD = [
 ]
 
 
-# Z_0 twice: no generator has X on qubit 1, yet Z_1 is not in the group, so
-# no answer may come back, also under python -O, which strips asserts
-RANK_DEFICIENT = """
-from pblocksim.stabilizer import PauliString, StabilizerTableau, tableau_marginal
-z0 = PauliString(2, 0, 1)
-try:
-    tableau_marginal(StabilizerTableau(2, [z0, z0]), 1)
-except ValueError as exc:
-    print(exc)
-"""
-
-
 def step(name, *qs):
     return CircuitStep(LIBRARY[name], tuple(qs))
+
+
+def letters(t):
+    """The generators' letter forms, in generator order."""
+    return [g.to_text() for g in t.generators]
 
 
 def custom(name, *factors):
@@ -67,37 +55,37 @@ def custom(name, *factors):
 
 class TestInit:
     def test_zero(self):
-        t = tableau_init(1, "0")
-        assert t.dump() == "+Z"
+        t = StabilizerTableau(1, "0")
+        assert letters(t) == ["+Z"]
 
     def test_one(self):
-        t = tableau_init(1, "1")
-        assert t.dump() == "-Z"
+        t = StabilizerTableau(1, "1")
+        assert letters(t) == ["-Z"]
 
     def test_two_zeros(self):
-        t = tableau_init(2, "00")
-        assert t.dump().splitlines() == ["+ZI", "+IZ"]
+        t = StabilizerTableau(2, "00")
+        assert letters(t) == ["+ZI", "+IZ"]
 
 
 class TestApply:
     def test_h_turns_z_into_x(self):
-        t = tableau_apply(tableau_init(1, "0"), step("H", 0))
-        assert t.dump() == "+X"
+        t = tableau_apply(StabilizerTableau(1, "0"), step("H", 0))
+        assert letters(t) == ["+X"]
 
     def test_bell_canonical_form(self):
-        t = tableau_init(2, "00")
+        t = StabilizerTableau(2, "00")
         t = tableau_apply(t, step("H", 0))
         t = tableau_apply(t, step("CNOT", 0, 1))
-        assert t.dump().splitlines() == ["+XX", "+ZZ"]
+        assert letters(t) == ["+XX", "+ZZ"]
 
     def test_updates_in_place(self):
-        t = tableau_init(2, "01")
+        t = StabilizerTableau(2, "01")
         for s in (step("H", 0), step("CNOT", 0, 1), step("S", 1)):
             assert tableau_apply(t, s) is t
-        assert t.dump().splitlines() == ["+XY", "-ZZ"]
+        assert letters(t) == ["+XY", "-ZZ"]
 
     def test_flipped_destabilizer_bit_is_caught(self):
-        t = tableau_apply(tableau_init(2, "00"), step("H", 0))
+        t = tableau_apply(StabilizerTableau(2, "00"), step("H", 0))
         t.check_invariants()
         t.dxs[1] ^= 1
         with pytest.raises(ValueError, match="not dual"):
@@ -105,13 +93,13 @@ class TestApply:
 
     def test_t_gate_rejected(self):
         with pytest.raises(NonCliffordGate):
-            tableau_apply(tableau_init(1, "0"), step("T", 0))
+            tableau_apply(StabilizerTableau(1, "0"), step("T", 0))
 
     def test_invariants_hold_along_random_runs(self):
         rng = CounterRng(60, "stabinv")
         for _ in range(5):
             c = random_clifford_circuit(rng, 5, 60)
-            t = tableau_init(c.width, c.input_bits)
+            t = StabilizerTableau(c.width, c.input_bits)
             for s in c.steps:
                 t = tableau_apply(t, s)
                 t.check_invariants()
@@ -141,7 +129,7 @@ class TestApply:
             for g in gates:
                 c = Circuit(2, "00", tuple(prep) + (g,))
                 sv = dense_run(c)
-                t = tableau_init(2, "00")
+                t = StabilizerTableau(2, "00")
                 for s in c.steps:
                     t = tableau_apply(t, s)
                 for q in range(2):
@@ -152,35 +140,18 @@ class TestApply:
 
 class TestMarginal:
     def test_plus_state(self):
-        t = tableau_apply(tableau_init(1, "0"), step("H", 0))
+        t = tableau_apply(StabilizerTableau(1, "0"), step("H", 0))
         dist = tableau_marginal(t, 0)
         assert dist.p0 == HALF and dist.p1 == HALF
 
     def test_one_state(self):
-        dist = tableau_marginal(tableau_init(1, "1"), 0)
+        dist = tableau_marginal(StabilizerTableau(1, "1"), 0)
         assert dist.p0 == ZERO and dist.p1 == ONE
-
-    def test_rank_deficient_tableau_is_an_error(self):
-        z0 = PauliString(2, 0, 1)
-        with pytest.raises(ValueError, match="generators are not independent"):
-            tableau_marginal(StabilizerTableau(2, [z0, z0]), 1)
-        src = os.path.dirname(os.path.dirname(pblocksim.__file__))
-        out = subprocess.run([sys.executable, "-O", "-c", RANK_DEFICIENT],
-                             capture_output=True, text=True, check=True,
-                             env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout == "generators are not independent\n"
-
-    def test_anticommuting_tableau_is_an_error(self):
-        # X_0 and Z_0: full rank and no X on qubit 1, yet Z_1 is not in the
-        # span, because the generators do not commute
-        x0, z0 = PauliString(2, 1, 0), PauliString(2, 0, 1)
-        with pytest.raises(ValueError, match="generators do not commute"):
-            tableau_marginal(StabilizerTableau(2, [x0, z0]), 1)
 
     def test_ghz10_matches_dense(self):
         c = ghz_circuit(10)
-        want = dense_marginal(dense_run(c, cap=10), 0)
-        t = tableau_init(10, "0" * 10)
+        want = dense_marginal(dense_run(c), 0)
+        t = StabilizerTableau(10, "0" * 10)
         for s in c.steps:
             t = tableau_apply(t, s)
         assert tableau_marginal(t, 0).exact_eq(want)
@@ -222,7 +193,7 @@ class TestRunStabilizer:
             n = 2 + rng.randrange(7)
             c = random_clifford_circuit(rng, n, 8 + rng.randrange(80))
             sv = dense_run(c)
-            t = tableau_init(c.width, c.input_bits)
+            t = StabilizerTableau(c.width, c.input_bits)
             for s in c.steps:
                 t = tableau_apply(t, s)
             for q in range(n):
