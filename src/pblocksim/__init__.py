@@ -35,6 +35,6 @@ from .stabilizer import (PauliString, StabilizerTableau, NonCliffordGate,
 from .ap import (BasisSuperposition, build_ap, build_pair,
                  analyze_blockedness, census, format_partition)
 from .sampling import (OutcomeDistribution, CoinSource, coin_sample,
-                       truncate_prob, dist_distance, sample_outcome)
+                       truncate_prob, dist_distance, sample_outcomes)
 
 __version__ = "0.1.0"

@@ -5,11 +5,15 @@ gate on the merged block, measures the trace-norm distance from that block
 to the product of its reduced states for every partition into parts <= p,
 keeps the closest product (ties, within a relative TIE_RTOL so that the
 eigensolver's rounding cannot decide them: more parts, then lexicographic),
-and logs the residual.  Each part's reduced state is traced once per step
-and shared by every partition that holds the part and by the installed
-winner; in the difference block - product, entries that compare equal give
-zero without any arithmetic, and most do.  The certified bound follows the
-recursion
+and logs the residual.  The search stops at the first partition whose
+product is exact (distance 0.0): a trace norm is never negative, and a
+later partition replaces the closest so far only when it is closer by a
+relative margin, which nothing is once the distance is 0, so stopping there
+installs the same blocks and logs the same residual as scoring every
+partition.  Each part's reduced state is traced once per step and shared by
+every partition that holds the part and by the installed winner; in the
+difference block - product, entries that compare equal give zero without
+any arithmetic, and most do.  The certified bound follows the recursion
 
     e_0 = 0,   e_{j+1} = (2p+3) * (e_j + epsilon)
 
@@ -202,6 +206,8 @@ def approx_step(state: BlockedState, step, cfg: ApproxConfig,
         dist = trace_norm_float(block.matrix.sub(candidate.matrix))
         if best is None or dist < best[0] * (1 - TIE_RTOL):
             best = (dist, parts, candidate)
+            if dist == 0.0:
+                break  # an exact product: no later partition can replace it
     d, parts, candidate = best
     if DEBUG_CHECKS:
         recheck = trace_norm_float(block.matrix.sub(candidate.matrix))
@@ -223,10 +229,11 @@ def run_approx(circuit, cfg: ApproxConfig
     if cfg.p < 1:
         raise ValueError("p must be >= 1")
     ledger = ErrorLedger(cfg.p, cfg.epsilon)
-    state = init_blocked(_as_plain_circuit(circuit))
-    if state.max_block_size() > cfg.p:
+    plain = _as_plain_circuit(circuit)
+    if any(len(blk.labels) > cfg.p for blk in plain.input_blocks):
         raise ValueError("input block larger than p; the surrogate must "
                          "start p-blocked")
+    state = init_blocked(plain)
     for step in circuit.steps:
         state = approx_step(state, step, cfg, ledger)
     dist = measurement_marginal(state, circuit.measured_qubit)

@@ -20,7 +20,7 @@ from .blocked import PBlockError, run_blocked_full
 from .approx import ApproxConfig, run_approx
 from .stabilizer import NonCliffordGate, run_stabilizer
 from .sampling import (OutcomeDistribution, CoinSource, dist_distance,
-                       sample_outcome)
+                       sample_outcomes)
 from . import ap as ap_mod
 
 EXIT_OK = 0
@@ -128,14 +128,13 @@ def cmd_simulate(args) -> None:
         raise _CliError(code, f"not p-blocked: {exc}"
                         if code == EXIT_PBLOCK else str(exc))
     wall = time.perf_counter() - started
-    # drawn before anything prints: a p0 outside [0, 1], which the
-    # inputblock tolerance lets through, leaves stdout empty
+    # drawn before anything prints, so a distribution that cannot be
+    # sampled leaves stdout empty
     drawn = []
     if args.samples:
-        coins = CoinSource(args.seed)
         try:
-            drawn = [sample_outcome(dist, args.eta, coins)
-                     for _ in range(args.samples)]
+            drawn = sample_outcomes(dist, args.eta, CoinSource(args.seed),
+                                    args.samples)
         except ValueError as exc:
             raise _CliError(EXIT_USAGE, f"cannot sample: {exc}")
 

@@ -19,7 +19,6 @@ from .exact import ExactScalar, ZERO, ONE
 
 _JACOBI_EPS = 1e-13
 _JACOBI_SWEEPS = 100
-_PSD_TOL = 1e-10
 
 
 class DimensionMismatch(ValueError):
@@ -172,12 +171,40 @@ def is_hermitian(h: ExactMatrix) -> bool:
     return True
 
 
+def is_psd(h: ExactMatrix) -> bool:
+    """Exact positive semidefiniteness of an exactly Hermitian matrix, by
+    LDL-dagger elimination over Q(i, sqrt2): every pivot is real and must be
+    >= 0, and a zero pivot needs a zero remaining row, which then drops out
+    of the elimination."""
+    n = h.rows
+    a = [h.entries[i * n:(i + 1) * n] for i in range(n)]
+    for k in range(n):
+        row_k = a[k]
+        sign = row_k[k].real_sign()
+        if sign < 0:
+            return False
+        if sign == 0:
+            if any(not x.is_zero() for x in row_k[k + 1:]):
+                return False
+            continue
+        inv = row_k[k].inverse()
+        for i in range(k + 1, n):
+            if a[i][k].is_zero():
+                continue
+            f = a[i][k] * inv
+            row_i = a[i]
+            for j in range(k + 1, n):
+                if not row_k[j].is_zero():
+                    row_i[j] = row_i[j] - f * row_k[j]
+    return True
+
+
 class DensityBlock:
     """Density matrix on an ordered tuple of global qubit labels.
 
     The first label corresponds to the most significant index bit of the
-    matrix.  Trace-one and Hermiticity are exact invariants; positive
-    semidefiniteness is only checked numerically (validate()).
+    matrix.  validate() checks trace one, Hermiticity and positive
+    semidefiniteness, all exactly.
     """
 
     __slots__ = ("labels", "matrix")
@@ -198,9 +225,8 @@ class DensityBlock:
             raise NotHermitian("density block is not exactly Hermitian")
         if self.matrix.trace() != ONE:
             raise ValueError("density block trace is not exactly 1")
-        low = min_eigenvalue_float(self.matrix)
-        if low < -_PSD_TOL:
-            raise ValueError(f"density block not PSD (min eigenvalue {low})")
+        if not is_psd(self.matrix):
+            raise ValueError("density block is not positive semidefinite")
 
     def __repr__(self):
         return f"DensityBlock(labels={self.labels}, {self.matrix!r})"
@@ -324,9 +350,3 @@ def trace_norm_float(h: ExactMatrix) -> float:
             raise NotHermitian("matrix is not square")
         return 0.0
     return sum(abs(v) for v in _hermitian_eigenvalues_float(h))
-
-
-def min_eigenvalue_float(h: ExactMatrix) -> float:
-    if all(e.is_zero() for e in h.entries):
-        return 0.0
-    return min(_hermitian_eigenvalues_float(h))

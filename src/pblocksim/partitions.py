@@ -4,10 +4,11 @@ Two routines serve the engines:
 
 - `partitions_max_part` enumerates every partition of a small label set
   into parts of size <= p, most-refined first: descending part count, then
-  lexicographic on the sorted part contents.  The approx engine scores every
-  candidate, and `split_exact` takes the first that reproduces a merged
-  block; both only ever see a merged block of at most 2p labels, so
-  materialize-and-sort is fine.
+  lexicographic on the sorted part contents.  The approx engine scores
+  candidates in this order until one reproduces the merged block exactly
+  (distance 0, which no later candidate can beat), and `split_exact` takes
+  the first that reproduces it; both only ever see a merged block of at
+  most 2p labels, so materialize-and-sort is fine.
 - `peel_finest` finds the unique finest factorization of a state at any
   width by peeling one irreducible factor at a time, asking only whether a
   candidate part splits off from everything else.  The dense and

@@ -19,20 +19,18 @@ class OutcomeDistribution:
     """{p0, p1} as exact scalars.  Every engine produces them exactly; the
     approx engine reads them off its surrogate state's exact marginal.
 
-    The range check runs on floats with a small tolerance: a mixed input
-    block is PSD only up to a numeric check, so its probabilities are not
-    sign-checked exactly."""
+    The range check is exact, with no tolerance: an input block is
+    positive semidefinite by an exact check (DensityBlock.validate), so
+    every engine's probabilities lie in [0, 1] exactly."""
 
     __slots__ = ("p0", "p1")
 
     def __init__(self, p0: ExactScalar, p1: ExactScalar):
         self.p0 = p0
         self.p1 = p1
-        f0, f1 = self.floats()
-        if not -1e-10 <= f0 <= 1 + 1e-10 or not -1e-10 <= f1 <= 1 + 1e-10:
+        if p0.real_sign() < 0 or p1.real_sign() < 0:
+            f0, f1 = self.floats()
             raise ValueError(f"probabilities out of range: {f0}, {f1}")
-        if abs(f0 + f1 - 1.0) > 1e-10:
-            raise ValueError(f"probabilities sum to {f0 + f1}, not 1")
         if self.p0 + self.p1 != ONE:
             raise ValueError("exact probabilities do not sum to 1")
 
@@ -83,14 +81,15 @@ def coin_sample(bits, coins: CoinSource) -> int:
     return 0 if drawn < target else 1
 
 
-def sample_outcome(dist: OutcomeDistribution, eta: float,
-                   coins: CoinSource) -> int:
-    """One sample from a distribution within total-variation eta of `dist`.
+def sample_outcomes(dist: OutcomeDistribution, eta: float,
+                    coins: CoinSource, count: int) -> list[int]:
+    """`count` samples from a distribution within total-variation eta of
+    `dist`.
 
-    Truncates p0 to eta/2 so the sampled distribution P' satisfies
-    ||P' - P|| = 2 * |trunc(p0) - p0| <= eta."""
+    Truncates p0 to eta/2, once for all draws, so the sampled distribution
+    P' satisfies ||P' - P|| = 2 * |trunc(p0) - p0| <= eta."""
     bits = truncate_prob(dist.p0, eta / 2)
-    return coin_sample(bits, coins)
+    return [coin_sample(bits, coins) for _ in range(count)]
 
 
 def truncate_prob(p: ExactScalar, eta: float) -> tuple[int, ...]:

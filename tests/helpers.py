@@ -18,7 +18,8 @@ from pblocksim.exact import ExactScalar, ZERO, ONE
 from pblocksim.matrices import (ExactMatrix, DensityBlock, BadPermutation,
                                 mat_eq, mat_mul, partial_trace,
                                 trace_norm_float)
-from pblocksim.circuits import Circuit, CircuitStep, GateDef, LIBRARY
+from pblocksim.circuits import (Circuit, CircuitStep, GateDef, LIBRARY,
+                                parse_circuit)
 from pblocksim.prng import CounterRng
 
 
@@ -323,3 +324,18 @@ def ghz_circuit(n: int) -> Circuit:
 S_H_CNOT = GateDef("SHCX", 2, mat_mul(kron(LIBRARY["S"].matrix,
                                            LIBRARY["H"].matrix),
                                       LIBRARY["CNOT"].matrix))
+
+
+def maximally_mixed_text(k: int) -> str:
+    """The rows of I / 2^k in the circuit format's matrix literal."""
+    dim = 1 << k
+    return "".join(" ".join(f"1/{dim}" if i == j else "0"
+                            for j in range(dim)) + "\n" for i in range(dim))
+
+
+# oversized input blocks (7, 4, 5) and then (3, 1, 6) at p = 2
+OUT_OF_ORDER_INPUTS = parse_circuit(
+    "qubits 8\ninput 00000000\n"
+    f"inputblock 7,4,5\n{maximally_mixed_text(3)}"
+    f"inputblock 0\n{maximally_mixed_text(1)}"
+    f"inputblock 3,1,6\n{maximally_mixed_text(3)}measure 0\n")

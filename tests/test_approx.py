@@ -8,12 +8,16 @@ import pytest
 import pblocksim.approx
 from pblocksim.circuits import parse_circuit, gen_block_local
 from pblocksim.dense import dense_run
-from pblocksim.blocked import init_blocked, run_blocked
+from pblocksim.blocked import init_blocked, merge_apply, run_blocked
+from pblocksim.matrices import mat_eq, partial_trace, product_over_partition
+from pblocksim.partitions import partitions_max_part
 from pblocksim.approx import (ApproxConfig, ErrorLedger, Rotation,
                               approx_step, run_approx, required_epsilon,
                               bound_e, gen_perturbed, nearest_exact_gate,
                               simulate_perturbed_floats)
 from pblocksim.prng import CounterRng
+
+from helpers import OUT_OF_ORDER_INPUTS
 
 BELL = parse_circuit("qubits 2\ninput 00\ngate H 0\ngate CNOT 0 1\nmeasure 0\n")
 
@@ -151,10 +155,53 @@ class TestApproxRuns:
             [(0,), (1, 2)]
         assert ledger.entries[-1].d == norms[1]
 
+    @pytest.mark.parametrize("debug_checks", [False, True])
+    def test_search_stops_at_the_first_exact_product(self, monkeypatch,
+                                                     debug_checks):
+        """Bell pairs on (0, 2) and (1, 3), then SWAP 0 3: the merged
+        block is a product over {0,1}{2,3}, the 8th of 10 partitions.  The
+        step scores exactly those 8, plus the debug recheck."""
+        monkeypatch.setattr(pblocksim.approx, "DEBUG_CHECKS", debug_checks)
+        true_norm = pblocksim.approx.trace_norm_float
+        norms = []
+
+        def counted(matrix):
+            norms.append(true_norm(matrix))
+            return norms[-1]
+
+        c = parse_circuit("qubits 4\ninput 0000\ngate H 0\ngate CNOT 0 2\n"
+                          "gate H 1\ngate CNOT 1 3\ngate SWAP 0 3\n")
+        cfg = ApproxConfig(2, 0.0)
+        ledger = ErrorLedger(2, 0.0)
+        state = init_blocked(c)
+        for step in c.steps[:-1]:
+            state = approx_step(state, step, cfg, ledger)
+        _, merged = merge_apply(state.copy(), c.steps[-1])
+        order = partitions_max_part(merged.labels, 2)
+        k = 1 + next(i for i, parts in enumerate(order)
+                     if mat_eq(product_over_partition(
+                         merged.labels, [partial_trace(merged, part)
+                                         for part in parts]).matrix,
+                               merged.matrix))
+        assert (k, len(order)) == (8, 10)
+        monkeypatch.setattr(pblocksim.approx, "trace_norm_float", counted)
+        state = approx_step(state, c.steps[-1], cfg, ledger)
+        assert len(norms) == k + debug_checks
+        assert norms[k - 1] == ledger.entries[-1].d == 0.0
+        assert all(d > 0 for d in norms[:k - 1])
+        assert sorted(state.block_of(q).labels for q in (0, 2)) == \
+            [(0, 1), (2, 3)]
+
     def test_ledger_length_matches_steps(self):
         c = gen_block_local(5, 2, 23, 4)
         _, ledger, _ = run_approx(c, ApproxConfig(2, 1e-6))
         assert len(ledger.entries) == 23
+
+    def test_oversized_input_is_refused(self):
+        with pytest.raises(ValueError) as caught:
+            run_approx(OUT_OF_ORDER_INPUTS, ApproxConfig(2, 0.0))
+        assert str(caught.value) == ("input block larger than p; the "
+                                     "surrogate must start p-blocked")
 
 
 class TestPerturbed:

@@ -14,9 +14,9 @@ from pblocksim.blocked import (PBlockError, init_blocked, apply_blocked,
                                split_exact, run_blocked, run_blocked_full)
 from pblocksim.prng import CounterRng
 
-from helpers import (classical_bits, density_from_statevector,
-                     evolve_density_exact, kron, kron_chain,
-                     random_mixed_density, random_pure_density)
+from helpers import (OUT_OF_ORDER_INPUTS, classical_bits,
+                     density_from_statevector, evolve_density_exact, kron,
+                     kron_chain, random_mixed_density, random_pure_density)
 
 BELL = parse_circuit("qubits 2\ninput 00\ngate H 0\ngate CNOT 0 1\nmeasure 0\n")
 HALF = ExactScalar(Fraction(1, 2))
@@ -227,6 +227,15 @@ class TestRunBlocked:
         circ = Circuit(2, "00", (), 0, (InputBlock((0, 1), big.matrix),))
         with pytest.raises(PBlockError):
             run_blocked(circ, 1)
+
+    def test_oversized_input_names_the_lowest_qubit(self):
+        """The error names the block that holds the lowest qubit of any
+        oversized input block, in its own label order, whatever order the
+        inputblock lines come in."""
+        with pytest.raises(PBlockError) as caught:
+            run_blocked(OUT_OF_ORDER_INPUTS, 2)
+        assert str(caught.value) == \
+            "step -1: block (3, 1, 6) input block larger than p = 2"
 
 
 def test_cost_independent_of_width():

@@ -87,6 +87,21 @@ class TestSimulate:
         assert out1 == out2
         assert "samples=10" in out1
 
+    def test_samples_truncate_once(self, bell_path, monkeypatch):
+        truncate = pblocksim.sampling.truncate_prob
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return truncate(*args)
+
+        monkeypatch.setattr(pblocksim.sampling, "truncate_prob", counted)
+        code, out, _ = run_cli(["simulate", "--engine", "dense",
+                                "--circuit", bell_path, "--samples", "50"])
+        assert code == EXIT_OK
+        assert "samples=50" in out
+        assert len(calls) == 1
+
     def test_approx_writes_ledger(self, bell_path, tmp_path):
         ledger_path = tmp_path / "ledger.txt"
         code, out, _ = run_cli(["simulate", "--engine", "approx",
@@ -209,8 +224,8 @@ def test_stdout_byte_identical(bell_path):
 
 
 # inputs that must fail with a one-line message, never with a traceback
-# PSD within the parser's tolerance, so p0 = 1 + 1e-12 and p1 = -1e-12:
-# printable, but no sample can be drawn from it
+# eigenvalues 1 + 1e-12 and -1e-12: not positive semidefinite, which the
+# parser decides exactly
 OVER_ONE = ("qubits 1\ninputblock 0\n1000000000001/1000000000000 0\n"
             "0 -1/1000000000000\nmeasure 0\n")
 
@@ -244,6 +259,8 @@ REJECTED = [
     ["simulate", "--engine", "dense", "--circuit", "{tmp}/not_utf8.qc"],
     ["simulate", "--engine", "blocked", "--p", "1", "--circuit",
      "{tmp}/over_one.qc", "--samples", "2"],
+    ["simulate", "--engine", "blocked", "--p", "1", "--circuit",
+     "{tmp}/over_one.qc"],
     ["simulate", "--engine", "dense", "--circuit", "{tmp}/two_inputs.qc"],
 ]
 

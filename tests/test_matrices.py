@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from pblocksim.exact import ExactScalar, ZERO, ONE, HALF_SQRT2
+from pblocksim.exact import ExactScalar, ZERO, ONE, HALF_SQRT2, I_UNIT
 from pblocksim.matrices import (ExactMatrix, DensityBlock, DimensionMismatch,
                                 NotHermitian, LabelNotInBlock, BadPermutation,
                                 mat_mul, mat_eq, is_unitary, partial_trace,
-                                trace_norm_float, min_eigenvalue_float,
+                                trace_norm_float, is_psd,
                                 product_over_partition)
 from pblocksim.circuits import LIBRARY
 from pblocksim.blocked import embed_gate
@@ -179,7 +179,13 @@ class TestTraceNorm:
         h = mat_mul(mat_mul(u, diag), u.dagger())
         assert sum(not e.is_real() for e in h.entries) > dim
         assert abs(trace_norm_float(h) - float(sum(map(abs, lam)))) <= 1e-9
-        assert abs(min_eigenvalue_float(h) - float(min(lam))) <= 1e-9
+        # shifted by min(lam) the spectrum is >= 0 with a zero; by a hair
+        # more one eigenvalue is -1e-12
+        assert not is_psd(h)
+        for shift, psd in ((min(lam), True),
+                           (min(lam) + Fraction(1, 10 ** 12), False)):
+            moved = h.sub(ExactMatrix.identity(dim).scale(ExactScalar(shift)))
+            assert is_psd(moved) is psd
 
     def test_contractivity_under_partial_trace(self):
         rng = CounterRng(26, "contract")
@@ -288,3 +294,28 @@ def test_density_block_validation():
     not_herm = DensityBlock((0,), ExactMatrix(2, 2, [HALF, ONE, ZERO, HALF]))
     with pytest.raises(NotHermitian):
         not_herm.validate()
+
+
+def test_density_block_psd_is_exact():
+    """Each rejected block has one eigenvalue of about -1e-12, which a
+    float check within a tolerance would pass."""
+    tiny = ExactScalar(Fraction(1, 10 ** 12))
+    micro = ExactScalar(Fraction(1, 10 ** 6))
+    plus = ExactScalar(Fraction(1, 2))
+    rejected = [
+        ExactMatrix(2, 2, [ONE + tiny, ZERO, ZERO, ZERO - tiny]),
+        # a zero pivot with a nonzero remaining row
+        ExactMatrix(2, 2, [ZERO, micro, micro, ONE]),
+        ExactMatrix(2, 2, [ZERO, micro * I_UNIT, ZERO - micro * I_UNIT, ONE]),
+    ]
+    for matrix in rejected:
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            DensityBlock((0,), matrix).validate()
+    # |+><+| and |0><0| x |+><+|: zero pivots with zero rows
+    pure = ExactMatrix(2, 2, [plus] * 4)
+    DensityBlock((0,), pure).validate()
+    DensityBlock((0, 1), kron(ExactMatrix(2, 2, [ONE, ZERO, ZERO, ZERO]),
+                              pure)).validate()
+    rng = CounterRng(27, "psd")
+    for k in (1, 2, 3):
+        random_mixed_density(rng, k).validate()

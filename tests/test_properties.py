@@ -3,7 +3,8 @@ round-trips, the parser fails only with CircuitError, tensor products of
 blocks land in label order and trace back to their factors, the dense
 blockedness decider agrees with brute-force enumeration, the float
 reference runs the dense engine's kernel to the same marginals, the approx
-engine's projection agrees with a brute-force search, the stabilizer
+engine's projection agrees with a brute-force search and, at epsilon 0 on
+p-blocked circuits, ends with the blocked engine's blocks, the stabilizer
 engine agrees with the dense state on Clifford circuits, and its tableau
 converts between columns and rows without loss."""
 
@@ -13,9 +14,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from pblocksim.approx import (ApproxConfig, ErrorLedger, PerturbedCircuit,
                               approx_step, simulate_perturbed_floats)
-from pblocksim.blocked import BlockedState, conjugate_block, merge_apply
+from pblocksim.blocked import (BlockedState, conjugate_block, init_blocked,
+                               merge_apply, run_blocked_full)
 from pblocksim.circuits import (LIBRARY, Circuit, CircuitError, CircuitStep,
-                                GateDef, InputBlock, parse_circuit,
+                                GateDef, InputBlock, gen_block_local,
+                                gen_entangle_disentangle, parse_circuit,
                                 serialize_circuit)
 from pblocksim.dense import dense_blockedness, dense_marginal, dense_run
 from pblocksim.exact import I_UNIT, MINUS_ONE, ONE, ZERO, ExactScalar
@@ -304,6 +307,14 @@ FIVE_QUBIT_MERGE = (BlockedState(5, [1, 2, 1, 2, 2], {
     CircuitStep(LIBRARY["CNOT"], (2, 4)), 2)
 
 
+# Bell pairs on (0, 2) and (1, 3), swapped by SWAP 0 3 into a product over
+# {0,1}{2,3}: seven inexact partitions come first, two follow unscored
+SWAPPED_PAIRS = (BlockedState(4, [1, 2, 1, 2], {
+    1: _prepared((0, 2), [("H", (0,)), ("CNOT", (0, 2))]),
+    2: _prepared((1, 3), [("H", (1,)), ("CNOT", (1, 3))])}, 3),
+    CircuitStep(LIBRARY["SWAP"], (0, 3)), 2)
+
+
 def test_approx_projection_matches_brute_force():
     distances = []
 
@@ -311,6 +322,7 @@ def test_approx_projection_matches_brute_force():
     @example(_mixed_merge(1))
     @example(_mixed_merge(2))
     @example(FIVE_QUBIT_MERGE)
+    @example(SWAPPED_PAIRS)
     @given(merging_steps())
     def check(case):
         state, step, p = case
@@ -327,6 +339,30 @@ def test_approx_projection_matches_brute_force():
 
     check()
     assert any(d > 0 for d in distances)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.sampled_from([gen_block_local, gen_entangle_disentangle]),
+       st.integers(2, 6), st.integers(1, 2), st.integers(0, 24),
+       st.integers(0, 1 << 16))
+def test_approx_at_epsilon_0_is_blocked_on_p_blocked_circuits(
+        generate, width, p, steps, seed):
+    """On a circuit whose states stay p-blocked, approx with epsilon = 0
+    records d = 0 at every step and ends with the same blocks as `blocked`:
+    the first exact product it finds is the finest split."""
+    circuit = generate(width, p, steps, seed)
+    want, _ = run_blocked_full(circuit, p)
+    cfg = ApproxConfig(p, 0.0)
+    ledger = ErrorLedger(p, 0.0)
+    state = init_blocked(circuit)
+    for step in circuit.steps:
+        state = approx_step(state, step, cfg, ledger)
+    assert all(entry.d == 0.0 for entry in ledger.entries)
+
+    def by_labels(s):
+        return sorted((b.labels, b.matrix.entries) for b in s.blocks.values())
+
+    assert by_labels(state) == by_labels(want)
 
 
 @st.composite

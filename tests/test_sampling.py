@@ -7,7 +7,7 @@ import pytest
 
 from pblocksim.exact import ExactScalar, ONE, ZERO, HALF_SQRT2
 from pblocksim.sampling import (OutcomeDistribution, CoinSource, coin_sample,
-                                truncate_prob, dist_distance, sample_outcome)
+                                truncate_prob, dist_distance, sample_outcomes)
 from pblocksim.prng import CounterRng
 
 HALF = ExactScalar(Fraction(1, 2))
@@ -123,8 +123,7 @@ class TestEndToEnd:
         assert tv <= eta
         coins = CoinSource(13)
         draws = 50_000
-        zeros = sum(1 for _ in range(draws)
-                    if sample_outcome(dist, eta, coins) == 0)
+        zeros = sample_outcomes(dist, eta, coins, draws).count(0)
         sigma = math.sqrt(float(trunc) * (1 - float(trunc)) / draws)
         assert abs(zeros / draws - float(trunc)) <= 4 * sigma
 
