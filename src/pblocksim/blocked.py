@@ -9,7 +9,9 @@ every intermediate state is p-blocked is an input contract, not something
 this engine can repair.
 
 Blocks are stored as density matrices even when pure; mixed per-block inputs
-(`inputblock` in the circuit format) run through the same code path.
+(`inputblock` in the circuit format) run through the same code path.  A gate
+acts on a block through its own 2x2 or 4x4 matrix, tile by tile on the
+targets' index bits; no 2^k x 2^k gate is ever built.
 """
 
 from __future__ import annotations
@@ -93,29 +95,38 @@ def init_blocked(circuit: Circuit) -> BlockedState:
     return BlockedState(width, assignment, blocks, next_id)
 
 
-def embed_gate(gate_matrix: ExactMatrix, block_labels, targets) -> ExactMatrix:
-    """Pad a 1- or 2-qubit gate to the block dimension, with the gate's
-    index bits routed to the targets' positions inside the block."""
-    k = len(block_labels)
-    dim = 1 << k
-    offsets = target_offsets(k, [block_labels.index(t) for t in targets])
-    g = gate_matrix.rows
-    nonzero = [(offsets[e // g], offsets[e % g], x)
-               for e, x in enumerate(gate_matrix.entries) if not x.is_zero()]
-    ent = [ZERO] * (dim * dim)
-    for base in range(dim):
-        if base & offsets[-1]:
-            continue
-        for r, c, x in nonzero:
-            ent[(base | r) * dim + (base | c)] = x
-    return ExactMatrix(dim, dim, ent)
-
-
 def conjugate_block(block: DensityBlock, gate_matrix: ExactMatrix,
                     targets) -> DensityBlock:
-    u = embed_gate(gate_matrix, block.labels, targets)
-    updated = mat_mul(mat_mul(u, block.matrix), u.dagger())
-    return DensityBlock(block.labels, updated)
+    """rho -> G rho G^dagger for a gate G on `targets` inside the block.
+
+    G acts only on the targets' index bits, so rho falls into g x g tiles,
+    one per (row base, column base) with every target bit clear, whose
+    entries sit at base + offsets[r] * dim + offsets[c].  Each tile that
+    holds a nonzero becomes G T G^dagger with the small gate itself; every
+    other tile stays zero."""
+    labels = block.labels
+    k = len(labels)
+    dim = 1 << k
+    offsets = target_offsets(k, [labels.index(t) for t in targets])
+    g = len(offsets)
+    others = (dim - 1) & ~offsets[-1]   # the index bits that are not targets
+    # a flat index row * dim + col with the target bits cleared in both
+    # halves is the base of its tile
+    tile_mask = others << k | others
+    entries = block.matrix.entries
+    # most zero entries are the shared ZERO, which `is` skips without a call
+    bases = {e & tile_mask for e, x in enumerate(entries)
+             if x is not ZERO and not x.is_zero()}
+    spread = [r * dim + c for r in offsets for c in offsets]
+    gate_dagger = gate_matrix.dagger()
+    out = [ZERO] * (dim * dim)
+    for base in bases:
+        places = [base + s for s in spread]
+        tile = ExactMatrix(g, g, [entries[i] for i in places])
+        turned = mat_mul(mat_mul(gate_matrix, tile), gate_dagger)
+        for i, x in zip(places, turned.entries):
+            out[i] = x
+    return DensityBlock(labels, ExactMatrix(dim, dim, out))
 
 
 def _is_pure(block: DensityBlock) -> bool:

@@ -6,9 +6,10 @@ eigensolve runs cyclic Jacobi sweeps on the complex matrix itself, so the
 only numeric kernel is a phase followed by a real 2x2 rotation.
 
 `target_offsets` is the one index map: every routine that spreads a local
-index onto bit positions (partial traces, embedded gates, the dense
-engine's gate kernel) takes its offsets from it.  `kron_blocks` uses
-it to lay each block's entries straight into the requested label order.
+index onto bit positions (partial traces, the tiles a gate conjugates in a
+block, the dense engine's gate kernel) takes its offsets from it.
+`kron_blocks` uses it to lay each block's entries straight into the
+requested label order.
 """
 
 from __future__ import annotations
@@ -244,7 +245,8 @@ def target_offsets(width: int, positions) -> list[int]:
 
 
 def partial_trace(rho: DensityBlock, keep) -> DensityBlock:
-    """Exact reduced state on the kept labels (original order preserved)."""
+    """Exact reduced state on the kept labels (original order preserved);
+    each entry sums only the nonzero terms of its trace."""
     keep = tuple(keep)
     if not keep:
         raise LabelNotInBlock("keep set must be nonempty")
@@ -257,14 +259,17 @@ def partial_trace(rho: DensityBlock, keep) -> DensityBlock:
     other_pos = [p for p in range(k) if p not in kept_pos]
     dim_out = 1 << len(kept_pos)
     out = [ZERO] * (dim_out * dim_out)
-    src = rho.matrix
+    dim = 1 << k
+    entries = rho.matrix.entries
     kept_masks = target_offsets(k, kept_pos)
     other_masks = target_offsets(k, other_pos)
     for r in range(dim_out):
         for s in range(dim_out):
             acc = ZERO
             for om in other_masks:
-                acc = acc + src.at(kept_masks[r] | om, kept_masks[s] | om)
+                x = entries[(kept_masks[r] | om) * dim + (kept_masks[s] | om)]
+                if not x.is_zero():
+                    acc = acc + x
             out[r * dim_out + s] = acc
     return DensityBlock(kept, ExactMatrix(dim_out, dim_out, out))
 

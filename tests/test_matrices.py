@@ -11,12 +11,13 @@ from pblocksim.matrices import (ExactMatrix, DensityBlock, DimensionMismatch,
                                 trace_norm_float, is_psd,
                                 product_over_partition)
 from pblocksim.circuits import LIBRARY
-from pblocksim.blocked import embed_gate
+from pblocksim.blocked import conjugate_block
 from pblocksim.prng import CounterRng
 
-from helpers import (char_poly, poly_eval, density_from_statevector, kron,
-                     random_exact_scalar, random_pure_density,
-                     random_mixed_density, relabel_reorder)
+from helpers import (char_poly, poly_eval, density_from_statevector,
+                     full_gate, kron, random_exact_scalar,
+                     random_pure_density, random_mixed_density,
+                     relabel_reorder)
 
 HALF = ExactScalar(Fraction(1, 2))
 QUARTER = ExactScalar(Fraction(1, 4))
@@ -169,7 +170,7 @@ class TestTraceNorm:
                     ("H", (0,))])
         u = ExactMatrix.identity(dim)
         for name, targets in gates:
-            u = mat_mul(embed_gate(LIBRARY[name].matrix, labels, targets), u)
+            u = mat_mul(full_gate(LIBRARY[name].matrix, labels, targets), u)
         assert is_unitary(u)
         lam = [Fraction(i - dim // 3, 5) for i in range(dim)]
         lam[1] = lam[0]
@@ -267,22 +268,28 @@ def test_partial_trace_kron_inverse_property():
         assert mat_eq(partial_trace(joint, (0, 1)).matrix, r1.matrix)
 
 
-def test_embed_gate_positions():
-    """Embedding a CNOT into a 3-qubit block at out-of-order positions
-    matches conjugating the reordered state."""
+def test_conjugate_block_positions():
+    """A CNOT on targets (9, 4) of the block (4, 7, 9): out of order and
+    not adjacent, so each 4x4 tile gathers index bit 1 (the control, 9)
+    and index bit 4 (the target, 4)."""
     cnot = LIBRARY["CNOT"].matrix
-    full = embed_gate(cnot, (4, 7, 9), (9, 4))
-    assert is_unitary(full)
-    # |b4 b7 b9> = |1 0 0>: control 9 is 0, so nothing flips
-    vec = [ZERO] * 8
-    vec[4] = ONE
-    out = mat_mul(full, ExactMatrix(8, 1, vec))
-    assert out.at(4, 0) == ONE
-    # control 9 set: |0 0 1> -> target 4 flips -> |1 0 1>
-    vec = [ZERO] * 8
-    vec[1] = ONE
-    out = mat_mul(full, ExactMatrix(8, 1, vec))
-    assert out.at(5, 0) == ONE
+    labels = (4, 7, 9)
+    # |b4 b7 b9> = |0 0 1>: control 9 is set, so target 4 flips to |1 0 1>
+    rho = DensityBlock(labels, density_from_statevector(
+        [ONE if i == 1 else ZERO for i in range(8)]))
+    out = conjugate_block(rho, cnot, (9, 4)).matrix
+    assert out.at(5, 5) == ONE
+    assert sum(not x.is_zero() for x in out.entries) == 1
+    # |1 0 0>: control 9 is clear, so nothing flips
+    rho = DensityBlock(labels, density_from_statevector(
+        [ONE if i == 4 else ZERO for i in range(8)]))
+    assert conjugate_block(rho, cnot, (9, 4)).matrix == rho.matrix
+    # a mixed block against the full gate, which the tiles never build
+    rho = DensityBlock(labels, random_mixed_density(
+        CounterRng(13, "conjugate"), 3).matrix)
+    full = full_gate(cnot, labels, (9, 4))
+    assert conjugate_block(rho, cnot, (9, 4)).matrix == \
+        mat_mul(mat_mul(full, rho.matrix), full.dagger())
 
 
 def test_density_block_validation():

@@ -1,6 +1,7 @@
 """Property tests over generated circuits and texts: the text format
 round-trips, the parser fails only with CircuitError, tensor products of
-blocks land in label order and trace back to their factors, the dense
+blocks land in label order and trace back to their factors, a block
+conjugated tile by tile equals F rho F^dagger with the full gate F, the dense
 blockedness decider agrees with brute-force enumeration, the float
 reference runs the dense engine's kernel to the same marginals, the approx
 engine's projection agrees with a brute-force search and, at epsilon 0 on
@@ -28,9 +29,9 @@ from pblocksim.prng import CounterRng
 from pblocksim.stabilizer import (StabilizerTableau, tableau_apply,
                                   tableau_marginal)
 
-from helpers import (S_H_CNOT, brute_blockedness, brute_projection, kron,
-                     kron_chain, random_mixed_density, random_pure_density,
-                     reorder_bits)
+from helpers import (S_H_CNOT, brute_blockedness, brute_projection,
+                     density_from_statevector, full_gate, kron, kron_chain,
+                     random_mixed_density, random_pure_density, reorder_bits)
 
 # derandomized so that every run checks the same examples
 PROPERTY = settings(deadline=None, derandomize=True)
@@ -204,6 +205,57 @@ def test_kron_blocks_lays_factors_out_in_label_order(case):
         reduced = partial_trace(product, block.labels)
         assert reduced.matrix == reorder_bits(block.matrix, block.labels,
                                               reduced.labels)
+
+
+# unit amplitudes of a sparse pure block
+_UNIT_AMPLITUDES = (ONE, MINUS_ONE, I_UNIT, -I_UNIT,
+                    LIBRARY["T"].matrix.at(1, 1))
+
+
+@st.composite
+def conjugations(draw):
+    """A library gate or S_H_CNOT, a block it fits on and targets in any
+    order: a random mixed block of 1-3 qubits, or a pure block of up to 6
+    qubits with 1-4 nonzero amplitudes, on scattered labels."""
+    gate = draw(st.sampled_from(GATES + [S_H_CNOT]))
+    if draw(st.booleans()):
+        k = draw(st.integers(gate.arity, 3))
+        rng = CounterRng(draw(st.integers(0, 1 << 16)), "conjugations")
+        matrix = random_mixed_density(rng, k).matrix
+    else:
+        k = draw(st.integers(gate.arity, 6))
+        support = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1,
+                                max_size=4, unique=True))
+        amps = [ZERO] * (1 << k)
+        for i in support:
+            amps[i] = draw(st.sampled_from(_UNIT_AMPLITUDES))
+        matrix = density_from_statevector(amps).scale(
+            ExactScalar(Fraction(1, len(support))))
+    labels = tuple(draw(st.lists(st.integers(0, 20), min_size=k, max_size=k,
+                                 unique=True)))
+    return DensityBlock(labels, matrix), gate, _targets(draw, k, gate.arity)
+
+
+def _mixed_pair(labels):
+    return DensityBlock(labels, random_mixed_density(
+        CounterRng(3, "mixed pair"), len(labels)).matrix)
+
+
+@settings(PROPERTY, max_examples=150)
+@example((_mixed_pair((5, 2)), S_H_CNOT, (0, 1)))
+@example((_mixed_pair((5, 2)), S_H_CNOT, (1, 0)))
+@example((_mixed_pair((7,)), LIBRARY["H"], (0,)))
+@given(conjugations())
+def test_conjugate_block_is_the_full_gate_conjugation(case):
+    """Targets index the block's labels; the gates of the examples cover
+    the whole block, in and against the labels' order."""
+    block, gate, at = case
+    targets = tuple(block.labels[i] for i in at)
+    full = full_gate(gate.matrix, block.labels, targets)
+    want = mat_mul(mat_mul(full, block.matrix), full.dagger())
+    got = conjugate_block(block, gate.matrix, targets)
+    assert got.labels == block.labels
+    assert got.matrix == want
 
 
 @settings(PROPERTY, max_examples=40)
