@@ -10,8 +10,11 @@ this engine can repair.
 
 Blocks are stored as density matrices even when pure; mixed per-block inputs
 (`inputblock` in the circuit format) run through the same code path.  A gate
-acts on a block through its own 2x2 or 4x4 matrix, tile by tile on the
-targets' index bits; no 2^k x 2^k gate is ever built.
+acts on a block through its own 2x2 or 4x4 matrix and the dagger the gate
+keeps, tile by tile on the targets' index bits; no 2^k x 2^k gate is ever
+built.  A split asks of each candidate part only whether it splits off, by
+the rank-one test the dense blockedness decider also uses, so pure and mixed
+blocks split the same way.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from .exact import ZERO, ONE
 from .matrices import (ExactMatrix, DensityBlock, mat_mul, mat_eq,
                        kron_blocks, partial_trace, product_over_partition,
                        target_offsets)
-from .circuits import Circuit, CircuitStep
-from .partitions import partitions_max_part
+from .circuits import Circuit, CircuitStep, GateDef
+from .partitions import partitions_max_part, splits_across
 from .sampling import OutcomeDistribution
 
 # extra exact self-checks inside the engines (tests switch this on)
@@ -95,15 +98,15 @@ def init_blocked(circuit: Circuit) -> BlockedState:
     return BlockedState(width, assignment, blocks, next_id)
 
 
-def conjugate_block(block: DensityBlock, gate_matrix: ExactMatrix,
+def conjugate_block(block: DensityBlock, gate: GateDef,
                     targets) -> DensityBlock:
     """rho -> G rho G^dagger for a gate G on `targets` inside the block.
 
     G acts only on the targets' index bits, so rho falls into g x g tiles,
     one per (row base, column base) with every target bit clear, whose
     entries sit at base + offsets[r] * dim + offsets[c].  Each tile that
-    holds a nonzero becomes G T G^dagger with the small gate itself; every
-    other tile stays zero."""
+    holds a nonzero becomes G T G^dagger with the small gate and the dagger
+    it keeps; every other tile stays zero."""
     labels = block.labels
     k = len(labels)
     dim = 1 << k
@@ -118,70 +121,50 @@ def conjugate_block(block: DensityBlock, gate_matrix: ExactMatrix,
     bases = {e & tile_mask for e, x in enumerate(entries)
              if x is not ZERO and not x.is_zero()}
     spread = [r * dim + c for r in offsets for c in offsets]
-    gate_dagger = gate_matrix.dagger()
     out = [ZERO] * (dim * dim)
     for base in bases:
         places = [base + s for s in spread]
         tile = ExactMatrix(g, g, [entries[i] for i in places])
-        turned = mat_mul(mat_mul(gate_matrix, tile), gate_dagger)
+        turned = mat_mul(mat_mul(gate.matrix, tile), gate.dagger)
         for i, x in zip(places, turned.entries):
             out[i] = x
     return DensityBlock(labels, ExactMatrix(dim, dim, out))
-
-
-def _is_pure(block: DensityBlock) -> bool:
-    """Exact purity: trace(rho^2) == 1."""
-    m = block.matrix
-    acc = ZERO
-    dim = m.rows
-    for i in range(dim):
-        for j in range(dim):
-            x = m.at(i, j)
-            if not x.is_zero():
-                acc = acc + x * m.at(j, i)
-    return acc == ONE
 
 
 def split_exact(block: DensityBlock, p: int,
                 step_index: int = -1) -> list[DensityBlock]:
     """Finest exact factorization of a block into parts of size <= p.
 
-    Partitions are tried most-refined first; for a pure block a partition
-    can only match if every part's reduced state is pure, which prunes the
-    search without giving up exactness.  Raises PBlockError when no
-    partition reproduces the block."""
+    The density, read as a vector over flat indices row << k | col, is
+    rank one across a part's row and column bits together exactly when the
+    block is X (x) Y over the part and the rest, and then it is the product
+    of its two reduced states.  Product bipartitions are closed under meet,
+    so a partition reproduces the block iff each of its parts splits off;
+    candidates are tried most-refined first, each part's verdict computed
+    once.  Raises PBlockError when no partition reproduces the block."""
     labels = block.labels
-    candidates = partitions_max_part(labels, p)
-    pure = _is_pure(block)
-    reduced_cache: dict[tuple, DensityBlock] = {}
-    purity_cache: dict[tuple, bool] = {}
+    k = len(labels)
+    # most zero entries are the shared ZERO, which `is` skips without a call
+    nonzeros = {e: x for e, x in enumerate(block.matrix.entries)
+                if x is not ZERO and not x.is_zero()}
+    verdicts: dict[tuple, bool] = {}
 
-    def reduced(part):
-        if part not in reduced_cache:
-            reduced_cache[part] = partial_trace(block, part)
-        return reduced_cache[part]
+    def splits_off(part):
+        if part not in verdicts:
+            m = target_offsets(k, [labels.index(q) for q in part])[-1]
+            verdicts[part] = splits_across(nonzeros, m << k | m)
+        return verdicts[part]
 
-    def part_is_pure(part):
-        if part not in purity_cache:
-            purity_cache[part] = _is_pure(reduced(part))
-        return purity_cache[part]
-
-    for parts in candidates:
+    for parts in partitions_max_part(labels, p):
         if len(parts) == 1:
             return [block]
-        if pure:
-            if all(part_is_pure(part) for part in parts):
-                result = [reduced(part) for part in parts]
-                if DEBUG_CHECKS:
-                    assembled = product_over_partition(labels, result)
-                    assert mat_eq(assembled.matrix, block.matrix), \
-                        "pure split product mismatch"
-                return result
-        else:
-            result = [reduced(part) for part in parts]
-            assembled = product_over_partition(labels, result)
-            if mat_eq(assembled.matrix, block.matrix):
-                return result
+        if all(splits_off(part) for part in parts):
+            result = [partial_trace(block, part) for part in parts]
+            if DEBUG_CHECKS:
+                assembled = product_over_partition(labels, result)
+                assert mat_eq(assembled.matrix, block.matrix), \
+                    "split product mismatch"
+            return result
     raise PBlockError(step_index, labels,
                       f"does not factor into parts of size <= {p}")
 
@@ -198,7 +181,7 @@ def merge_apply(state: BlockedState, step: CircuitStep
         block = kron_blocks(pair, sorted(pair[0].labels + pair[1].labels))
         for q in block.labels:
             state.assignment[q] = ids[0]
-    return ids[0], conjugate_block(block, step.gate.matrix, step.targets)
+    return ids[0], conjugate_block(block, step.gate, step.targets)
 
 
 def install_parts(state: BlockedState, block_id: int,

@@ -68,7 +68,8 @@ def _pauli_matrix(dim: int, x: int, z: int, k: int = 0) -> ExactMatrix:
 class GateDef:
     """Named unitary of arity 1 or 2 with exact entries."""
 
-    __slots__ = ("name", "arity", "matrix", "_nonzero_rows", "_clifford_table")
+    __slots__ = ("name", "arity", "matrix", "dagger", "_nonzero_rows",
+                 "_clifford_table")
 
     def __init__(self, name: str, arity: int, matrix: ExactMatrix):
         if arity not in (1, 2):
@@ -81,6 +82,7 @@ class GateDef:
         self.name = name
         self.arity = arity
         self.matrix = matrix
+        self.dagger = matrix.dagger()
         self._nonzero_rows = None
         self._clifford_table = _UNDERIVED
 
@@ -111,7 +113,7 @@ class GateDef:
 
     def _derive_clifford_table(self):
         arity, dim = self.arity, 1 << self.arity
-        u, u_dag = self.matrix, self.matrix.dagger()
+        u, u_dag = self.matrix, self.dagger
         images, flips = [], []
         for code in range(dim * dim):
             # in the matrix index, bit arity-1-c is target c

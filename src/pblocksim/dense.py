@@ -13,7 +13,7 @@ from __future__ import annotations
 from .exact import ExactScalar, ZERO, ONE
 from .circuits import Circuit, CircuitStep
 from .matrices import target_offsets
-from .partitions import peel_finest
+from .partitions import peel_finest, splits_across
 from .sampling import OutcomeDistribution
 
 WIDTH_CAP = 14
@@ -65,10 +65,6 @@ class StateVector:
     def nonzeros(self) -> dict[int, ExactScalar]:
         return {i: a for i, a in enumerate(self.amps) if not a.is_zero()}
 
-    def bit_mask(self, qubit: int) -> int:
-        """Index bit carrying `qubit` (qubit 0 is the most significant)."""
-        return 1 << (self.width - 1 - qubit)
-
 
 def apply_rows(amps: list, offsets: list[int], rows, zero) -> list:
     """Apply a gate given by its nonzero rows (per row, (column, entry)
@@ -113,7 +109,7 @@ def dense_marginal(state: StateVector, qubit: int) -> OutcomeDistribution:
     """Exact {p0, p1} for a computational-basis measurement of one qubit."""
     if not 0 <= qubit < state.width:
         raise ValueError(f"qubit {qubit} out of range")
-    mb = state.bit_mask(qubit)
+    mb = target_offsets(state.width, (qubit,))[-1]
     p0 = ZERO
     p1 = ZERO
     for i, a in enumerate(state.amps):
@@ -130,39 +126,12 @@ def dense_marginal(state: StateVector, qubit: int) -> OutcomeDistribution:
 #
 # A pure state factors over a partition exactly when its amplitudes do:
 # arranged as a matrix with the part's index bits choosing the row and the
-# other bits the column, the support is a product of row and column sets
-# and the nonzero rows are proportional (rank one).  The finest such
+# other bits the column, they have rank one.  That is `splits_across`, the
+# test the blocked engine's split also asks of a density, with the mask
+# taken from `target_offsets` like every other index map.  The finest such
 # partition is unique, and `peel_finest` finds it with that test as its
 # predicate.  The answer is then rebuilt amplitude by amplitude, so a wrong
 # split can never be returned silently.
-
-def _splits_off(nonzeros: dict[int, ExactScalar], part_mask: int) -> bool:
-    """Whether the amplitudes are rank one across (part) x (the rest)."""
-    rows: dict[int, dict[int, ExactScalar]] = {}
-    for idx, amp in nonzeros.items():
-        rows.setdefault(idx & part_mask, {})[idx & ~part_mask] = amp
-    row_iter = iter(rows.values())
-    row0 = next(row_iter)
-    if len(rows) * len(row0) != len(nonzeros):
-        return False
-    j0, a00 = next(iter(row0.items()))
-    for row in row_iter:
-        lead = row.get(j0)
-        if lead is None or len(row) != len(row0):
-            return False
-        for j, v in row.items():
-            ref = row0.get(j)
-            if ref is None or v * a00 != ref * lead:
-                return False
-    return True
-
-
-def _mask(state: StateVector, part) -> int:
-    mask = 0
-    for q in part:
-        mask |= state.bit_mask(q)
-    return mask
-
 
 def dense_blockedness(state: StateVector, p: int):
     """Finest partition (parts <= p) over which the state factors exactly,
@@ -171,11 +140,15 @@ def dense_blockedness(state: StateVector, p: int):
     nonzeros = state.nonzeros()
     if not nonzeros:
         raise ValueError("zero state has no blockedness")
+
+    def mask(part):
+        return target_offsets(state.width, part)[-1]
+
     parts = peel_finest(
         range(state.width),
-        lambda part: _splits_off(nonzeros, _mask(state, part)), p)
+        lambda part: splits_across(nonzeros, mask(part)), p)
     if parts is not None:
-        _self_check_product(nonzeros, [_mask(state, part) for part in parts])
+        _self_check_product(nonzeros, [mask(part) for part in parts])
     return parts
 
 

@@ -1,14 +1,19 @@
-"""Partitions of qubit labels into parts of bounded size.
+"""Partitions of qubit labels into parts of bounded size, and the exact
+test of whether a part splits off.
 
-Two routines serve the engines:
-
+- `splits_across` is the one factor test, shared by the blocked engine's
+  split and the dense blockedness decider: a vector of exact values, keyed
+  by index, is rank one across the index bits in a mask and the other bits.  For a state vector that says the part splits
+  off; for a density read over flat indices row << k | col, with the
+  part's row and column bits both in the mask, it says the block is a
+  product over the part and the rest, pure or mixed.
 - `partitions_max_part` enumerates every partition of a small label set
   into parts of size <= p, most-refined first: descending part count, then
   lexicographic on the sorted part contents.  The approx engine scores
   candidates in this order until one reproduces the merged block exactly
   (distance 0, which no later candidate can beat), and `split_exact` takes
-  the first that reproduces it; both only ever see a merged block of at
-  most 2p labels, so materialize-and-sort is fine.
+  the first whose parts all split off; both only ever see a merged block of
+  at most 2p labels, so materialize-and-sort is fine.
 - `peel_finest` finds the unique finest factorization of a state at any
   width by peeling one irreducible factor at a time, asking only whether a
   candidate part splits off from everything else.  The dense and
@@ -18,6 +23,32 @@ Two routines serve the engines:
 from __future__ import annotations
 
 from itertools import combinations
+
+from .exact import ExactScalar
+
+
+def splits_across(nonzeros: dict[int, ExactScalar], mask: int) -> bool:
+    """Whether the nonzero values, arranged as a matrix with the index bits
+    in `mask` choosing the row and the other bits the column, have rank one:
+    the support is a product of row and column sets and the nonzero rows
+    are proportional."""
+    rows: dict[int, dict[int, ExactScalar]] = {}
+    for idx, value in nonzeros.items():
+        rows.setdefault(idx & mask, {})[idx & ~mask] = value
+    row_iter = iter(rows.values())
+    row0 = next(row_iter)
+    if len(rows) * len(row0) != len(nonzeros):
+        return False
+    j0, a00 = next(iter(row0.items()))
+    for row in row_iter:
+        lead = row.get(j0)
+        if lead is None or len(row) != len(row0):
+            return False
+        for j, v in row.items():
+            ref = row0.get(j)
+            if ref is None or v * a00 != ref * lead:
+                return False
+    return True
 
 
 def _partitions_rec(items: tuple, max_size: int):
@@ -37,15 +68,12 @@ def _partitions_rec(items: tuple, max_size: int):
 def partitions_max_part(items, max_size: int) -> list[list[tuple]]:
     """All partitions with parts <= max_size, finest first.
 
-    Each partition comes back as a list of sorted tuples; the list itself is
-    in the canonical order (descending number of parts, then lexicographic
-    on the sequence of sorted parts).
+    Each partition comes back as a list of sorted tuples in ascending order,
+    as the recursion builds them from sorted items; the list itself is in
+    the canonical order (descending number of parts, then lexicographic on
+    the sequence of sorted parts).
     """
-    items = tuple(sorted(items))
-    all_parts = []
-    for parts in _partitions_rec(items, max_size):
-        canon = sorted(tuple(sorted(p)) for p in parts)
-        all_parts.append(canon)
+    all_parts = list(_partitions_rec(tuple(sorted(items)), max_size))
     all_parts.sort(key=lambda ps: (-len(ps), ps))
     return all_parts
 

@@ -272,7 +272,7 @@ def test_conjugate_block_positions():
     """A CNOT on targets (9, 4) of the block (4, 7, 9): out of order and
     not adjacent, so each 4x4 tile gathers index bit 1 (the control, 9)
     and index bit 4 (the target, 4)."""
-    cnot = LIBRARY["CNOT"].matrix
+    cnot = LIBRARY["CNOT"]
     labels = (4, 7, 9)
     # |b4 b7 b9> = |0 0 1>: control 9 is set, so target 4 flips to |1 0 1>
     rho = DensityBlock(labels, density_from_statevector(
@@ -287,7 +287,7 @@ def test_conjugate_block_positions():
     # a mixed block against the full gate, which the tiles never build
     rho = DensityBlock(labels, random_mixed_density(
         CounterRng(13, "conjugate"), 3).matrix)
-    full = full_gate(cnot, labels, (9, 4))
+    full = full_gate(cnot.matrix, labels, (9, 4))
     assert conjugate_block(rho, cnot, (9, 4)).matrix == \
         mat_mul(mat_mul(full, rho.matrix), full.dagger())
 

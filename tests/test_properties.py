@@ -2,7 +2,10 @@
 round-trips, the parser fails only with CircuitError, tensor products of
 blocks land in label order and trace back to their factors, a block
 conjugated tile by tile equals F rho F^dagger with the full gate F, the dense
-blockedness decider agrees with brute-force enumeration, the float
+blockedness decider agrees with brute-force enumeration, the blocked engine
+aborts exactly when a prefix state is not p-blocked and otherwise ends with
+the dense density, its split agrees with a brute-force search over products
+of marginals on pure, mixed and classically correlated factors, the float
 reference runs the dense engine's kernel to the same marginals, the approx
 engine's projection agrees with a brute-force search and, at epsilon 0 on
 p-blocked circuits, ends with the blocked engine's blocks, the stabilizer
@@ -15,8 +18,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from pblocksim.approx import (ApproxConfig, ErrorLedger, PerturbedCircuit,
                               approx_step, simulate_perturbed_floats)
-from pblocksim.blocked import (BlockedState, conjugate_block, init_blocked,
-                               merge_apply, run_blocked_full)
+from pblocksim.blocked import (BlockedState, PBlockError, conjugate_block,
+                               init_blocked, merge_apply, run_blocked_full,
+                               split_exact)
 from pblocksim.circuits import (LIBRARY, Circuit, CircuitError, CircuitStep,
                                 GateDef, InputBlock, gen_block_local,
                                 gen_entangle_disentangle, parse_circuit,
@@ -29,8 +33,9 @@ from pblocksim.prng import CounterRng
 from pblocksim.stabilizer import (StabilizerTableau, tableau_apply,
                                   tableau_marginal)
 
-from helpers import (S_H_CNOT, brute_blockedness, brute_projection,
-                     density_from_statevector, full_gate, kron, kron_chain,
+from helpers import (S_H_CNOT, all_partitions, brute_blockedness,
+                     brute_projection, density_from_statevector, full_gate,
+                     kron, kron_chain, product_of_marginals,
                      random_mixed_density, random_pure_density, reorder_bits)
 
 # derandomized so that every run checks the same examples
@@ -82,7 +87,7 @@ def input_blocks(draw, labels):
     block = DensityBlock(tuple(range(k)), ExactMatrix(dim, dim, entries))
     pool = GATES_1 if k == 1 else GATES
     for gate in draw(st.lists(st.sampled_from(pool), max_size=3)):
-        block = conjugate_block(block, gate.matrix,
+        block = conjugate_block(block, gate,
                                 _targets(draw, k, gate.arity))
     return InputBlock(labels, block.matrix)
 
@@ -253,7 +258,7 @@ def test_conjugate_block_is_the_full_gate_conjugation(case):
     targets = tuple(block.labels[i] for i in at)
     full = full_gate(gate.matrix, block.labels, targets)
     want = mat_mul(mat_mul(full, block.matrix), full.dagger())
-    got = conjugate_block(block, gate.matrix, targets)
+    got = conjugate_block(block, gate, targets)
     assert got.labels == block.labels
     assert got.matrix == want
 
@@ -265,6 +270,115 @@ def test_dense_blockedness_matches_brute_force(circuit):
     for p in range(1, circuit.width + 1):
         assert dense_blockedness(state, p) == \
             brute_blockedness(state.amps, circuit.width, p)
+
+
+@st.composite
+def entangling_circuits(draw):
+    """Library circuits of width 2-5 with 1-12 gates.  Two moves in three
+    are H on a qubit and then a two-qubit gate from it, which entangles
+    when that gate is CNOT or CZ; so about one run in six aborts."""
+    width = draw(st.integers(2, 5))
+    bits = draw(st.text("01", min_size=width, max_size=width))
+    count = draw(st.integers(1, 12))
+    steps = []
+    while len(steps) < count:
+        if draw(st.integers(0, 2)):
+            a, b = _targets(draw, width, 2)
+            steps += [CircuitStep(LIBRARY["H"], (a,)),
+                      CircuitStep(draw(st.sampled_from(GATES_2)), (a, b))]
+        else:
+            gate = draw(st.sampled_from(GATES))
+            steps.append(CircuitStep(gate, _targets(draw, width, gate.arity)))
+    return Circuit(width, bits, tuple(steps[:count]))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(entangling_circuits())
+def test_blocked_aborts_iff_a_prefix_is_not_p_blocked(circuit):
+    """At every p, `run_blocked_full` raises PBlockError at the first step
+    whose state is not p-blocked, by the dense decider, and otherwise ends
+    with the dense engine's density exactly."""
+    states = []
+    for j in range(len(circuit.steps)):
+        states.append(dense_run(Circuit(circuit.width, circuit.input_bits,
+                                        circuit.steps[:j + 1])))
+    for p in range(1, circuit.width + 1):
+        failing = [j for j, state in enumerate(states)
+                   if dense_blockedness(state, p) is None]
+        try:
+            blocked, _ = run_blocked_full(circuit, p)
+        except PBlockError as err:
+            assert failing and err.step_index == failing[0]
+            continue
+        assert not failing
+        assert blocked.global_density().matrix == \
+            density_from_statevector(states[-1].amps)
+
+
+def _correlated_density(qubits: int) -> ExactMatrix:
+    """(|0...0><0...0| + |1...1><1...1|) / 2: classically correlated, so
+    mixed, and no qubit of it splits off."""
+    dim = 1 << qubits
+    entries = [ZERO] * (dim * dim)
+    entries[0] = entries[-1] = ExactScalar(Fraction(1, 2))
+    return ExactMatrix(dim, dim, entries)
+
+
+@st.composite
+def factored_blocks(draw):
+    """A block of 2-4 qubits on scattered labels: the product of 1-3 pure,
+    mixed or classically correlated factors of 1-3 qubits, whose labels
+    interleave at random."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)
+                 .filter(lambda sizes: 2 <= sum(sizes) <= 4))
+    labels = draw(st.lists(st.integers(0, 20), min_size=sum(sizes),
+                           max_size=sum(sizes), unique=True))
+    seed = draw(st.integers(0, 1 << 16))
+    factors = []
+    for i, size in enumerate(sizes):
+        kind = draw(st.sampled_from(["pure", "mixed", "correlated"]))
+        rng = CounterRng(seed, f"factor {i}")
+        if kind == "pure":
+            matrix = random_pure_density(rng, size).matrix
+        elif kind == "mixed":
+            matrix = random_mixed_density(rng, size, terms=2).matrix
+        else:
+            matrix = _correlated_density(size)
+        start = sum(sizes[:i])
+        factors.append(DensityBlock(labels[start:start + size], matrix))
+    return kron_chain(factors, tuple(draw(st.permutations(labels))))
+
+
+@settings(PROPERTY, max_examples=80)
+@given(factored_blocks())
+def test_split_exact_matches_brute_force(block):
+    """At every p, `split_exact` returns the reduced states of the first
+    partition, finest first, whose product of fresh marginals is the block,
+    and raises PBlockError when there is none."""
+    candidates = sorted((sorted(parts) for parts in
+                         all_partitions(block.labels, len(block.labels))),
+                        key=lambda parts: (-len(parts), parts))
+    verdicts = {}
+
+    def exact(parts):
+        key = tuple(parts)
+        if key not in verdicts:
+            verdicts[key] = \
+                product_of_marginals(block, parts).matrix == block.matrix
+        return verdicts[key]
+
+    for p in range(1, len(block.labels) + 1):
+        want = next((parts for parts in candidates
+                     if max(map(len, parts)) <= p and exact(parts)), None)
+        try:
+            got = split_exact(block, p)
+        except PBlockError:
+            assert want is None
+            continue
+        assert want is not None
+        assert [(b.labels, b.matrix) for b in got] == \
+            [(r.labels, r.matrix) for r in
+             (partial_trace(block, part) for part in want)]
 
 
 @settings(PROPERTY, max_examples=60)
@@ -301,7 +415,7 @@ def block_states(draw, labels):
     block = DensityBlock(range(k), ExactMatrix(dim, dim, entries))
     usable = [g for g in GATES if g.arity <= k]
     for gate in draw(st.lists(st.sampled_from(usable), max_size=6)):
-        block = conjugate_block(block, gate.matrix,
+        block = conjugate_block(block, gate,
                                 _targets(draw, k, gate.arity))
     return DensityBlock(labels, block.matrix)
 
@@ -334,7 +448,7 @@ def _prepared(labels, gates) -> DensityBlock:
     entries[0] = ONE
     block = DensityBlock(labels, ExactMatrix(dim, dim, entries))
     for name, targets in gates:
-        block = conjugate_block(block, LIBRARY[name].matrix, targets)
+        block = conjugate_block(block, LIBRARY[name], targets)
     return block
 
 
