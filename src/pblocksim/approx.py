@@ -1,19 +1,21 @@
 """Tolerant simulator for circuits that are only nearly p-blocked.
 
-The engine forces a p-blocked surrogate after every step: it applies the
-gate on the merged block, measures the trace-norm distance from that block
-to the product of its reduced states for every partition into parts <= p,
-keeps the closest product (ties, within a relative TIE_RTOL so that the
-eigensolver's rounding cannot decide them: more parts, then lexicographic),
-and logs the residual.  The search stops at the first partition whose
-product is exact (distance 0.0): a trace norm is never negative, and a
-later partition replaces the closest so far only when it is closer by a
-relative margin, which nothing is once the distance is 0, so stopping there
-installs the same blocks and logs the same residual as scoring every
-partition.  Each part's reduced state is traced once per step and shared by
-every partition that holds the part and by the installed winner; in the
-difference block - product, entries that compare equal give zero without
-any arithmetic, and most do.  The certified bound follows the recursion
+The engine keeps a p-blocked surrogate: its step is the blocked engine's
+transition (`blocked.advance`) with a projection in place of the exact
+split.  When a merged block outgrows p, it
+measures the trace-norm distance from that block to the product of its
+reduced states for every partition into parts <= p, installs the closest
+product (ties, within a relative TIE_RTOL so that the eigensolver's rounding
+cannot decide them: more parts, then lexicographic), and logs the residual.
+The search stops at the first partition whose product is exact (distance
+0.0): a trace norm is never negative, and a later partition replaces the
+closest so far only when it is closer by a relative margin, which nothing
+is once the distance is 0, so stopping there installs the same blocks and
+logs the same residual as scoring every partition.  Each part's reduced
+state is traced once per step and shared by every partition that holds the
+part and by the installed winner; in the difference block - product,
+entries that compare equal give zero without any arithmetic, and most do.
+The certified bound follows the recursion
 
     e_0 = 0,   e_{j+1} = (2p+3) * (e_j + epsilon)
 
@@ -41,11 +43,11 @@ from dataclasses import dataclass, field
 from .matrices import (DensityBlock, ExactMatrix, mat_eq, partial_trace,
                        trace_norm_float, product_over_partition,
                        target_offsets)
-from .circuits import (Circuit, CircuitStep, GateDef, LIBRARY,
-                       gen_block_local, _fixed_cells)
+from .circuits import (CircuitStep, GateDef, LIBRARY, gen_block_local,
+                       _fixed_cells)
 from .partitions import partitions_max_part
-from .blocked import (BlockedState, init_blocked, install_parts,
-                      measurement_marginal, merge_apply)
+from .blocked import (BlockedState, advance, measurement_marginal,
+                      start_state)
 from .dense import apply_rows
 from .prng import CounterRng
 from .sampling import OutcomeDistribution
@@ -161,6 +163,7 @@ class PerturbedCircuit:
     steps: tuple  # CircuitStep | Rotation
     measured_qubit: int = 0
     base_p: int = field(default=0, compare=False)
+    input_blocks = ()   # not a field: every qubit starts in a basis state
 
     def depth(self) -> int:
         return len(self.steps)
@@ -181,20 +184,10 @@ def nearest_exact_gate(rotation: Rotation) -> GateDef:
     return best_gate
 
 
-def approx_step(state: BlockedState, step, cfg: ApproxConfig,
-                ledger: ErrorLedger) -> BlockedState:
-    """Apply one step and force the state back to p-blocked form."""
-    if isinstance(step, Rotation):
-        step = CircuitStep(nearest_exact_gate(step), step.targets)
-    p = cfg.p
-    out = state.copy()
-    block_id, block = merge_apply(out, step)
-    if len(block.labels) <= p:
-        install_parts(out, block_id, [block])
-        ledger.record_step(0.0)
-        return out
-    # best p-partition projection: exact reduced states, float selection.
-    # A part recurs in many partitions; its reduced state is traced once.
+def closest_product(block: DensityBlock, p: int
+                    ) -> tuple[float, list[DensityBlock]]:
+    """Trace-norm distance from a block to its closest product over parts
+    <= p, and the parts' exact reduced states, each traced once."""
     reduced: dict[tuple, DensityBlock] = {}
     best = None
     for parts in partitions_max_part(block.labels, p):
@@ -216,7 +209,23 @@ def approx_step(state: BlockedState, step, cfg: ApproxConfig,
             assert mat_eq(partial_trace(candidate, part).matrix,
                           partial_trace(block, part).matrix), \
                 "projection changed a part marginal"
-    install_parts(out, block_id, [reduced[part] for part in parts])
+    return d, [reduced[part] for part in parts]
+
+
+def approx_step(state: BlockedState, step, cfg: ApproxConfig,
+                ledger: ErrorLedger) -> BlockedState:
+    """Apply one step and force the state back to p-blocked form; the
+    residual is 0.0 when nothing split."""
+    if isinstance(step, Rotation):
+        step = CircuitStep(nearest_exact_gate(step), step.targets)
+    d = 0.0
+
+    def split(block):
+        nonlocal d
+        d, parts = closest_product(block, cfg.p)
+        return parts
+
+    out = advance(state, step, cfg.p, split)
     ledger.record_step(d)
     return out
 
@@ -226,27 +235,14 @@ def run_approx(circuit, cfg: ApproxConfig
     """Run the tolerant engine; the distribution comes from the surrogate's
     exact marginal, the certificate bounds its distance to the true output
     provided the epsilon assumption held."""
-    if cfg.p < 1:
-        raise ValueError("p must be >= 1")
+    state = start_state(circuit, cfg.p)
     ledger = ErrorLedger(cfg.p, cfg.epsilon)
-    plain = _as_plain_circuit(circuit)
-    if any(len(blk.labels) > cfg.p for blk in plain.input_blocks):
-        raise ValueError("input block larger than p; the surrogate must "
-                         "start p-blocked")
-    state = init_blocked(plain)
     for step in circuit.steps:
         state = approx_step(state, step, cfg, ledger)
     dist = measurement_marginal(state, circuit.measured_qubit)
     cert = Certificate(ledger.e_current, cfg.epsilon,
                        ledger.hypothesis_violated())
     return dist, ledger, cert
-
-
-def _as_plain_circuit(circuit) -> Circuit:
-    if isinstance(circuit, Circuit):
-        return circuit
-    return Circuit(circuit.width, circuit.input_bits, (),
-                   circuit.measured_qubit)
 
 
 # -- float reference for perturbed circuits ---

@@ -6,7 +6,8 @@ inside one block conjugates that block; a gate straddling two blocks merges
 them first, and a merged block larger than p must re-split exactly into
 parts of size <= p or the run aborts with PBlockError: the hypothesis that
 every intermediate state is p-blocked is an input contract, not something
-this engine can repair.
+this engine can repair.  `advance` is the one state transition; `approx`
+runs it with its closest projection in place of the exact split.
 
 Blocks are stored as density matrices even when pure; mixed per-block inputs
 (`inputblock` in the circuit format) run through the same code path.  A gate
@@ -169,48 +170,40 @@ def split_exact(block: DensityBlock, p: int,
                       f"does not factor into parts of size <= {p}")
 
 
-def merge_apply(state: BlockedState, step: CircuitStep
-                ) -> tuple[int, DensityBlock]:
-    """Conjugate the block holding the gate's targets, first merging the two
-    blocks in place when the gate straddles them; returns the block's id and
-    its conjugated density, which the caller still has to install."""
-    ids = sorted({state.assignment[q] for q in step.targets})
-    block = state.blocks[ids[0]]
-    if len(ids) == 2:
-        pair = (block, state.blocks.pop(ids[1]))
+def advance(state: BlockedState, step: CircuitStep, p: int,
+            split) -> BlockedState:
+    """One gate on a copy of the state, the only change a blocked state
+    ever sees: merge the two blocks the gate straddles, conjugate, and keep
+    the block's id when it has at most p qubits; otherwise install the parts
+    `split(block)` returns, each under a fresh id."""
+    out = state.copy()
+    block_id, *other = sorted({out.assignment[q] for q in step.targets})
+    block = out.blocks[block_id]
+    if other:
+        pair = (block, out.blocks.pop(other[0]))
         block = kron_blocks(pair, sorted(pair[0].labels + pair[1].labels))
         for q in block.labels:
-            state.assignment[q] = ids[0]
-    return ids[0], conjugate_block(block, step.gate, step.targets)
-
-
-def install_parts(state: BlockedState, block_id: int,
-                  parts: list[DensityBlock]) -> None:
-    """Store `parts` in place of block `block_id`: a single part keeps the
-    id, several each get a fresh one."""
-    if len(parts) == 1:
-        state.blocks[block_id] = parts[0]
-        return
-    del state.blocks[block_id]
-    for part in parts:
-        state.blocks[state.next_id] = part
-        for q in part.labels:
-            state.assignment[q] = state.next_id
-        state.next_id += 1
+            out.assignment[q] = block_id
+    block = conjugate_block(block, step.gate, step.targets)
+    if len(block.labels) <= p:
+        out.blocks[block_id] = block
+    else:
+        del out.blocks[block_id]
+        for part in split(block):
+            out.blocks[out.next_id] = part
+            for q in part.labels:
+                out.assignment[q] = out.next_id
+            out.next_id += 1
+    if DEBUG_CHECKS:
+        assert out.max_block_size() <= p
+    return out
 
 
 def apply_blocked(state: BlockedState, step: CircuitStep, p: int,
                   step_index: int = -1) -> BlockedState:
-    """One gate on a blocked state: conjugate inside a block, or merge two
-    blocks, conjugate, and re-split if the merge exceeded p."""
-    out = state.copy()
-    block_id, block = merge_apply(out, step)
-    if len(block.labels) > p:
-        parts = split_exact(block, p, step_index)
-    else:
-        parts = [block]
-    install_parts(out, block_id, parts)
-    return out
+    """One gate on a blocked state; a merge larger than p splits exactly."""
+    return advance(state, step, p,
+                   lambda block: split_exact(block, p, step_index))
 
 
 def measurement_marginal(state: BlockedState, qubit: int
@@ -224,8 +217,9 @@ def measurement_marginal(state: BlockedState, qubit: int
     return OutcomeDistribution(p0, p1)
 
 
-def run_blocked_full(circuit: Circuit, p: int
-                     ) -> tuple[BlockedState, OutcomeDistribution]:
+def start_state(circuit: Circuit, p: int) -> BlockedState:
+    """The circuit's start state, refused unless every input block has at
+    most p qubits: both block engines start p-blocked."""
     if p < 1:
         raise ValueError("p must be >= 1")
     oversized = [blk.labels for blk in circuit.input_blocks
@@ -233,11 +227,14 @@ def run_blocked_full(circuit: Circuit, p: int
     if oversized:
         raise PBlockError(-1, min(oversized, key=min),
                           f"input block larger than p = {p}")
-    state = init_blocked(circuit)
+    return init_blocked(circuit)
+
+
+def run_blocked_full(circuit: Circuit, p: int
+                     ) -> tuple[BlockedState, OutcomeDistribution]:
+    state = start_state(circuit, p)
     for j, step in enumerate(circuit.steps):
         state = apply_blocked(state, step, p, j)
-        if DEBUG_CHECKS:
-            assert state.max_block_size() <= p
     return state, measurement_marginal(state, circuit.measured_qubit)
 
 

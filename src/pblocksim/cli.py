@@ -1,8 +1,9 @@
 """Command-line interface: simulate, compare, analyze-ap.
 
 Exit codes: 0 success, 1 usage or parse failure, 2 a blocked run hit a state
-that does not factor (PBlockError), 3 a stabilizer run hit a gate that is
-not Clifford by its matrix.  stdout is deterministic for fixed flags and
+that does not factor or a blocked or approx run got an input block larger
+than p (PBlockError), 3 a stabilizer run hit a gate that is not Clifford by
+its matrix.  stdout is deterministic for fixed flags and
 seed; timing goes to stderr.
 """
 

@@ -268,7 +268,7 @@ def partial_trace(rho: DensityBlock, keep) -> DensityBlock:
             acc = ZERO
             for om in other_masks:
                 x = entries[(kept_masks[r] | om) * dim + (kept_masks[s] | om)]
-                if not x.is_zero():
+                if x is not ZERO and not x.is_zero():
                     acc = acc + x
             out[r * dim_out + s] = acc
     return DensityBlock(kept, ExactMatrix(dim_out, dim_out, out))

@@ -8,7 +8,7 @@ import pytest
 import pblocksim.approx
 from pblocksim.circuits import parse_circuit, gen_block_local
 from pblocksim.dense import dense_run
-from pblocksim.blocked import init_blocked, merge_apply, run_blocked
+from pblocksim.blocked import PBlockError, advance, init_blocked, run_blocked
 from pblocksim.matrices import mat_eq, partial_trace, product_over_partition
 from pblocksim.partitions import partitions_max_part
 from pblocksim.approx import (ApproxConfig, ErrorLedger, Rotation,
@@ -176,7 +176,8 @@ class TestApproxRuns:
         state = init_blocked(c)
         for step in c.steps[:-1]:
             state = approx_step(state, step, cfg, ledger)
-        _, merged = merge_apply(state.copy(), c.steps[-1])
+        # the shared transition at p = width never splits
+        merged = advance(state, c.steps[-1], 4, None).block_of(0)
         order = partitions_max_part(merged.labels, 2)
         k = 1 + next(i for i, parts in enumerate(order)
                      if mat_eq(product_over_partition(
@@ -198,10 +199,11 @@ class TestApproxRuns:
         assert len(ledger.entries) == 23
 
     def test_oversized_input_is_refused(self):
-        with pytest.raises(ValueError) as caught:
+        """The start check is the blocked engine's: the same error."""
+        with pytest.raises(PBlockError) as caught:
             run_approx(OUT_OF_ORDER_INPUTS, ApproxConfig(2, 0.0))
-        assert str(caught.value) == ("input block larger than p; the "
-                                     "surrogate must start p-blocked")
+        assert str(caught.value) == \
+            "step -1: block (3, 1, 6) input block larger than p = 2"
 
 
 class TestPerturbed:

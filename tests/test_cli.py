@@ -11,8 +11,11 @@ import pytest
 import pblocksim
 
 from pblocksim import cli
+from pblocksim.circuits import serialize_circuit
 from pblocksim.cli import main, EXIT_OK, EXIT_USAGE, EXIT_PBLOCK, \
     EXIT_NONCLIFFORD
+
+from helpers import OUT_OF_ORDER_INPUTS
 
 BELL = "qubits 2\ninput 00\ngate H 0\ngate CNOT 0 1\nmeasure 0\n"
 T_GATE = "qubits 1\ninput 0\ngate T 0\nmeasure 0\n"
@@ -56,6 +59,18 @@ class TestSimulate:
                                 "--p", "1", "--circuit", bell_path])
         assert code == EXIT_PBLOCK
         assert "step 1" in err
+
+    def test_oversized_input_block_exit2_on_both_block_engines(self,
+                                                              tmp_path):
+        path = tmp_path / "mixed.qc"
+        path.write_text(serialize_circuit(OUT_OF_ORDER_INPUTS))
+        blocked, approx = (
+            run_cli(["simulate", "--engine", engine, "--p", "2",
+                     "--circuit", str(path)])
+            for engine in ("blocked", "approx"))
+        assert blocked == approx == (
+            EXIT_PBLOCK, "", "not p-blocked: step -1: block (3, 1, 6) "
+            "input block larger than p = 2\n")
 
     def test_stabilizer_t_gate_exit3(self, t_path, tmp_path):
         renamed = tmp_path / "renamed_t.qc"

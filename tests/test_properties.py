@@ -10,7 +10,9 @@ reference runs the dense engine's kernel to the same marginals, the approx
 engine's projection agrees with a brute-force search and, at epsilon 0 on
 p-blocked circuits, ends with the blocked engine's blocks, the stabilizer
 engine agrees with the dense state on Clifford circuits, and its tableau
-converts between columns and rows without loss."""
+converts between columns and rows without loss, and the blocked engine
+agrees with the stabilizer engine on every marginal of wide Clifford
+circuits that merge and split."""
 
 from fractions import Fraction
 
@@ -18,8 +20,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from pblocksim.approx import (ApproxConfig, ErrorLedger, PerturbedCircuit,
                               approx_step, simulate_perturbed_floats)
-from pblocksim.blocked import (BlockedState, PBlockError, conjugate_block,
-                               init_blocked, merge_apply, run_blocked_full,
+from pblocksim.blocked import (BlockedState, PBlockError, advance,
+                               apply_blocked, conjugate_block, init_blocked,
+                               measurement_marginal, run_blocked_full,
                                split_exact)
 from pblocksim.circuits import (LIBRARY, Circuit, CircuitError, CircuitStep,
                                 GateDef, InputBlock, gen_block_local,
@@ -29,6 +32,7 @@ from pblocksim.dense import dense_blockedness, dense_marginal, dense_run
 from pblocksim.exact import I_UNIT, MINUS_ONE, ONE, ZERO, ExactScalar
 from pblocksim.matrices import (DensityBlock, ExactMatrix, kron_blocks,
                                 mat_mul, partial_trace)
+from pblocksim import stabilizer
 from pblocksim.prng import CounterRng
 from pblocksim.stabilizer import (StabilizerTableau, tableau_apply,
                                   tableau_marginal)
@@ -492,7 +496,9 @@ def test_approx_projection_matches_brute_force():
     @given(merging_steps())
     def check(case):
         state, step, p = case
-        _, merged = merge_apply(state.copy(), step)
+        # the shared transition at p = width never splits
+        merged = advance(state, step, state.width, None).block_of(
+            step.targets[0])
         want_d, want_parts = brute_projection(merged, p)
         ledger = ErrorLedger(p, 0.0)
         out = approx_step(state, step, ApproxConfig(p, 0.0), ledger)
@@ -584,3 +590,36 @@ def test_stabilizer_matches_dense_on_clifford_circuits(circuit):
     for q in range(circuit.width):
         assert tableau_marginal(tableau, q).exact_eq(
             dense_marginal(state, q))
+
+
+@settings(PROPERTY, max_examples=6)
+@given(st.integers(200, 260), st.sampled_from([2, 3]),
+       st.integers(0, 1 << 16))
+def test_blocked_matches_stabilizer_on_wide_clifford_circuits(width, p,
+                                                              seed):
+    """gen_entangle_disentangle with each T made S: S is diagonal, so the
+    generator's basis tracking, and with it p-blockedness, still holds, and
+    every gate is Clifford.  Both engines give every qubit's marginal
+    exactly, at widths no dense oracle reaches, through merges and splits."""
+    circuit = gen_entangle_disentangle(width, p, 600, seed)
+    steps = tuple(CircuitStep(LIBRARY["S"], step.targets)
+                  if step.gate.name == "T" else step
+                  for step in circuit.steps)
+    state = init_blocked(circuit)
+    tableau = StabilizerTableau(width, circuit.input_bits)
+    splits = 0
+    # the tableau's own self-check is quadratic in the width: once, at the end
+    saved, stabilizer.DEBUG_CHECKS = stabilizer.DEBUG_CHECKS, False
+    try:
+        for j, step in enumerate(steps):
+            ids = {state.assignment[q] for q in step.targets}
+            splits += sum(len(state.blocks[i].labels) for i in ids) > p
+            state = apply_blocked(state, step, p, j)
+            tableau = tableau_apply(tableau, step)
+    finally:
+        stabilizer.DEBUG_CHECKS = saved
+    tableau.check_invariants()
+    assert splits > 0
+    for q in range(width):
+        assert measurement_marginal(state, q).exact_eq(
+            tableau_marginal(tableau, q))
