@@ -1,13 +1,14 @@
 """Exact simulator for circuits whose states stay p-blocked.
 
 The state is a qubit->block assignment plus one exact density matrix per
-block, so cost per step depends on p, never on the circuit width.  A gate
-inside one block conjugates that block; a gate straddling two blocks merges
-them first, and a merged block larger than p must re-split exactly into
-parts of size <= p or the run aborts with PBlockError: the hypothesis that
-every intermediate state is p-blocked is an input contract, not something
-this engine can repair.  `advance` is the one state transition; `approx`
-runs it with its closest projection in place of the exact split.
+block, kept as persistent versions whose copy is O(1), so cost per step
+depends on p, never on the circuit width.  A gate inside one block
+conjugates that block; a gate straddling two blocks merges them first, and
+a merged block larger than p must re-split exactly into parts of size <= p
+or the run aborts with PBlockError: the hypothesis that every intermediate
+state is p-blocked is an input contract, not something this engine can
+repair.  `advance` is the one state transition; `approx` runs it with its
+closest projection in place of the exact split.
 
 Blocks are stored as density matrices even when pure; mixed per-block inputs
 (`inputblock` in the circuit format) run through the same code path.  A gate
@@ -41,24 +42,86 @@ class PBlockError(Exception):
             f"step {step_index}: block {self.qubits} {diagnostic}")
 
 
+# the value a log records for a dict key that was not there: undoing a
+# write of it deletes the key, undoing a delete re-inserts the old value
+_ABSENT = object()
+
+
 class BlockedState:
-    __slots__ = ("width", "assignment", "blocks", "next_id")
+    """One version of a blocked state.  Versions are persistent and copy()
+    is O(1), whatever the width (Baker's shallow binding, rerooted as in
+    Conchon and Filliatre's persistent arrays): every version of one run
+    shares one assignment list and one blocks dict, which hold the live
+    version's contents.  copy() hands them to the new version; the old one
+    keeps a pointer to it and a log, filled by `set`, of the values the new
+    version overwrites.  Reading `assignment` or `blocks` on an old version
+    reroots: it walks to the live version and undoes each log on the way
+    back, turning each into the log that redoes it.  A version never points
+    to an older one until such a read, so a loop that drops old versions
+    frees them and never reroots.
+
+    Known limits: a caller that holds the `blocks` dict or the `assignment`
+    list across a read of another version sees it change, reading an old
+    version costs time in proportion to the steps since it, and the
+    versions of one run are read from one thread at a time."""
+    __slots__ = ("width", "next_id", "_assignment", "_blocks", "_next",
+                 "_log", "_undo", "__weakref__")
 
     def __init__(self, width: int, assignment: list[int],
                  blocks: dict[int, DensityBlock], next_id: int):
         self.width = width
-        self.assignment = assignment
-        self.blocks = blocks
         self.next_id = next_id
+        self._assignment = assignment
+        self._blocks = blocks
+        self._next = None   # the newer version, while this one is stale
+        self._log = None    # what turns _next's contents into this one's
+        self._undo = None   # where `set` logs while `advance` writes
+
+    @property
+    def assignment(self) -> list[int]:
+        if self._next is not None:
+            self._reroot()
+        return self._assignment
+
+    @property
+    def blocks(self) -> dict[int, DensityBlock]:
+        if self._next is not None:
+            self._reroot()
+        return self._blocks
+
+    def _reroot(self):
+        """Make this version the live one."""
+        path = []
+        version = self
+        while version._next is not None:
+            path.append(version)
+            version = version._next
+        for version in reversed(path):
+            newer, log = version._next, version._log
+            _revert(log)
+            newer._next, newer._log = version, log
+            version._next = version._log = None
+
+    def copy(self) -> "BlockedState":
+        """A new version that takes over the live contents; writes to it go
+        through `set`, which logs them here."""
+        if self._next is not None:
+            self._reroot()
+        new = BlockedState(self.width, self._assignment, self._blocks,
+                           self.next_id)
+        self._next = new
+        self._log = new._undo = []
+        return new
+
+    def set(self, table, key, value):
+        """table[key] = value on this version, `table` being its assignment
+        or its blocks; _ABSENT deletes a key."""
+        if self._next is not None:
+            self._reroot()
+        _write(table, key, value, self._undo)
 
     def block_of(self, qubit: int) -> DensityBlock:
         return self.blocks[self.assignment[qubit]]
-
-    def copy(self) -> "BlockedState":
-        # dict.copy() clones the hash table even after a merge has deleted
-        # entries; dict(blocks) then re-inserts every entry, ~5x slower
-        return BlockedState(self.width, list(self.assignment),
-                            self.blocks.copy(), self.next_id)
 
     def max_block_size(self) -> int:
         return max(len(b.labels) for b in self.blocks.values())
@@ -72,30 +135,66 @@ class BlockedState:
                    for e in b.matrix.entries)
 
 
+def _write(table, key, value, log):
+    """table[key] = value (a delete for _ABSENT), appending (table, key,
+    old value) to the log."""
+    try:
+        old = table[key]
+    except KeyError:
+        old = _ABSENT
+    log.append((table, key, old))
+    if value is _ABSENT:
+        del table[key]
+    else:
+        table[key] = value
+
+
+def _revert(log):
+    """Undo the log's writes, last first, and make it, in place, the log
+    that redoes them: the same list again undoes the undo."""
+    entries = log[::-1]
+    log.clear()
+    for table, key, old in entries:
+        _write(table, key, old, log)
+
+
 # |0><0| and |1><1|, shared by every single-qubit start block (no code
 # writes into a matrix's entries)
 _BASIS_MATRICES = {"0": ExactMatrix(2, 2, [ONE, ZERO, ZERO, ZERO]),
                    "1": ExactMatrix(2, 2, [ZERO, ZERO, ZERO, ONE])}
+# |b><b| on qubit q at [b][q], made on first use and then shared by every
+# start state, as no code writes into a block: states kept side by side share
+# the blocks of their untouched qubits.  Each list is as long as the widest
+# circuit yet.
+_BASIS_BLOCKS = {"0": [], "1": []}
 
 
 def init_blocked(circuit: Circuit) -> BlockedState:
     """The circuit's start state: its input blocks, and |b><b| for each
-    other qubit."""
+    other qubit.  A qubit's own block has the qubit as its id, the very int
+    its shared block holds; input blocks, and every block made later, have
+    ids from the width up."""
     bits = circuit.input_bits
     width = len(bits)
-    assignment = [0] * width
+    assignment = [None] * width
     blocks: dict[int, DensityBlock] = {}
-    next_id = 1
+    next_id = width
     for blk in circuit.input_blocks:
         blocks[next_id] = DensityBlock(blk.labels, blk.matrix)
         for q in blk.labels:
             assignment[q] = next_id
         next_id += 1
+    for shared in _BASIS_BLOCKS.values():
+        shared.extend([None] * (width - len(shared)))
     for q, bit in enumerate(bits):
-        if not assignment[q]:
-            blocks[next_id] = DensityBlock((q,), _BASIS_MATRICES[bit])
-            assignment[q] = next_id
-            next_id += 1
+        if assignment[q] is None:
+            shared = _BASIS_BLOCKS[bit]
+            block = shared[q]
+            if block is None:
+                block = shared[q] = DensityBlock((q,), _BASIS_MATRICES[bit])
+            q = block.labels[0]
+            blocks[q] = block
+            assignment[q] = q
     return BlockedState(width, assignment, blocks, next_id)
 
 
@@ -177,25 +276,31 @@ def advance(state: BlockedState, step: CircuitStep, p: int,
     the block's id when it has at most p qubits; otherwise install the parts
     `split(block)` returns, each under a fresh id."""
     out = state.copy()
-    block_id, *other = sorted({out.assignment[q] for q in step.targets})
-    block = out.blocks[block_id]
+    assignment, blocks = out.assignment, out.blocks
+    block_id, *other = sorted({assignment[q] for q in step.targets})
+    block = blocks[block_id]
     if other:
-        pair = (block, out.blocks.pop(other[0]))
+        pair = (block, blocks[other[0]])
+        out.set(blocks, other[0], _ABSENT)
+        for q in pair[1].labels:
+            out.set(assignment, q, block_id)
         block = kron_blocks(pair, sorted(pair[0].labels + pair[1].labels))
-        for q in block.labels:
-            out.assignment[q] = block_id
     block = conjugate_block(block, step.gate, step.targets)
     if len(block.labels) <= p:
-        out.blocks[block_id] = block
+        out.set(blocks, block_id, block)
     else:
-        del out.blocks[block_id]
+        out.set(blocks, block_id, _ABSENT)
         for part in split(block):
-            out.blocks[out.next_id] = part
+            # start_state and this check keep every block within p
+            if DEBUG_CHECKS:
+                assert len(part.labels) <= p
+            out.set(blocks, out.next_id, part)
             for q in part.labels:
-                out.assignment[q] = out.next_id
+                out.set(assignment, q, out.next_id)
             out.next_id += 1
-    if DEBUG_CHECKS:
-        assert out.max_block_size() <= p
+    # the log stays with `state` alone, so a result that is kept holds none
+    # of the blocks this step replaced
+    out._undo = None
     return out
 
 

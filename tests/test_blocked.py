@@ -1,6 +1,8 @@
 """Blocked engine: block bookkeeping, exact splits, oracle equivalence."""
 
+import gc
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -25,7 +27,7 @@ HALF = ExactScalar(Fraction(1, 2))
 class TestInit:
     def test_bits(self):
         state = init_blocked(Circuit(2, "01", ()))
-        assert state.assignment == [1, 2]
+        assert state.assignment == [0, 1]
         b0 = state.block_of(0)
         assert b0.matrix.at(0, 0) == ONE
         b1 = state.block_of(1)
@@ -34,7 +36,7 @@ class TestInit:
     def test_every_block_singleton(self):
         state = init_blocked(Circuit(4, "0110", ()))
         assert state.max_block_size() == 1
-        assert sorted(state.assignment) == [1, 2, 3, 4]
+        assert sorted(state.assignment) == [0, 1, 2, 3]
 
 
 class TestApply:
@@ -239,11 +241,26 @@ class TestRunBlocked:
 
 
 def test_cost_independent_of_width():
-    """Per-step cost at fixed p stays flat as n grows (same step count)."""
+    """Per-step cost at fixed p stays flat as n grows (same step count): a
+    step copies no per-qubit table and checks only the blocks it made."""
     times = {}
-    for n in (50, 100, 200):
+    for n in (50, 20000):
         c = gen_block_local(n, 2, 600, 17)
+        state = init_blocked(c)
         t0 = time.perf_counter()
-        run_blocked(c, 2)
+        for j, step in enumerate(c.steps):
+            state = apply_blocked(state, step, 2, j)
         times[n] = time.perf_counter() - t0
-    assert times[200] <= 2.0 * times[50] + 0.05
+    assert times[20000] <= 2.0 * times[50] + 0.05
+
+
+def test_run_loop_keeps_no_old_version():
+    """A version holds no reference to an older one, so a loop that drops
+    old versions frees them."""
+    c = gen_block_local(50, 2, 100, 3)
+    state = apply_blocked(init_blocked(c), c.steps[0], 2, 0)
+    early = weakref.ref(state)
+    for j, step in enumerate(c.steps[1:], 1):
+        state = apply_blocked(state, step, 2, j)
+    gc.collect()
+    assert early() is None

@@ -4,7 +4,8 @@ blocks land in label order and trace back to their factors, a block
 conjugated tile by tile equals F rho F^dagger with the full gate F, the dense
 blockedness decider agrees with brute-force enumeration, the blocked engine
 aborts exactly when a prefix state is not p-blocked and otherwise ends with
-the dense density, its split agrees with a brute-force search over products
+the dense density, every version of its run reads as its prefix state in
+any order, its split agrees with a brute-force search over products
 of marginals on pure, mixed and classically correlated factors, the float
 reference runs the dense engine's kernel to the same marginals, the approx
 engine's projection agrees with a brute-force search and, at epsilon 0 on
@@ -16,6 +17,7 @@ circuits that merge and split."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pblocksim.approx import (ApproxConfig, ErrorLedger, PerturbedCircuit,
@@ -317,6 +319,52 @@ def test_blocked_aborts_iff_a_prefix_is_not_p_blocked(circuit):
         assert not failing
         assert blocked.global_density().matrix == \
             density_from_statevector(states[-1].amps)
+
+
+# H on the first target, then CNOT: a Bell pair from any two basis qubits
+H_CNOT = GateDef("HCX", 2, mat_mul(LIBRARY["CNOT"].matrix,
+                                   kron(LIBRARY["H"].matrix,
+                                        LIBRARY["I"].matrix)))
+
+
+def _version(state):
+    """Everything a blocked state holds, by value."""
+    return (list(state.assignment), state.next_id,
+            sorted((i, b.labels, b.matrix.entries)
+                   for i, b in state.blocks.items()))
+
+
+@settings(PROPERTY, max_examples=40)
+@given(st.sampled_from([gen_block_local, gen_entangle_disentangle]),
+       st.integers(2, 8), st.integers(1, 3), st.integers(10, 60),
+       st.integers(0, 1 << 16), st.randoms(use_true_random=False))
+def test_every_version_reads_as_its_prefix(generate, width, p, steps, seed,
+                                           rng):
+    """Every version a run makes stays readable, in any order: read in
+    shuffled order, then newest first, and again after an advance from the
+    live version aborts midway, each equals the state a fresh run reaches
+    after the same prefix (read while it was the live version)."""
+    p = min(p, width)
+    circuit = generate(width, p, steps, seed)
+    want = [_version(init_blocked(circuit))]
+    state = init_blocked(circuit)
+    for j, step in enumerate(circuit.steps):
+        state = apply_blocked(state, step, p, j)
+        want.append(_version(state))
+
+    versions = [init_blocked(circuit)]
+    for j, step in enumerate(circuit.steps):
+        versions.append(apply_blocked(versions[-1], step, p, j))
+    order = list(range(len(versions)))
+    rng.shuffle(order)
+    for i in order + list(range(len(versions)))[::-1]:
+        assert _version(versions[i]) == want[i]
+    # the oldest version is live now: a Bell pair at p = 1 merges, writes,
+    # and then fails to split
+    with pytest.raises(PBlockError):
+        apply_blocked(versions[0], CircuitStep(H_CNOT, (0, 1)), 1)
+    for i in order:
+        assert _version(versions[i]) == want[i]
 
 
 def _correlated_density(qubits: int) -> ExactMatrix:
