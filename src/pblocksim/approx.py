@@ -203,8 +203,6 @@ def closest_product(block: DensityBlock, p: int
                 break  # an exact product: no later partition can replace it
     d, parts, candidate = best
     if DEBUG_CHECKS:
-        recheck = trace_norm_float(block.matrix.sub(candidate.matrix))
-        assert abs(recheck - d) <= 1e-9, "split residual self-check failed"
         for part in parts:
             assert mat_eq(partial_trace(candidate, part).matrix,
                           partial_trace(block, part).matrix), \
@@ -297,7 +295,7 @@ def simulate_perturbed_floats(pc: PerturbedCircuit) -> tuple[float, float]:
     amps = _float_basis(pc.width, pc.input_bits)
     for step in pc.steps:
         amps = _float_step(amps, pc.width, step)
-    mb = 1 << (pc.width - 1 - pc.measured_qubit)
+    mb = target_offsets(pc.width, (pc.measured_qubit,))[-1]
     p1 = sum(abs(a) ** 2 for i, a in enumerate(amps) if i & mb)
     p0 = sum(abs(a) ** 2 for i, a in enumerate(amps) if not i & mb)
     return p0, p1

@@ -3,10 +3,11 @@ test of whether a part splits off.
 
 - `splits_across` is the one factor test, shared by the blocked engine's
   split and the dense blockedness decider: a vector of exact values, keyed
-  by index, is rank one across the index bits in a mask and the other bits.  For a state vector that says the part splits
-  off; for a density read over flat indices row << k | col, with the
-  part's row and column bits both in the mask, it says the block is a
-  product over the part and the rest, pure or mixed.
+  by index, is rank one across the index bits in a mask and the other
+  bits.  For a state vector that says the part splits off; for a density
+  read over flat indices row << k | col, with the part's row and column
+  bits both in the mask, it says the block is a product over the part and
+  the rest, pure or mixed.
 - `partitions_max_part` enumerates every partition of a small label set
   into parts of size <= p, most-refined first: descending part count, then
   lexicographic on the sorted part contents.  The approx engine scores

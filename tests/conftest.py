@@ -7,7 +7,6 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import pblocksim.blocked
 import pblocksim.approx
-import pblocksim.stabilizer
 
 
 @pytest.fixture(autouse=True)
@@ -15,8 +14,6 @@ def _debug_checks():
     """Run every test with the engines' internal self-assertions switched on."""
     pblocksim.blocked.DEBUG_CHECKS = True
     pblocksim.approx.DEBUG_CHECKS = True
-    pblocksim.stabilizer.DEBUG_CHECKS = True
     yield
     pblocksim.blocked.DEBUG_CHECKS = False
     pblocksim.approx.DEBUG_CHECKS = False
-    pblocksim.stabilizer.DEBUG_CHECKS = False

@@ -173,15 +173,9 @@ def test_07_stabilizer_equivalence():
         if f0 not in (0.0, 0.5, 1.0):
             dyadic = False
     wide = random_clifford_circuit(CounterRng(708, "wide"), 60, 2000)
-    import pblocksim.stabilizer as stab_mod
-    saved = stab_mod.DEBUG_CHECKS
-    stab_mod.DEBUG_CHECKS = False  # timing a production-mode run
-    try:
-        wide_start = time.perf_counter()
-        run_stabilizer(wide)
-        wide_time = time.perf_counter() - wide_start
-    finally:
-        stab_mod.DEBUG_CHECKS = saved
+    wide_start = time.perf_counter()
+    run_stabilizer(wide)
+    wide_time = time.perf_counter() - wide_start
     elapsed = time.perf_counter() - started
     _verdict("07 stabilizer-equivalence",
              agree == 100 and dyadic and wide_time < 1.0 and elapsed < 120,
@@ -197,13 +191,7 @@ def test_08_entangled_yet_efficient():
         sv = dense_run(ghz_circuit(n))
         if dense_blockedness(sv, n - 1) is not None:
             ok = False
-    import pblocksim.stabilizer as stab_mod
-    saved = stab_mod.DEBUG_CHECKS
-    stab_mod.DEBUG_CHECKS = False
-    try:
-        dist = run_stabilizer(ghz_circuit(60))
-    finally:
-        stab_mod.DEBUG_CHECKS = saved
+    dist = run_stabilizer(ghz_circuit(60))
     half = ExactScalar(Fraction(1, 2))
     ok &= dist.p0 == half and dist.p1 == half
     elapsed = time.perf_counter() - started

@@ -149,8 +149,8 @@ class TestApproxRuns:
         state = init_blocked(ghz)
         for step in ghz.steps:
             state = approx_step(state, step, cfg, ledger)
-        # the scored partitions; any later call is the debug recheck
-        assert [round(d, 12) for d in norms[:4]] == [1.75, 1.5, 1.5, 1.5]
+        # the last merge's four partitions, each scored once, in order
+        assert [round(d, 12) for d in norms] == [1.75, 1.5, 1.5, 1.5]
         assert sorted(b.labels for b in state.blocks.values()) == \
             [(0,), (1, 2)]
         assert ledger.entries[-1].d == norms[1]
@@ -160,7 +160,7 @@ class TestApproxRuns:
                                                      debug_checks):
         """Bell pairs on (0, 2) and (1, 3), then SWAP 0 3: the merged
         block is a product over {0,1}{2,3}, the 8th of 10 partitions.  The
-        step scores exactly those 8, plus the debug recheck."""
+        step scores exactly those 8, with the debug checks on or off."""
         monkeypatch.setattr(pblocksim.approx, "DEBUG_CHECKS", debug_checks)
         true_norm = pblocksim.approx.trace_norm_float
         norms = []
@@ -187,7 +187,7 @@ class TestApproxRuns:
         assert (k, len(order)) == (8, 10)
         monkeypatch.setattr(pblocksim.approx, "trace_norm_float", counted)
         state = approx_step(state, c.steps[-1], cfg, ledger)
-        assert len(norms) == k + debug_checks
+        assert len(norms) == k
         assert norms[k - 1] == ledger.entries[-1].d == 0.0
         assert all(d > 0 for d in norms[:k - 1])
         assert sorted(state.block_of(q).labels for q in (0, 2)) == \

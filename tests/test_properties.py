@@ -34,7 +34,6 @@ from pblocksim.dense import dense_blockedness, dense_marginal, dense_run
 from pblocksim.exact import I_UNIT, MINUS_ONE, ONE, ZERO, ExactScalar
 from pblocksim.matrices import (DensityBlock, ExactMatrix, kron_blocks,
                                 mat_mul, partial_trace)
-from pblocksim import stabilizer
 from pblocksim.prng import CounterRng
 from pblocksim.stabilizer import (StabilizerTableau, tableau_apply,
                                   tableau_marginal)
@@ -632,6 +631,7 @@ def test_stabilizer_matches_dense_on_clifford_circuits(circuit):
     tableau = StabilizerTableau(circuit.width, circuit.input_bits)
     for step in circuit.steps:
         tableau = tableau_apply(tableau, step)
+    tableau.check_invariants()
     state = dense_run(circuit)
     for gen in tableau.generators:
         assert _pauli_fixes(gen, state.amps, circuit.width), gen
@@ -656,16 +656,11 @@ def test_blocked_matches_stabilizer_on_wide_clifford_circuits(width, p,
     state = init_blocked(circuit)
     tableau = StabilizerTableau(width, circuit.input_bits)
     splits = 0
-    # the tableau's own self-check is quadratic in the width: once, at the end
-    saved, stabilizer.DEBUG_CHECKS = stabilizer.DEBUG_CHECKS, False
-    try:
-        for j, step in enumerate(steps):
-            ids = {state.assignment[q] for q in step.targets}
-            splits += sum(len(state.blocks[i].labels) for i in ids) > p
-            state = apply_blocked(state, step, p, j)
-            tableau = tableau_apply(tableau, step)
-    finally:
-        stabilizer.DEBUG_CHECKS = saved
+    for j, step in enumerate(steps):
+        ids = {state.assignment[q] for q in step.targets}
+        splits += sum(len(state.blocks[i].labels) for i in ids) > p
+        state = apply_blocked(state, step, p, j)
+        tableau = tableau_apply(tableau, step)
     tableau.check_invariants()
     assert splits > 0
     for q in range(width):

@@ -84,12 +84,42 @@ class TestApply:
             assert tableau_apply(t, s) is t
         assert letters(t) == ["+XY", "-ZZ"]
 
-    def test_flipped_destabilizer_bit_is_caught(self):
+    @pytest.mark.parametrize("columns, bit, message", [
+        # destabilizer 0 gains X_1, so it anticommutes with generator 1 = Z_1
+        ("dxs", 0, "not dual"),
+        # generator 0 becomes XX, which anticommutes with generator 1 = Z_1
+        ("xs", 0, "do not commute"),
+    ], ids=["destabilizer", "generator"])
+    def test_flipped_bit_is_caught(self, columns, bit, message):
         t = tableau_apply(StabilizerTableau(2, "00"), step("H", 0))
         t.check_invariants()
-        t.dxs[1] ^= 1
-        with pytest.raises(ValueError, match="not dual"):
+        getattr(t, columns)[1] ^= 1 << bit
+        with pytest.raises(ValueError, match=message):
             t.check_invariants()
+
+    def test_fault_mid_run_is_caught_at_the_end(self):
+        """An H whose table maps Z to I, not symplectic, at several points
+        of a run, each followed by at least 30 correct gates: a correct
+        update keeps both invariants as they are, so the one check at the
+        end still sees the fault.  The same run with the real H passes."""
+        bad_h = GateDef("H", 1, LIBRARY["H"].matrix)
+        bad_h._clifford_table = (((1, (0,)),), ())
+        rng = CounterRng(64, "fault")
+        c = random_clifford_circuit(rng, 6, 80)
+        for pos in (0, 10, 25, 40, 50):
+            target = (rng.randrange(6),)
+            for gate, faulty in ((bad_h, True), (LIBRARY["H"], False)):
+                steps = list(c.steps)
+                steps.insert(pos, CircuitStep(gate, target))
+                assert len(steps) - pos - 1 >= 30
+                t = StabilizerTableau(c.width, c.input_bits)
+                for s in steps:
+                    t = tableau_apply(t, s)
+                if faulty:
+                    with pytest.raises(ValueError):
+                        t.check_invariants()
+                else:
+                    t.check_invariants()
 
     def test_t_gate_rejected(self):
         with pytest.raises(NonCliffordGate):
@@ -132,6 +162,7 @@ class TestApply:
                 t = StabilizerTableau(2, "00")
                 for s in c.steps:
                     t = tableau_apply(t, s)
+                t.check_invariants()
                 for q in range(2):
                     want = dense_marginal(sv, q)
                     got = tableau_marginal(t, q)
@@ -154,6 +185,7 @@ class TestMarginal:
         t = StabilizerTableau(10, "0" * 10)
         for s in c.steps:
             t = tableau_apply(t, s)
+        t.check_invariants()
         assert tableau_marginal(t, 0).exact_eq(want)
 
     def test_deterministic_after_disentangling(self):
@@ -196,6 +228,7 @@ class TestRunStabilizer:
             t = StabilizerTableau(c.width, c.input_bits)
             for s in c.steps:
                 t = tableau_apply(t, s)
+            t.check_invariants()
             for q in range(n):
                 got = tableau_marginal(t, q)
                 assert got.exact_eq(dense_marginal(sv, q))
@@ -203,16 +236,11 @@ class TestRunStabilizer:
                 assert f0 in (0.0, 0.5, 1.0)
 
     def test_wide_circuit_fast(self):
-        import pblocksim.stabilizer as stab_mod
         rng = CounterRng(63, "wide")
         c = random_clifford_circuit(rng, 60, 2000)
-        stab_mod.DEBUG_CHECKS = False  # timing a production-mode run
-        try:
-            t0 = time.perf_counter()
-            dist = run_stabilizer(c)
-            assert time.perf_counter() - t0 < 1.0
-        finally:
-            stab_mod.DEBUG_CHECKS = True
+        t0 = time.perf_counter()
+        dist = run_stabilizer(c)
+        assert time.perf_counter() - t0 < 1.0
         f0, f1 = dist.floats()
         assert abs(f0 + f1 - 1.0) < 1e-12
 
