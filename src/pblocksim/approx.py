@@ -296,8 +296,10 @@ def simulate_perturbed_floats(pc: PerturbedCircuit) -> tuple[float, float]:
     for step in pc.steps:
         amps = _float_step(amps, pc.width, step)
     mb = target_offsets(pc.width, (pc.measured_qubit,))[-1]
-    p1 = sum(abs(a) ** 2 for i, a in enumerate(amps) if i & mb)
-    p0 = sum(abs(a) ** 2 for i, a in enumerate(amps) if not i & mb)
+    # fsum is correctly rounded, so the result is the same on every Python
+    # (a plain sum of floats is compensated since 3.12 and naive before)
+    p1 = math.fsum(abs(a) ** 2 for i, a in enumerate(amps) if i & mb)
+    p0 = math.fsum(abs(a) ** 2 for i, a in enumerate(amps) if not i & mb)
     return p0, p1
 
 

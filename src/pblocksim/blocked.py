@@ -1,14 +1,16 @@
 """Exact simulator for circuits whose states stay p-blocked.
 
-The state is a qubit->block assignment plus one exact density matrix per
-block, kept as persistent versions whose copy is O(1), so cost per step
-depends on p, never on the circuit width.  A gate inside one block
-conjugates that block; a gate straddling two blocks merges them first, and
-a merged block larger than p must re-split exactly into parts of size <= p
-or the run aborts with PBlockError: the hypothesis that every intermediate
-state is p-blocked is an input contract, not something this engine can
-repair.  `advance` is the one state transition; `approx` runs it with its
-closest projection in place of the exact split.
+The state is what Jozsa and Linden's definition names: a partition of the
+qubits into blocks of at most p, each with its own exact density matrix,
+stored as one list whose entry for qubit q is the block that holds q.  It is
+kept as persistent versions whose copy is O(1), so cost per step depends on
+p, never on the circuit width.  A gate inside one block conjugates that
+block; a gate straddling two blocks merges them first, and a merged block
+larger than p must re-split exactly into parts of size <= p or the run
+aborts with PBlockError: the hypothesis that every intermediate state is
+p-blocked is an input contract, not something this engine can repair.
+`advance` is the one state transition; `approx` runs it with its closest
+projection in place of the exact split.
 
 Blocks are stored as density matrices even when pure; mixed per-block inputs
 (`inputblock` in the circuit format) run through the same code path.  A gate
@@ -22,15 +24,11 @@ blocks split the same way.
 from __future__ import annotations
 
 from .exact import ZERO, ONE
-from .matrices import (ExactMatrix, DensityBlock, mat_mul, mat_eq,
-                       kron_blocks, partial_trace, product_over_partition,
-                       target_offsets)
+from .matrices import (ExactMatrix, DensityBlock, mat_mul, kron_blocks,
+                       partial_trace, target_offsets)
 from .circuits import Circuit, CircuitStep, GateDef
 from .partitions import partitions_max_part, splits_across
 from .sampling import OutcomeDistribution
-
-# extra exact self-checks inside the engines (tests switch this on)
-DEBUG_CHECKS = False
 
 
 class PBlockError(Exception):
@@ -42,52 +40,43 @@ class PBlockError(Exception):
             f"step {step_index}: block {self.qubits} {diagnostic}")
 
 
-# the value a log records for a dict key that was not there: undoing a
-# write of it deletes the key, undoing a delete re-inserts the old value
-_ABSENT = object()
-
-
 class BlockedState:
-    """One version of a blocked state.  Versions are persistent and copy()
-    is O(1), whatever the width (Baker's shallow binding, rerooted as in
-    Conchon and Filliatre's persistent arrays): every version of one run
-    shares one assignment list and one blocks dict, which hold the live
-    version's contents.  copy() hands them to the new version; the old one
-    keeps a pointer to it and a log, filled by `set`, of the values the new
-    version overwrites.  Reading `assignment` or `blocks` on an old version
-    reroots: it walks to the live version and undoes each log on the way
-    back, turning each into the log that redoes it.  A version never points
-    to an older one until such a read, so a loop that drops old versions
-    frees them and never reroots.
+    """One version of a blocked state: `assignment[q]` is the block that
+    holds qubit q, so a block's qubits all hold the same DensityBlock, which
+    hashes by identity.  Versions are persistent and copy() is O(1),
+    whatever the width (Baker's shallow binding, rerooted as in Conchon and
+    Filliatre's persistent arrays): every version of one run shares one
+    assignment list, which holds the live version's contents.  copy() hands
+    it to the new version; the old one keeps a pointer to it and a log of
+    the (qubit, block) entries the new version overwrote.  Reading
+    `assignment` on an old version reroots: it walks to the live version and
+    swaps each log's entries back on the way, which turns each into the log
+    that redoes it.  A version never points to an older one until such a
+    read, so a loop that drops old versions frees them and never reroots.
 
-    Known limits: a caller that holds the `blocks` dict or the `assignment`
-    list across a read of another version sees it change, reading an old
-    version costs time in proportion to the steps since it, and the
-    versions of one run are read from one thread at a time."""
-    __slots__ = ("width", "next_id", "_assignment", "_blocks", "_next",
-                 "_log", "_undo", "__weakref__")
+    Known limits: a caller that holds the `assignment` list across a read of
+    another version sees it change, reading an old version costs time in
+    proportion to the steps since it, and the versions of one run are read
+    from one thread at a time."""
+    __slots__ = ("width", "_assignment", "_next", "_log", "__weakref__")
 
-    def __init__(self, width: int, assignment: list[int],
-                 blocks: dict[int, DensityBlock], next_id: int):
+    def __init__(self, width: int, assignment: list[DensityBlock]):
         self.width = width
-        self.next_id = next_id
         self._assignment = assignment
-        self._blocks = blocks
         self._next = None   # the newer version, while this one is stale
         self._log = None    # what turns _next's contents into this one's
-        self._undo = None   # where `set` logs while `advance` writes
 
     @property
-    def assignment(self) -> list[int]:
+    def assignment(self) -> list[DensityBlock]:
         if self._next is not None:
             self._reroot()
         return self._assignment
 
     @property
-    def blocks(self) -> dict[int, DensityBlock]:
-        if self._next is not None:
-            self._reroot()
-        return self._blocks
+    def blocks(self) -> dict[DensityBlock, DensityBlock]:
+        """Each block once, keyed by itself, so that
+        blocks[assignment[q]] is q's block; O(width) to build."""
+        return {b: b for b in self.assignment}
 
     def _reroot(self):
         """Make this version the live one."""
@@ -98,64 +87,43 @@ class BlockedState:
             version = version._next
         for version in reversed(path):
             newer, log = version._next, version._log
-            _revert(log)
+            # swap the log's (qubit, block) entries with the list's: that
+            # undoes the newer version's writes and leaves in the log the
+            # ones that redo them (a log names each qubit once, so its order
+            # does not matter)
+            assignment = version._assignment
+            for i, (q, block) in enumerate(log):
+                log[i] = (q, assignment[q])
+                assignment[q] = block
             newer._next, newer._log = version, log
             version._next = version._log = None
 
-    def copy(self) -> "BlockedState":
-        """A new version that takes over the live contents; writes to it go
-        through `set`, which logs them here."""
-        if self._next is not None:
-            self._reroot()
-        new = BlockedState(self.width, self._assignment, self._blocks,
-                           self.next_id)
-        self._next = new
-        self._log = new._undo = []
+    def copy(self, parts) -> "BlockedState":
+        """A new version in which each part's qubits hold that part; the
+        entries it overwrites are logged here, with this version."""
+        assignment = self.assignment
+        log = []
+        for part in parts:
+            for q in part.labels:
+                log.append((q, assignment[q]))
+                assignment[q] = part
+        new = BlockedState(self.width, assignment)
+        self._next, self._log = new, log
         return new
 
-    def set(self, table, key, value):
-        """table[key] = value on this version, `table` being its assignment
-        or its blocks; _ABSENT deletes a key."""
-        if self._next is not None:
-            self._reroot()
-        _write(table, key, value, self._undo)
-
     def block_of(self, qubit: int) -> DensityBlock:
-        return self.blocks[self.assignment[qubit]]
+        return self.assignment[qubit]
 
     def max_block_size(self) -> int:
-        return max(len(b.labels) for b in self.blocks.values())
+        return max(len(b.labels) for b in self.assignment)
 
     def global_density(self) -> DensityBlock:
         """kron of all blocks in ascending qubit order (small widths only)."""
-        return kron_blocks(self.blocks.values(), range(self.width))
+        return kron_blocks(self.blocks, range(self.width))
 
     def digit_count(self) -> int:
-        return max(e.digit_count() for b in self.blocks.values()
+        return max(e.digit_count() for b in self.blocks
                    for e in b.matrix.entries)
-
-
-def _write(table, key, value, log):
-    """table[key] = value (a delete for _ABSENT), appending (table, key,
-    old value) to the log."""
-    try:
-        old = table[key]
-    except KeyError:
-        old = _ABSENT
-    log.append((table, key, old))
-    if value is _ABSENT:
-        del table[key]
-    else:
-        table[key] = value
-
-
-def _revert(log):
-    """Undo the log's writes, last first, and make it, in place, the log
-    that redoes them: the same list again undoes the undo."""
-    entries = log[::-1]
-    log.clear()
-    for table, key, old in entries:
-        _write(table, key, old, log)
 
 
 # |0><0| and |1><1|, shared by every single-qubit start block (no code
@@ -171,31 +139,23 @@ _BASIS_BLOCKS = {"0": [], "1": []}
 
 def init_blocked(circuit: Circuit) -> BlockedState:
     """The circuit's start state: its input blocks, and |b><b| for each
-    other qubit.  A qubit's own block has the qubit as its id, the very int
-    its shared block holds; input blocks, and every block made later, have
-    ids from the width up."""
+    other qubit."""
     bits = circuit.input_bits
     width = len(bits)
     assignment = [None] * width
-    blocks: dict[int, DensityBlock] = {}
-    next_id = width
     for blk in circuit.input_blocks:
-        blocks[next_id] = DensityBlock(blk.labels, blk.matrix)
+        block = DensityBlock(blk.labels, blk.matrix)
         for q in blk.labels:
-            assignment[q] = next_id
-        next_id += 1
+            assignment[q] = block
     for shared in _BASIS_BLOCKS.values():
         shared.extend([None] * (width - len(shared)))
     for q, bit in enumerate(bits):
         if assignment[q] is None:
             shared = _BASIS_BLOCKS[bit]
-            block = shared[q]
-            if block is None:
-                block = shared[q] = DensityBlock((q,), _BASIS_MATRICES[bit])
-            q = block.labels[0]
-            blocks[q] = block
-            assignment[q] = q
-    return BlockedState(width, assignment, blocks, next_id)
+            if shared[q] is None:
+                shared[q] = DensityBlock((q,), _BASIS_MATRICES[bit])
+            assignment[q] = shared[q]
+    return BlockedState(width, assignment)
 
 
 def conjugate_block(block: DensityBlock, gate: GateDef,
@@ -259,12 +219,7 @@ def split_exact(block: DensityBlock, p: int,
         if len(parts) == 1:
             return [block]
         if all(splits_off(part) for part in parts):
-            result = [partial_trace(block, part) for part in parts]
-            if DEBUG_CHECKS:
-                assembled = product_over_partition(labels, result)
-                assert mat_eq(assembled.matrix, block.matrix), \
-                    "split product mismatch"
-            return result
+            return [partial_trace(block, part) for part in parts]
     raise PBlockError(step_index, labels,
                       f"does not factor into parts of size <= {p}")
 
@@ -272,36 +227,16 @@ def split_exact(block: DensityBlock, p: int,
 def advance(state: BlockedState, step: CircuitStep, p: int,
             split) -> BlockedState:
     """One gate on a copy of the state, the only change a blocked state
-    ever sees: merge the two blocks the gate straddles, conjugate, and keep
-    the block's id when it has at most p qubits; otherwise install the parts
-    `split(block)` returns, each under a fresh id."""
-    out = state.copy()
-    assignment, blocks = out.assignment, out.blocks
-    block_id, *other = sorted({assignment[q] for q in step.targets})
-    block = blocks[block_id]
-    if other:
-        pair = (block, blocks[other[0]])
-        out.set(blocks, other[0], _ABSENT)
-        for q in pair[1].labels:
-            out.set(assignment, q, block_id)
-        block = kron_blocks(pair, sorted(pair[0].labels + pair[1].labels))
+    ever sees: merge the blocks the gate straddles, conjugate, and install
+    the block itself when it has at most p qubits, otherwise the parts
+    `split(block)` returns.  Nothing is written before the split, so a split
+    that raises leaves no new version."""
+    assignment = state.assignment
+    touched = list(dict.fromkeys(assignment[q] for q in step.targets))
+    block = touched[0] if len(touched) == 1 else \
+        kron_blocks(touched, sorted(q for b in touched for q in b.labels))
     block = conjugate_block(block, step.gate, step.targets)
-    if len(block.labels) <= p:
-        out.set(blocks, block_id, block)
-    else:
-        out.set(blocks, block_id, _ABSENT)
-        for part in split(block):
-            # start_state and this check keep every block within p
-            if DEBUG_CHECKS:
-                assert len(part.labels) <= p
-            out.set(blocks, out.next_id, part)
-            for q in part.labels:
-                out.set(assignment, q, out.next_id)
-            out.next_id += 1
-    # the log stays with `state` alone, so a result that is kept holds none
-    # of the blocks this step replaced
-    out._undo = None
-    return out
+    return state.copy([block] if len(block.labels) <= p else split(block))
 
 
 def apply_blocked(state: BlockedState, step: CircuitStep, p: int,

@@ -5,15 +5,12 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-import pblocksim.blocked
 import pblocksim.approx
 
 
 @pytest.fixture(autouse=True)
 def _debug_checks():
-    """Run every test with the engines' internal self-assertions switched on."""
-    pblocksim.blocked.DEBUG_CHECKS = True
+    """Run every test with the approx engine's self-assertions switched on."""
     pblocksim.approx.DEBUG_CHECKS = True
     yield
-    pblocksim.blocked.DEBUG_CHECKS = False
     pblocksim.approx.DEBUG_CHECKS = False

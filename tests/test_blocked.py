@@ -12,8 +12,9 @@ from pblocksim.matrices import DensityBlock, mat_eq, partial_trace
 from pblocksim.circuits import (Circuit, CircuitStep, LIBRARY, parse_circuit,
                                 gen_block_local, gen_entangle_disentangle)
 from pblocksim.dense import dense_run, dense_marginal
-from pblocksim.blocked import (PBlockError, init_blocked, apply_blocked,
-                               split_exact, run_blocked, run_blocked_full)
+from pblocksim.blocked import (BlockedState, PBlockError, init_blocked,
+                               apply_blocked, split_exact, run_blocked,
+                               run_blocked_full)
 from pblocksim.prng import CounterRng
 
 from helpers import (OUT_OF_ORDER_INPUTS, classical_bits,
@@ -27,7 +28,7 @@ HALF = ExactScalar(Fraction(1, 2))
 class TestInit:
     def test_bits(self):
         state = init_blocked(Circuit(2, "01", ()))
-        assert state.assignment == [0, 1]
+        assert [b.labels for b in state.assignment] == [(0,), (1,)]
         b0 = state.block_of(0)
         assert b0.matrix.at(0, 0) == ONE
         b1 = state.block_of(1)
@@ -36,7 +37,7 @@ class TestInit:
     def test_every_block_singleton(self):
         state = init_blocked(Circuit(4, "0110", ()))
         assert state.max_block_size() == 1
-        assert sorted(state.assignment) == [0, 1, 2, 3]
+        assert [b.labels for b in state.assignment] == [(0,), (1,), (2,), (3,)]
 
 
 class TestApply:
@@ -44,10 +45,11 @@ class TestApply:
         state = init_blocked(Circuit(2, "00", ()))
         state = apply_blocked(state, CircuitStep(LIBRARY["H"], (0,)), 2)
         state = apply_blocked(state, CircuitStep(LIBRARY["CNOT"], (0, 1)), 2)
-        assignment_after_merge = list(state.assignment)
-        # CNOT again: both targets already share a block, assignment unchanged
+        assert state.block_of(0) is state.block_of(1)
+        # CNOT again: both targets already share a block, which stays whole
         state = apply_blocked(state, CircuitStep(LIBRARY["CNOT"], (0, 1)), 2)
-        assert state.assignment == assignment_after_merge
+        assert state.block_of(0) is state.block_of(1)
+        assert state.block_of(0).labels == (0, 1)
 
     def test_case2_merges_to_bell(self):
         state = init_blocked(Circuit(2, "01", ()))
@@ -67,6 +69,28 @@ class TestApply:
         with pytest.raises(PBlockError):
             apply_blocked(state, CircuitStep(LIBRARY["CNOT"], (0, 1)), 1,
                           step_index=1)
+
+    def test_failed_split_makes_no_copy(self, monkeypatch):
+        """H then CNOT at p = 1: the CNOT's Bell pair does not split, and
+        the step raises before it makes a version, so the state it started
+        from still reads as before."""
+        copies = []
+        copy = BlockedState.copy
+
+        def counted(*args):
+            copies.append(args)
+            return copy(*args)
+
+        monkeypatch.setattr(BlockedState, "copy", counted)
+        state = init_blocked(Circuit(2, "00", ()))
+        state = apply_blocked(state, CircuitStep(LIBRARY["H"], (0,)), 1)
+        blocks = [state.block_of(q) for q in (0, 1)]
+        before = [(b.labels, b.matrix.entries) for b in blocks]
+        with pytest.raises(PBlockError):
+            apply_blocked(state, CircuitStep(LIBRARY["CNOT"], (0, 1)), 1)
+        assert len(copies) == 1
+        assert [state.block_of(q) for q in (0, 1)] == blocks
+        assert [(b.labels, b.matrix.entries) for b in blocks] == before
 
 
 class TestSplitExact:
@@ -242,7 +266,8 @@ class TestRunBlocked:
 
 def test_cost_independent_of_width():
     """Per-step cost at fixed p stays flat as n grows (same step count): a
-    step copies no per-qubit table and checks only the blocks it made."""
+    step copies no per-qubit table and writes only the entries of the qubits
+    whose block it replaced."""
     times = {}
     for n in (50, 20000):
         c = gen_block_local(n, 2, 600, 17)

@@ -316,6 +316,7 @@ def test_blocked_aborts_iff_a_prefix_is_not_p_blocked(circuit):
             assert failing and err.step_index == failing[0]
             continue
         assert not failing
+        assert blocked.max_block_size() <= p
         assert blocked.global_density().matrix == \
             density_from_statevector(states[-1].amps)
 
@@ -327,10 +328,8 @@ H_CNOT = GateDef("HCX", 2, mat_mul(LIBRARY["CNOT"].matrix,
 
 
 def _version(state):
-    """Everything a blocked state holds, by value."""
-    return (list(state.assignment), state.next_id,
-            sorted((i, b.labels, b.matrix.entries)
-                   for i, b in state.blocks.items()))
+    """Everything a blocked state holds, by value: each qubit's block."""
+    return [(b.labels, b.matrix.entries) for b in state.assignment]
 
 
 @settings(PROPERTY, max_examples=40)
@@ -358,6 +357,7 @@ def test_every_version_reads_as_its_prefix(generate, width, p, steps, seed,
     rng.shuffle(order)
     for i in order + list(range(len(versions)))[::-1]:
         assert _version(versions[i]) == want[i]
+        assert versions[i].max_block_size() <= p
     # the oldest version is live now: a Bell pair at p = 1 merges, writes,
     # and then fails to split
     with pytest.raises(PBlockError):
@@ -483,13 +483,21 @@ def merging_steps(draw):
     order = draw(st.permutations(range(width)))
     cut = draw(st.integers(1, width - 1))
     first, second = tuple(order[:cut]), tuple(order[cut:])
-    blocks = {1: draw(block_states(first)), 2: draw(block_states(second))}
-    assignment = [1 if q in first else 2 for q in range(width)]
+    blocks = [draw(block_states(first)), draw(block_states(second))]
     targets = (draw(st.sampled_from(first)), draw(st.sampled_from(second)))
     if draw(st.booleans()):
         targets = targets[::-1]
     step = CircuitStep(draw(st.sampled_from(GATES_2)), targets)
-    return BlockedState(width, assignment, blocks, 3), step, p
+    return _blocked_state(width, blocks), step, p
+
+
+def _blocked_state(width, blocks) -> BlockedState:
+    """The state whose blocks, which cover the qubits, are `blocks`."""
+    assignment = [None] * width
+    for block in blocks:
+        for q in block.labels:
+            assignment[q] = block
+    return BlockedState(width, assignment)
 
 
 def _prepared(labels, gates) -> DensityBlock:
@@ -505,30 +513,30 @@ def _prepared(labels, gates) -> DensityBlock:
 
 def _mixed_merge(p):
     """A mixed 3-qubit block and a mixed qubit, merged into 4 qubits."""
-    return (BlockedState(4, [1, 2, 1, 1], {
-        1: DensityBlock((2, 0, 3), random_mixed_density(
+    return (_blocked_state(4, [
+        DensityBlock((2, 0, 3), random_mixed_density(
             CounterRng(1, "mixed merge"), 3).matrix),
-        2: DensityBlock((1,), random_mixed_density(
-            CounterRng(2, "mixed merge"), 1).matrix)}, 3),
+        DensityBlock((1,), random_mixed_density(
+            CounterRng(2, "mixed merge"), 1).matrix)]),
         CircuitStep(LIBRARY["CNOT"], (1, 3)), p)
 
 
 # entangled 2- and 3-qubit blocks with T phases, merged at p = 2 into a
 # dense 5-qubit block
-FIVE_QUBIT_MERGE = (BlockedState(5, [1, 2, 1, 2, 2], {
-    1: _prepared((0, 2), [("H", (0,)), ("CNOT", (0, 2)), ("H", (2,)),
-                          ("T", (2,))]),
-    2: _prepared((1, 3, 4), [("H", (1,)), ("CNOT", (1, 3)), ("H", (4,)),
-                             ("T", (4,)), ("CNOT", (4, 3)), ("S", (1,)),
-                             ("H", (3,))])}, 3),
+FIVE_QUBIT_MERGE = (_blocked_state(5, [
+    _prepared((0, 2), [("H", (0,)), ("CNOT", (0, 2)), ("H", (2,)),
+                       ("T", (2,))]),
+    _prepared((1, 3, 4), [("H", (1,)), ("CNOT", (1, 3)), ("H", (4,)),
+                          ("T", (4,)), ("CNOT", (4, 3)), ("S", (1,)),
+                          ("H", (3,))])]),
     CircuitStep(LIBRARY["CNOT"], (2, 4)), 2)
 
 
 # Bell pairs on (0, 2) and (1, 3), swapped by SWAP 0 3 into a product over
 # {0,1}{2,3}: seven inexact partitions come first, two follow unscored
-SWAPPED_PAIRS = (BlockedState(4, [1, 2, 1, 2], {
-    1: _prepared((0, 2), [("H", (0,)), ("CNOT", (0, 2))]),
-    2: _prepared((1, 3), [("H", (1,)), ("CNOT", (1, 3))])}, 3),
+SWAPPED_PAIRS = (_blocked_state(4, [
+    _prepared((0, 2), [("H", (0,)), ("CNOT", (0, 2))]),
+    _prepared((1, 3), [("H", (1,)), ("CNOT", (1, 3))])]),
     CircuitStep(LIBRARY["SWAP"], (0, 3)), 2)
 
 
@@ -657,8 +665,8 @@ def test_blocked_matches_stabilizer_on_wide_clifford_circuits(width, p,
     tableau = StabilizerTableau(width, circuit.input_bits)
     splits = 0
     for j, step in enumerate(steps):
-        ids = {state.assignment[q] for q in step.targets}
-        splits += sum(len(state.blocks[i].labels) for i in ids) > p
+        touched = {state.block_of(q) for q in step.targets}
+        splits += sum(len(b.labels) for b in touched) > p
         state = apply_blocked(state, step, p, j)
         tableau = tableau_apply(tableau, step)
     tableau.check_invariants()
