@@ -40,12 +40,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .matrices import (DensityBlock, ExactMatrix, mat_eq, partial_trace,
-                       trace_norm_float, product_over_partition,
-                       target_offsets)
+from .matrices import (DensityBlock, ExactMatrix, mat_eq, nonzero_map,
+                       partial_trace, reduced_state, trace_norm_float,
+                       product_over_partition, target_offsets)
 from .circuits import (CircuitStep, GateDef, LIBRARY, gen_block_local,
                        _fixed_cells)
-from .partitions import partitions_max_part
+from .partitions import partitions_max_part, rank_positions
 from .blocked import (BlockedState, advance, measurement_marginal,
                       start_state)
 from .dense import apply_rows
@@ -187,15 +187,21 @@ def nearest_exact_gate(rotation: Rotation) -> GateDef:
 def closest_product(block: DensityBlock, p: int
                     ) -> tuple[float, list[DensityBlock]]:
     """Trace-norm distance from a block to its closest product over parts
-    <= p, and the parts' exact reduced states, each traced once."""
+    <= p, and the parts' exact reduced states, each traced once from one
+    nonzero map of the block.  The candidates are the shared partitions of
+    ranks, rank r standing for the r-th smallest label."""
+    labels = block.labels
+    nonzeros = nonzero_map(block.matrix)
+    positions = rank_positions(labels)
     reduced: dict[tuple, DensityBlock] = {}
     best = None
-    for parts in partitions_max_part(block.labels, p):
+    for parts in partitions_max_part(len(labels), p):
         for part in parts:
             if part not in reduced:
-                reduced[part] = partial_trace(block, part)
+                reduced[part] = reduced_state(
+                    labels, nonzeros, [positions[r] for r in part])
         candidate = product_over_partition(
-            block.labels, [reduced[part] for part in parts])
+            labels, [reduced[part] for part in parts])
         dist = trace_norm_float(block.matrix.sub(candidate.matrix))
         if best is None or dist < best[0] * (1 - TIE_RTOL):
             best = (dist, parts, candidate)
@@ -204,9 +210,9 @@ def closest_product(block: DensityBlock, p: int
     d, parts, candidate = best
     if DEBUG_CHECKS:
         for part in parts:
-            assert mat_eq(partial_trace(candidate, part).matrix,
-                          partial_trace(block, part).matrix), \
-                "projection changed a part marginal"
+            kept = reduced[part]
+            assert mat_eq(partial_trace(candidate, kept.labels).matrix,
+                          kept.matrix), "projection changed a part marginal"
     return d, [reduced[part] for part in parts]
 
 

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 from .exact import ZERO, ONE
 from .matrices import (ExactMatrix, DensityBlock, mat_mul, kron_blocks,
-                       partial_trace, target_offsets)
+                       nonzero_map, partial_trace, reduced_state,
+                       target_offsets)
 from .circuits import Circuit, CircuitStep, GateDef
-from .partitions import partitions_max_part, splits_across
+from .partitions import partitions_max_part, rank_positions, splits_across
 from .sampling import OutcomeDistribution
 
 
@@ -201,25 +202,29 @@ def split_exact(block: DensityBlock, p: int,
     of its two reduced states.  Product bipartitions are closed under meet,
     so a partition reproduces the block iff each of its parts splits off;
     candidates are tried most-refined first, each part's verdict computed
-    once.  Raises PBlockError when no partition reproduces the block."""
+    once.  One nonzero map of the block serves every factor test and the
+    reduced state of every part kept, and the candidates are the shared
+    partitions of ranks, rank r standing for the r-th smallest label.
+    Raises PBlockError when no partition reproduces the block."""
     labels = block.labels
     k = len(labels)
-    # most zero entries are the shared ZERO, which `is` skips without a call
-    nonzeros = {e: x for e, x in enumerate(block.matrix.entries)
-                if x is not ZERO and not x.is_zero()}
+    nonzeros = nonzero_map(block.matrix)
+    positions = rank_positions(labels)
     verdicts: dict[tuple, bool] = {}
 
     def splits_off(part):
         if part not in verdicts:
-            m = target_offsets(k, [labels.index(q) for q in part])[-1]
+            m = target_offsets(k, [positions[r] for r in part])[-1]
             verdicts[part] = splits_across(nonzeros, m << k | m)
         return verdicts[part]
 
-    for parts in partitions_max_part(labels, p):
+    for parts in partitions_max_part(k, p):
         if len(parts) == 1:
             return [block]
         if all(splits_off(part) for part in parts):
-            return [partial_trace(block, part) for part in parts]
+            return [reduced_state(labels, nonzeros,
+                                  [positions[r] for r in part])
+                    for part in parts]
     raise PBlockError(step_index, labels,
                       f"does not factor into parts of size <= {p}")
 

@@ -9,7 +9,9 @@ only numeric kernel is a phase followed by a real 2x2 rotation.
 index onto bit positions (partial traces, the tiles a gate conjugates in a
 block, the dense engine's gate kernel) takes its offsets from it.
 `kron_blocks` uses it to lay each block's entries straight into the
-requested label order.
+requested label order.  `reduced_state` is the one partial-trace loop; it
+reads a block's `nonzero_map`, which a split builds once per merged block
+and shares between its factor tests and the reduced states of its parts.
 """
 
 from __future__ import annotations
@@ -244,34 +246,49 @@ def target_offsets(width: int, positions) -> list[int]:
     return offsets
 
 
+def nonzero_map(matrix: ExactMatrix) -> dict[int, ExactScalar]:
+    """Each nonzero entry keyed by its flat index row * cols + col, which for
+    a 2^k x 2^k density is row << k | col."""
+    # most zero entries are the shared ZERO, which `is` skips without a call
+    return {e: x for e, x in enumerate(matrix.entries)
+            if x is not ZERO and not x.is_zero()}
+
+
+def reduced_state(labels, nonzeros: dict[int, ExactScalar],
+                  positions) -> DensityBlock:
+    """Exact reduced state on the labels at `positions` of a block over
+    `labels`, in the block's order, from the block's `nonzero_map`.  A term
+    row << k | col adds to the reduced entry of its kept bits only when its
+    traced-out row and column bits agree, so each entry sums only its
+    nonzero terms."""
+    k = len(labels)
+    positions = sorted(positions)
+    kept_masks = target_offsets(k, positions)
+    local = {m: r for r, m in enumerate(kept_masks)}
+    kept = kept_masks[-1]
+    bits = (1 << k) - 1
+    traced_out = bits & ~kept
+    dim_out = len(kept_masks)
+    out = [ZERO] * (dim_out * dim_out)
+    for e, x in nonzeros.items():
+        row, col = e >> k, e & bits
+        if not (row ^ col) & traced_out:
+            i = local[row & kept] * dim_out + local[col & kept]
+            out[i] = out[i] + x
+    return DensityBlock([labels[p] for p in positions],
+                        ExactMatrix(dim_out, dim_out, out))
+
+
 def partial_trace(rho: DensityBlock, keep) -> DensityBlock:
-    """Exact reduced state on the kept labels (original order preserved);
-    each entry sums only the nonzero terms of its trace."""
+    """Exact reduced state on the kept labels (original order preserved)."""
     keep = tuple(keep)
     if not keep:
         raise LabelNotInBlock("keep set must be nonempty")
     for label in keep:
         if label not in rho.labels:
             raise LabelNotInBlock(f"label {label} not in block {rho.labels}")
-    kept = tuple(l for l in rho.labels if l in set(keep))
-    k = len(rho.labels)
-    kept_pos = [rho.labels.index(l) for l in kept]
-    other_pos = [p for p in range(k) if p not in kept_pos]
-    dim_out = 1 << len(kept_pos)
-    out = [ZERO] * (dim_out * dim_out)
-    dim = 1 << k
-    entries = rho.matrix.entries
-    kept_masks = target_offsets(k, kept_pos)
-    other_masks = target_offsets(k, other_pos)
-    for r in range(dim_out):
-        for s in range(dim_out):
-            acc = ZERO
-            for om in other_masks:
-                x = entries[(kept_masks[r] | om) * dim + (kept_masks[s] | om)]
-                if x is not ZERO and not x.is_zero():
-                    acc = acc + x
-            out[r * dim_out + s] = acc
-    return DensityBlock(kept, ExactMatrix(dim_out, dim_out, out))
+    return reduced_state(rho.labels, nonzero_map(rho.matrix),
+                         [p for p, l in enumerate(rho.labels) if l in keep])
 
 
 def kron_blocks(blocks, labels) -> DensityBlock:

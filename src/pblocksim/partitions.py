@@ -8,13 +8,16 @@ test of whether a part splits off.
   read over flat indices row << k | col, with the part's row and column
   bits both in the mask, it says the block is a product over the part and
   the rest, pure or mixed.
-- `partitions_max_part` enumerates every partition of a small label set
-  into parts of size <= p, most-refined first: descending part count, then
-  lexicographic on the sorted part contents.  The approx engine scores
-  candidates in this order until one reproduces the merged block exactly
-  (distance 0, which no later candidate can beat), and `split_exact` takes
-  the first whose parts all split off; both only ever see a merged block of
-  at most 2p labels, so materialize-and-sort is fine.
+- `partitions_max_part` enumerates every partition of the ranks
+  0..count-1 into parts of size <= p, most-refined first: descending part
+  count, then lexicographic on the sorted part contents.  The approx engine
+  scores candidates in this order until one reproduces the merged block
+  exactly (distance 0, which no later candidate can beat), and `split_exact`
+  takes the first whose parts all split off.  Rank r stands for the r-th
+  smallest label of the block (`rank_positions` says where that label
+  sits), so the order over labels is the order over ranks and the list never
+  needs re-labelling; both only ever see a merged block of at most 2p
+  labels, so the list is built once per size and shared.
 - `peel_finest` finds the unique finest factorization of a state at any
   width by peeling one irreducible factor at a time, asking only whether a
   candidate part splits off from everything else.  The dense and
@@ -23,6 +26,7 @@ test of whether a part splits off.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 
 from .exact import ExactScalar
@@ -54,7 +58,7 @@ def splits_across(nonzeros: dict[int, ExactScalar], mask: int) -> bool:
 
 def _partitions_rec(items: tuple, max_size: int):
     if not items:
-        yield []
+        yield ()
         return
     head, rest = items[0], items[1:]
     for take in range(min(max_size, len(items)), 0, -1):
@@ -63,20 +67,28 @@ def _partitions_rec(items: tuple, max_size: int):
             chosen_set = set(chosen)
             remaining = tuple(x for x in rest if x not in chosen_set)
             for tail in _partitions_rec(remaining, max_size):
-                yield [part] + tail
+                yield (part,) + tail
 
 
-def partitions_max_part(items, max_size: int) -> list[list[tuple]]:
-    """All partitions with parts <= max_size, finest first.
+@cache
+def partitions_max_part(count: int, max_size: int
+                        ) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """All partitions of the ranks 0..count-1 with parts <= max_size,
+    finest first, built once per (count, max_size) and shared by every
+    caller, so it is all tuples.
 
-    Each partition comes back as a list of sorted tuples in ascending order,
-    as the recursion builds them from sorted items; the list itself is in
-    the canonical order (descending number of parts, then lexicographic on
-    the sequence of sorted parts).
+    Each partition is a tuple of ascending parts, each an ascending tuple of
+    ranks; the partitions come in the canonical order (descending number of
+    parts, then lexicographic on the sequence of parts).
     """
-    all_parts = list(_partitions_rec(tuple(sorted(items)), max_size))
-    all_parts.sort(key=lambda ps: (-len(ps), ps))
-    return all_parts
+    return tuple(sorted(_partitions_rec(tuple(range(count)), max_size),
+                        key=lambda ps: (-len(ps), ps)))
+
+
+def rank_positions(labels) -> list[int]:
+    """positions[r] is the position in `labels` of their r-th smallest
+    label, the label that rank r of `partitions_max_part` stands for."""
+    return sorted(range(len(labels)), key=labels.__getitem__)
 
 
 def peel_finest(labels, splits_off, max_part: int) -> list[tuple] | None:

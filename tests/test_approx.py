@@ -178,11 +178,13 @@ class TestApproxRuns:
             state = approx_step(state, step, cfg, ledger)
         # the shared transition at p = width never splits
         merged = advance(state, c.steps[-1], 4, None).block_of(0)
-        order = partitions_max_part(merged.labels, 2)
+        order = partitions_max_part(len(merged.labels), 2)
+        ranked = sorted(merged.labels)
         k = 1 + next(i for i, parts in enumerate(order)
                      if mat_eq(product_over_partition(
-                         merged.labels, [partial_trace(merged, part)
-                                         for part in parts]).matrix,
+                         merged.labels,
+                         [partial_trace(merged, [ranked[r] for r in part])
+                          for part in parts]).matrix,
                                merged.matrix))
         assert (k, len(order)) == (8, 10)
         monkeypatch.setattr(pblocksim.approx, "trace_norm_float", counted)

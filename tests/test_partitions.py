@@ -11,29 +11,59 @@ from helpers import all_partitions
 def test_counts_against_plain_recursion():
     for n in range(1, 7):
         for p in range(1, n + 1):
-            items = list(range(n))
-            got = partitions_max_part(items, p)
+            got = partitions_max_part(n, p)
             want = {tuple(sorted(tuple(x) for x in parts))
-                    for parts in all_partitions(items, p)}
-            assert {tuple(ps) for ps in got} == want
+                    for parts in all_partitions(list(range(n)), p)}
+            assert set(got) == want
             assert len(got) == len(want)
 
 
 def test_order_finest_first():
-    got = partitions_max_part([0, 1, 2], 2)
-    assert got[0] == [(0,), (1,), (2,)]
+    got = partitions_max_part(3, 2)
+    assert got[0] == ((0,), (1,), (2,))
     # then the two-part partitions in lexicographic order of sorted parts
-    assert got[1:] == [[(0,), (1, 2)], [(0, 1), (2,)], [(0, 2), (1,)]]
+    assert got[1:] == (((0,), (1, 2)), ((0, 1), (2,)), ((0, 2), (1,)))
 
 
 def test_part_size_cap():
-    for parts in partitions_max_part(range(6), 2):
+    for parts in partitions_max_part(6, 2):
         assert all(len(part) <= 2 for part in parts)
 
 
 def test_singletons_only_when_p1():
-    got = partitions_max_part([3, 5, 9], 1)
-    assert got == [[(3,), (5,), (9,)]]
+    assert partitions_max_part(3, 1) == (((0,), (1,), (2,)),)
+
+
+def _labelled_order(labels, p):
+    """The order of partitions of a label set itself: every partition into
+    parts <= p as ascending sorted tuples, descending part count, then
+    lexicographic on the sequence of parts."""
+    return sorted((sorted(tuple(sorted(part)) for part in parts)
+                   for parts in all_partitions(list(labels), p)),
+                  key=lambda ps: (-len(ps), ps))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_shared_rank_partitions(data):
+    """Each list is built once per size and cannot be changed by a caller,
+    and ranks read through the sorted labels give the order of partitions of
+    the labels themselves, whatever order the block holds its labels in."""
+    assert [len(partitions_max_part(k, 3)) for k in (4, 5, 6)] == \
+        [14, 46, 166]
+    shared = partitions_max_part(6, 3)
+    assert partitions_max_part(6, 3) is shared
+    assert isinstance(shared, tuple)
+    assert all(isinstance(parts, tuple) and
+               all(isinstance(part, tuple) for part in parts)
+               for parts in shared)
+    labels = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=6,
+                                unique=True))
+    p = data.draw(st.integers(1, len(labels)))
+    ranked = sorted(labels)
+    assert [[tuple(ranked[r] for r in part) for part in parts]
+            for parts in partitions_max_part(len(labels), p)] == \
+        _labelled_order(labels, p)
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Property tests over generated circuits and texts: the text format
 round-trips, the parser fails only with CircuitError, tensor products of
-blocks land in label order and trace back to their factors, a block
+blocks land in label order and trace back to their factors, a partial trace
+is the reduced state of its definition, a block
 conjugated tile by tile equals F rho F^dagger with the full gate F, the dense
 blockedness decider agrees with brute-force enumeration, the blocked engine
 aborts exactly when a prefix state is not p-blocked and otherwise ends with
@@ -220,6 +221,69 @@ def test_kron_blocks_lays_factors_out_in_label_order(case):
 # unit amplitudes of a sparse pure block
 _UNIT_AMPLITUDES = (ONE, MINUS_ONE, I_UNIT, -I_UNIT,
                     LIBRARY["T"].matrix.at(1, 1))
+
+
+@st.composite
+def traced_blocks(draw):
+    """A pure, mixed or sparse block of 1-4 qubits on scattered labels in
+    any order, and a nonempty set of its labels to keep, in any order.  A
+    sparse block is a pure block with 1-3 unit amplitudes whose zero entries
+    are each a fresh zero, not the shared ZERO."""
+    k = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["pure", "mixed", "sparse"]))
+    rng = CounterRng(draw(st.integers(0, 1 << 16)), "traced block")
+    if kind == "pure":
+        matrix = random_pure_density(rng, k).matrix
+    elif kind == "mixed":
+        matrix = random_mixed_density(rng, k, terms=2).matrix
+    else:
+        support = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1,
+                                max_size=3, unique=True))
+        amps = [ZERO] * (1 << k)
+        for i in support:
+            amps[i] = draw(st.sampled_from(_UNIT_AMPLITUDES))
+        dense = density_from_statevector(amps).scale(
+            ExactScalar(Fraction(1, len(support))))
+        matrix = ExactMatrix(dense.rows, dense.cols,
+                             [ExactScalar(0) if x.is_zero() else x
+                              for x in dense.entries])
+    labels = draw(st.lists(st.integers(0, 20), min_size=k, max_size=k,
+                           unique=True))
+    keep = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=k,
+                         unique=True))
+    return DensityBlock(labels, matrix), keep
+
+
+def _reduced_by_definition(block: DensityBlock, keep) -> DensityBlock:
+    """sum over the traced-out bits t of <r t| rho |s t>, by a plain loop
+    over every pair of full indices."""
+    labels = block.labels
+    kept = [q for q in labels if q in keep]
+    k, dim_out = len(labels), 1 << len(kept)
+
+    def bit(index, q):
+        return index >> (k - 1 - labels.index(q)) & 1
+
+    def local(index):
+        return sum(bit(index, q) << (len(kept) - 1 - n)
+                   for n, q in enumerate(kept))
+
+    out = [ZERO] * (dim_out * dim_out)
+    for i in range(1 << k):
+        for j in range(1 << k):
+            if all(bit(i, q) == bit(j, q) for q in labels if q not in keep):
+                e = local(i) * dim_out + local(j)
+                out[e] = out[e] + block.matrix.at(i, j)
+    return DensityBlock(kept, ExactMatrix(dim_out, dim_out, out))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(traced_blocks())
+def test_partial_trace_is_the_reduced_state_by_definition(case):
+    block, keep = case
+    got = partial_trace(block, keep)
+    want = _reduced_by_definition(block, keep)
+    assert (got.labels, got.matrix) == (want.labels, want.matrix)
 
 
 @st.composite
