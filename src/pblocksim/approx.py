@@ -177,8 +177,8 @@ def nearest_exact_gate(rotation: Rotation) -> GateDef:
         [g for g in LIBRARY.values() if g.arity == 2]
     for gate in candidates:
         gm = gate.matrix.to_complex_rows()
-        dist = sum(abs(gm[i][j] - rot[i][j]) ** 2
-                   for i in range(4) for j in range(4))
+        dist = math.fsum(abs(gm[i][j] - rot[i][j]) ** 2
+                         for i in range(4) for j in range(4))
         if best_dist is None or dist < best_dist:
             best_gate, best_dist = gate, dist
     return best_gate

@@ -2,13 +2,14 @@
 
 The state is what Jozsa and Linden's definition names: a partition of the
 qubits into blocks of at most p, each with its own exact density matrix,
-stored as one list whose entry for qubit q is the block that holds q.  It is
-kept as persistent versions whose copy is O(1), so cost per step depends on
-p, never on the circuit width.  A gate inside one block conjugates that
-block; a gate straddling two blocks merges them first, and a merged block
-larger than p must re-split exactly into parts of size <= p or the run
-aborts with PBlockError: the hypothesis that every intermediate state is
-p-blocked is an input contract, not something this engine can repair.
+stored as one list whose entry for qubit q is the block that holds q.  A
+run hands that list from step to step, and a step rewrites only the
+entries of the qubits it touched, so cost per step depends on p, never on
+the circuit width.  A gate inside one block conjugates that block; a gate
+straddling two blocks merges them first, and a merged block larger than p
+must re-split exactly into parts of size <= p or the run aborts with
+PBlockError: the hypothesis that every intermediate state is p-blocked is
+an input contract, not something this engine can repair.
 `advance` is the one state transition; `approx` runs it with its closest
 projection in place of the exact split.
 
@@ -42,35 +43,22 @@ class PBlockError(Exception):
 
 
 class BlockedState:
-    """One version of a blocked state: `assignment[q]` is the block that
-    holds qubit q, so a block's qubits all hold the same DensityBlock, which
-    hashes by identity.  Versions are persistent and copy() is O(1),
-    whatever the width (Baker's shallow binding, rerooted as in Conchon and
-    Filliatre's persistent arrays): every version of one run shares one
-    assignment list, which holds the live version's contents.  copy() hands
-    it to the new version; the old one keeps a pointer to it and a log of
-    the (qubit, block) entries the new version overwrote.  Reading
-    `assignment` on an old version reroots: it walks to the live version and
-    swaps each log's entries back on the way, which turns each into the log
-    that redoes it.  A version never points to an older one until such a
-    read, so a loop that drops old versions frees them and never reroots.
-
-    Known limits: a caller that holds the `assignment` list across a read of
-    another version sees it change, reading an old version costs time in
-    proportion to the steps since it, and the versions of one run are read
-    from one thread at a time."""
-    __slots__ = ("width", "_assignment", "_next", "_log", "__weakref__")
+    """A blocked state: `assignment[q]` is the block that holds qubit q, so
+    a block's qubits all hold the same DensityBlock, which hashes by
+    identity.  A run hands its one assignment list from step to step:
+    copy() writes the step's blocks into it and returns the next state, and
+    the state it was called on is spent, so reading it raises."""
+    __slots__ = ("width", "_assignment", "__weakref__")
 
     def __init__(self, width: int, assignment: list[DensityBlock]):
         self.width = width
         self._assignment = assignment
-        self._next = None   # the newer version, while this one is stale
-        self._log = None    # what turns _next's contents into this one's
 
     @property
     def assignment(self) -> list[DensityBlock]:
-        if self._next is not None:
-            self._reroot()
+        if self._assignment is None:
+            raise RuntimeError("this blocked state was advanced: read the "
+                               "state its step returned")
         return self._assignment
 
     @property
@@ -79,38 +67,15 @@ class BlockedState:
         blocks[assignment[q]] is q's block; O(width) to build."""
         return {b: b for b in self.assignment}
 
-    def _reroot(self):
-        """Make this version the live one."""
-        path = []
-        version = self
-        while version._next is not None:
-            path.append(version)
-            version = version._next
-        for version in reversed(path):
-            newer, log = version._next, version._log
-            # swap the log's (qubit, block) entries with the list's: that
-            # undoes the newer version's writes and leaves in the log the
-            # ones that redo them (a log names each qubit once, so its order
-            # does not matter)
-            assignment = version._assignment
-            for i, (q, block) in enumerate(log):
-                log[i] = (q, assignment[q])
-                assignment[q] = block
-            newer._next, newer._log = version, log
-            version._next = version._log = None
-
     def copy(self, parts) -> "BlockedState":
-        """A new version in which each part's qubits hold that part; the
-        entries it overwrites are logged here, with this version."""
+        """The next state, in which each part's qubits hold that part; it
+        takes over the assignment list, and this state is spent."""
         assignment = self.assignment
-        log = []
         for part in parts:
             for q in part.labels:
-                log.append((q, assignment[q]))
                 assignment[q] = part
-        new = BlockedState(self.width, assignment)
-        self._next, self._log = new, log
-        return new
+        self._assignment = None
+        return BlockedState(self.width, assignment)
 
     def block_of(self, qubit: int) -> DensityBlock:
         return self.assignment[qubit]
@@ -231,11 +196,11 @@ def split_exact(block: DensityBlock, p: int,
 
 def advance(state: BlockedState, step: CircuitStep, p: int,
             split) -> BlockedState:
-    """One gate on a copy of the state, the only change a blocked state
-    ever sees: merge the blocks the gate straddles, conjugate, and install
+    """The state after one gate, the only change a blocked state ever
+    sees: merge the blocks the gate straddles, conjugate, and install
     the block itself when it has at most p qubits, otherwise the parts
     `split(block)` returns.  Nothing is written before the split, so a split
-    that raises leaves no new version."""
+    that raises makes no next state and leaves this one live."""
     assignment = state.assignment
     touched = list(dict.fromkeys(assignment[q] for q in step.targets))
     block = touched[0] if len(touched) == 1 else \

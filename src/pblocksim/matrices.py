@@ -366,9 +366,10 @@ def _hermitian_eigenvalues_float(h: ExactMatrix) -> list[float]:
 
 
 def trace_norm_float(h: ExactMatrix) -> float:
-    """Sum of |eigenvalues| of an exactly Hermitian matrix, numerically."""
+    """Sum of |eigenvalues| of an exactly Hermitian matrix, numerically,
+    added by math.fsum so that the sum is the same on every Python."""
     if all(e.is_zero() for e in h.entries):
         if h.rows != h.cols:
             raise NotHermitian("matrix is not square")
         return 0.0
-    return sum(abs(v) for v in _hermitian_eigenvalues_float(h))
+    return math.fsum(abs(v) for v in _hermitian_eigenvalues_float(h))

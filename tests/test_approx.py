@@ -172,12 +172,19 @@ class TestApproxRuns:
         c = parse_circuit("qubits 4\ninput 0000\ngate H 0\ngate CNOT 0 2\n"
                           "gate H 1\ngate CNOT 1 3\ngate SWAP 0 3\n")
         cfg = ApproxConfig(2, 0.0)
+
+        def before_swap(ledger):
+            state = init_blocked(c)
+            for step in c.steps[:-1]:
+                state = approx_step(state, step, cfg, ledger)
+            return state
+
         ledger = ErrorLedger(2, 0.0)
-        state = init_blocked(c)
-        for step in c.steps[:-1]:
-            state = approx_step(state, step, cfg, ledger)
-        # the shared transition at p = width never splits
-        merged = advance(state, c.steps[-1], 4, None).block_of(0)
+        state = before_swap(ledger)
+        # the shared transition at p = width never splits; it advances a
+        # state of its own
+        merged = advance(before_swap(ErrorLedger(2, 0.0)), c.steps[-1], 4,
+                         None).block_of(0)
         order = partitions_max_part(len(merged.labels), 2)
         ranked = sorted(merged.labels)
         k = 1 + next(i for i, parts in enumerate(order)

@@ -116,6 +116,15 @@ class TestTraceNorm:
         m = ExactMatrix(2, 2, [ONE, ZERO, ZERO, -ONE])
         assert abs(trace_norm_float(m) - 2.0) <= 1e-10
 
+    def test_sum_is_correctly_rounded(self):
+        """diag(1, 10**16, -1): a left-to-right float sum loses both ones,
+        a correctly rounded one returns the exact 10**16 + 2 on every
+        Python version."""
+        m = ExactMatrix(3, 3, [ONE, ZERO, ZERO,
+                               ZERO, ExactScalar(Fraction(10 ** 16)), ZERO,
+                               ZERO, ZERO, -ONE])
+        assert trace_norm_float(m) == 10 ** 16 + 2
+
     def test_density_norm_is_one(self):
         rng = CounterRng(24, "tnorm")
         for _ in range(10):

@@ -5,9 +5,10 @@ is the reduced state of its definition, a block
 conjugated tile by tile equals F rho F^dagger with the full gate F, the dense
 blockedness decider agrees with brute-force enumeration, the blocked engine
 aborts exactly when a prefix state is not p-blocked and otherwise ends with
-the dense density, every version of its run reads as its prefix state in
-any order, its split agrees with a brute-force search over products
-of marginals on pure, mixed and classically correlated factors, the float
+the dense density, a run hands one state forward, so that its newest
+version reads as its prefix state and every earlier one raises, its split
+agrees with a brute-force search over products of marginals on pure, mixed
+and classically correlated factors, the float
 reference runs the dense engine's kernel to the same marginals, the approx
 engine's projection agrees with a brute-force search and, at epsilon 0 on
 p-blocked circuits, ends with the blocked engine's blocks, the stabilizer
@@ -396,16 +397,21 @@ def _version(state):
     return [(b.labels, b.matrix.entries) for b in state.assignment]
 
 
+# every way to read a blocked state or to advance from it
+READS = (lambda s: s.assignment, lambda s: s.blocks,
+         lambda s: s.block_of(0), lambda s: s.max_block_size(),
+         lambda s: apply_blocked(s, CircuitStep(H_CNOT, (0, 1)), 2))
+
+
 @settings(PROPERTY, max_examples=40)
 @given(st.sampled_from([gen_block_local, gen_entangle_disentangle]),
        st.integers(2, 8), st.integers(1, 3), st.integers(10, 60),
-       st.integers(0, 1 << 16), st.randoms(use_true_random=False))
-def test_every_version_reads_as_its_prefix(generate, width, p, steps, seed,
-                                           rng):
-    """Every version a run makes stays readable, in any order: read in
-    shuffled order, then newest first, and again after an advance from the
-    live version aborts midway, each equals the state a fresh run reaches
-    after the same prefix (read while it was the live version)."""
+       st.integers(0, 1 << 16))
+def test_only_the_newest_version_reads(generate, width, p, steps, seed):
+    """A run hands one state forward: after each step the newest version
+    equals the state a fresh run reaches after the same prefix, and every
+    earlier version raises on each read and on an advance, which leaves
+    the newest one as it was."""
     p = min(p, width)
     circuit = generate(width, p, steps, seed)
     want = [_version(init_blocked(circuit))]
@@ -417,17 +423,13 @@ def test_every_version_reads_as_its_prefix(generate, width, p, steps, seed,
     versions = [init_blocked(circuit)]
     for j, step in enumerate(circuit.steps):
         versions.append(apply_blocked(versions[-1], step, p, j))
-    order = list(range(len(versions)))
-    rng.shuffle(order)
-    for i in order + list(range(len(versions)))[::-1]:
-        assert _version(versions[i]) == want[i]
-        assert versions[i].max_block_size() <= p
-    # the oldest version is live now: a Bell pair at p = 1 merges, writes,
-    # and then fails to split
-    with pytest.raises(PBlockError):
-        apply_blocked(versions[0], CircuitStep(H_CNOT, (0, 1)), 1)
-    for i in order:
-        assert _version(versions[i]) == want[i]
+        assert _version(versions[-1]) == want[j + 1]
+        assert versions[-1].max_block_size() <= p
+    for old in versions[:-1]:
+        for read in READS:
+            with pytest.raises(RuntimeError, match="advanced"):
+                read(old)
+    assert _version(versions[-1]) == want[-1]
 
 
 def _correlated_density(qubits: int) -> ExactMatrix:
@@ -537,11 +539,13 @@ def block_states(draw, labels):
 
 @st.composite
 def merging_steps(draw):
-    """p = 1 or 2, two blocks and a two-qubit gate across them that merges
-    them into a block of 3 to 5 qubits.  Five only at p = 1: at p = 2 a
-    5-qubit block has 26 candidate products, each scored by an exact
-    difference and an eigensolve of dimension 32: ~1.5 s per example for the
-    reference and the engine together.  One example covers that case."""
+    """p = 1 or 2, the width and two blocks that cover it, and a two-qubit
+    gate across them that merges them into a block of 3 to 5 qubits.  The
+    blocks, not a state, so that each run builds its own state from them.
+    Five only at p = 1: at p = 2 a 5-qubit block has 26 candidate products,
+    each scored by an exact difference and an eigensolve of dimension 32:
+    ~1.5 s per example for the reference and the engine together.  One
+    example covers that case."""
     p = draw(st.integers(1, 2))
     width = draw(st.integers(3, 5 if p == 1 else 4))
     order = draw(st.permutations(range(width)))
@@ -552,7 +556,7 @@ def merging_steps(draw):
     if draw(st.booleans()):
         targets = targets[::-1]
     step = CircuitStep(draw(st.sampled_from(GATES_2)), targets)
-    return _blocked_state(width, blocks), step, p
+    return (width, blocks), step, p
 
 
 def _blocked_state(width, blocks) -> BlockedState:
@@ -577,7 +581,7 @@ def _prepared(labels, gates) -> DensityBlock:
 
 def _mixed_merge(p):
     """A mixed 3-qubit block and a mixed qubit, merged into 4 qubits."""
-    return (_blocked_state(4, [
+    return ((4, [
         DensityBlock((2, 0, 3), random_mixed_density(
             CounterRng(1, "mixed merge"), 3).matrix),
         DensityBlock((1,), random_mixed_density(
@@ -587,7 +591,7 @@ def _mixed_merge(p):
 
 # entangled 2- and 3-qubit blocks with T phases, merged at p = 2 into a
 # dense 5-qubit block
-FIVE_QUBIT_MERGE = (_blocked_state(5, [
+FIVE_QUBIT_MERGE = ((5, [
     _prepared((0, 2), [("H", (0,)), ("CNOT", (0, 2)), ("H", (2,)),
                        ("T", (2,))]),
     _prepared((1, 3, 4), [("H", (1,)), ("CNOT", (1, 3)), ("H", (4,)),
@@ -598,7 +602,7 @@ FIVE_QUBIT_MERGE = (_blocked_state(5, [
 
 # Bell pairs on (0, 2) and (1, 3), swapped by SWAP 0 3 into a product over
 # {0,1}{2,3}: seven inexact partitions come first, two follow unscored
-SWAPPED_PAIRS = (_blocked_state(4, [
+SWAPPED_PAIRS = ((4, [
     _prepared((0, 2), [("H", (0,)), ("CNOT", (0, 2))]),
     _prepared((1, 3), [("H", (1,)), ("CNOT", (1, 3))])]),
     CircuitStep(LIBRARY["SWAP"], (0, 3)), 2)
@@ -614,13 +618,15 @@ def test_approx_projection_matches_brute_force():
     @example(SWAPPED_PAIRS)
     @given(merging_steps())
     def check(case):
-        state, step, p = case
-        # the shared transition at p = width never splits
-        merged = advance(state, step, state.width, None).block_of(
-            step.targets[0])
+        (width, blocks), step, p = case
+        # the shared transition at p = width never splits; it and the
+        # approx step each advance a state of their own
+        merged = advance(_blocked_state(width, blocks), step, width,
+                         None).block_of(step.targets[0])
         want_d, want_parts = brute_projection(merged, p)
         ledger = ErrorLedger(p, 0.0)
-        out = approx_step(state, step, ApproxConfig(p, 0.0), ledger)
+        out = approx_step(_blocked_state(width, blocks), step,
+                          ApproxConfig(p, 0.0), ledger)
         assert ledger.entries[-1].d == want_d
         installed = {out.block_of(q) for q in merged.labels}
         assert sorted((b.labels, b.matrix.entries) for b in installed) == \
