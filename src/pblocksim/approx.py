@@ -40,8 +40,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .matrices import (DensityBlock, ExactMatrix, mat_eq, nonzero_map,
-                       partial_trace, reduced_state, trace_norm_float,
+from .matrices import (DensityBlock, ExactMatrix, mat_eq, partial_trace,
+                       reduced_state, trace_norm_float,
                        product_over_partition, target_offsets)
 from .circuits import (CircuitStep, GateDef, LIBRARY, gen_block_local,
                        _fixed_cells)
@@ -169,14 +169,17 @@ class PerturbedCircuit:
         return len(self.steps)
 
 
+# the identity and every two-qubit library gate, each with its complex rows
+_EXACT_CANDIDATES = tuple(
+    (gate, gate.matrix.to_complex_rows())
+    for gate in [_IDENTITY4] + [g for g in LIBRARY.values() if g.arity == 2])
+
+
 def nearest_exact_gate(rotation: Rotation) -> GateDef:
     """Closest two-qubit library gate (or the identity) in Frobenius norm."""
     rot = _rotation_matrix(rotation.pauli, rotation.theta)
     best_gate, best_dist = None, None
-    candidates = [_IDENTITY4] + \
-        [g for g in LIBRARY.values() if g.arity == 2]
-    for gate in candidates:
-        gm = gate.matrix.to_complex_rows()
+    for gate, gm in _EXACT_CANDIDATES:
         dist = math.fsum(abs(gm[i][j] - rot[i][j]) ** 2
                          for i in range(4) for j in range(4))
         if best_dist is None or dist < best_dist:
@@ -187,11 +190,11 @@ def nearest_exact_gate(rotation: Rotation) -> GateDef:
 def closest_product(block: DensityBlock, p: int
                     ) -> tuple[float, list[DensityBlock]]:
     """Trace-norm distance from a block to its closest product over parts
-    <= p, and the parts' exact reduced states, each traced once from one
-    nonzero map of the block.  The candidates are the shared partitions of
+    <= p, and the parts' exact reduced states, each traced once from the
+    block's nonzero map.  The candidates are the shared partitions of
     ranks, rank r standing for the r-th smallest label."""
     labels = block.labels
-    nonzeros = nonzero_map(block.matrix)
+    nonzeros = block.nonzeros
     positions = rank_positions(labels)
     reduced: dict[tuple, DensityBlock] = {}
     best = None

@@ -13,10 +13,11 @@ an input contract, not something this engine can repair.
 `advance` is the one state transition; `approx` runs it with its closest
 projection in place of the exact split.
 
-Blocks are stored as density matrices even when pure; mixed per-block inputs
-(`inputblock` in the circuit format) run through the same code path.  A gate
-acts on a block through its own 2x2 or 4x4 matrix and the dagger the gate
-keeps, tile by tile on the targets' index bits; no 2^k x 2^k gate is ever
+Blocks are stored as the nonzero maps of their density matrices, even when
+pure; mixed per-block inputs (`inputblock` in the circuit format) run through
+the same code path.  A gate acts on a block through its own 2x2 or 4x4
+matrix and the dagger the gate keeps, tile by tile on the targets' index
+bits, and only on the tiles that hold a nonzero; no 2^k x 2^k gate is ever
 built.  A split asks of each candidate part only whether it splits off, by
 the rank-one test the dense blockedness decider also uses, so pure and mixed
 blocks split the same way.
@@ -85,15 +86,18 @@ class BlockedState:
 
     def global_density(self) -> DensityBlock:
         """kron of all blocks in ascending qubit order (small widths only)."""
-        return kron_blocks(self.blocks, range(self.width))
+        return kron_blocks(dict.fromkeys(self.assignment), range(self.width))
 
     def digit_count(self) -> int:
-        return max(e.digit_count() for b in self.blocks
-                   for e in b.matrix.entries)
+        """Most digits of any entry; every block holds a nonzero, so the
+        zeros (1 digit) never decide it."""
+        return max(x.digit_count() for b in dict.fromkeys(self.assignment)
+                   for x in b.nonzeros.values())
 
 
-# |0><0| and |1><1|, shared by every single-qubit start block (no code
-# writes into a matrix's entries)
+# |0><0| and |1><1| as nonzero map and matrix, both shared by every
+# single-qubit start block (no code writes into either)
+_BASIS_MAPS = {"0": {0: ONE}, "1": {3: ONE}}
 _BASIS_MATRICES = {"0": ExactMatrix(2, 2, [ONE, ZERO, ZERO, ZERO]),
                    "1": ExactMatrix(2, 2, [ZERO, ZERO, ZERO, ONE])}
 # |b><b| on qubit q at [b][q], made on first use and then shared by every
@@ -110,7 +114,7 @@ def init_blocked(circuit: Circuit) -> BlockedState:
     width = len(bits)
     assignment = [None] * width
     for blk in circuit.input_blocks:
-        block = DensityBlock(blk.labels, blk.matrix)
+        block = DensityBlock(blk.labels, nonzeros=nonzero_map(blk.matrix))
         for q in blk.labels:
             assignment[q] = block
     for shared in _BASIS_BLOCKS.values():
@@ -119,7 +123,8 @@ def init_blocked(circuit: Circuit) -> BlockedState:
         if assignment[q] is None:
             shared = _BASIS_BLOCKS[bit]
             if shared[q] is None:
-                shared[q] = DensityBlock((q,), _BASIS_MATRICES[bit])
+                shared[q] = DensityBlock((q,), _BASIS_MATRICES[bit],
+                                         _BASIS_MAPS[bit])
             assignment[q] = shared[q]
     return BlockedState(width, assignment)
 
@@ -131,8 +136,9 @@ def conjugate_block(block: DensityBlock, gate: GateDef,
     G acts only on the targets' index bits, so rho falls into g x g tiles,
     one per (row base, column base) with every target bit clear, whose
     entries sit at base + offsets[r] * dim + offsets[c].  Each tile that
-    holds a nonzero becomes G T G^dagger with the small gate and the dagger
-    it keeps; every other tile stays zero."""
+    holds a nonzero, found from the keys of the block's nonzero map, becomes
+    G T G^dagger with the small gate and the dagger it keeps, and only its
+    nonzero results are written; every other tile stays zero."""
     labels = block.labels
     k = len(labels)
     dim = 1 << k
@@ -142,19 +148,19 @@ def conjugate_block(block: DensityBlock, gate: GateDef,
     # a flat index row * dim + col with the target bits cleared in both
     # halves is the base of its tile
     tile_mask = others << k | others
-    entries = block.matrix.entries
-    # most zero entries are the shared ZERO, which `is` skips without a call
-    bases = {e & tile_mask for e, x in enumerate(entries)
-             if x is not ZERO and not x.is_zero()}
+    nonzeros = block.nonzeros
     spread = [r * dim + c for r in offsets for c in offsets]
-    out = [ZERO] * (dim * dim)
-    for base in bases:
+    out = {}
+    for base in {e & tile_mask for e in nonzeros}:
         places = [base + s for s in spread]
-        tile = ExactMatrix(g, g, [entries[i] for i in places])
+        tile = ExactMatrix(g, g, [nonzeros.get(i, ZERO) for i in places])
         turned = mat_mul(mat_mul(gate.matrix, tile), gate.dagger)
         for i, x in zip(places, turned.entries):
-            out[i] = x
-    return DensityBlock(labels, ExactMatrix(dim, dim, out))
+            # most zero results are the shared ZERO, which `is` skips
+            # without a call
+            if x is not ZERO and not x.is_zero():
+                out[i] = x
+    return DensityBlock(labels, nonzeros=out)
 
 
 def split_exact(block: DensityBlock, p: int,
@@ -167,13 +173,13 @@ def split_exact(block: DensityBlock, p: int,
     of its two reduced states.  Product bipartitions are closed under meet,
     so a partition reproduces the block iff each of its parts splits off;
     candidates are tried most-refined first, each part's verdict computed
-    once.  One nonzero map of the block serves every factor test and the
+    once.  The block's nonzero map serves every factor test and the
     reduced state of every part kept, and the candidates are the shared
     partitions of ranks, rank r standing for the r-th smallest label.
     Raises PBlockError when no partition reproduces the block."""
     labels = block.labels
     k = len(labels)
-    nonzeros = nonzero_map(block.matrix)
+    nonzeros = block.nonzeros
     positions = rank_positions(labels)
     verdicts: dict[tuple, bool] = {}
 

@@ -1,17 +1,22 @@
-"""Dense small-matrix linear algebra over exact scalars.
+"""Small-matrix linear algebra over exact scalars, and the density block.
 
 States stay exact end to end; only the trace norm goes through floats (it
 needs eigenvalues, which leave the field Q(i, sqrt2)).  The Hermitian
 eigensolve runs cyclic Jacobi sweeps on the complex matrix itself, so the
 only numeric kernel is a phase followed by a real 2x2 rotation.
 
+A `DensityBlock` is stored as its nonzero map, {row << k | col: value} over
+its nonzero entries only, so gates, merges and splits touch only nonzero
+entries; its dense `matrix` is a view built on first read.  `mat_mul`, the
+tile kernel, skips the shared ZERO by identity.
+
 `target_offsets` is the one index map: every routine that spreads a local
 index onto bit positions (partial traces, the tiles a gate conjugates in a
 block, the dense engine's gate kernel) takes its offsets from it.
-`kron_blocks` uses it to lay each block's entries straight into the
+`kron_blocks` uses it to lay each block's nonzero entries straight into the
 requested label order.  `reduced_state` is the one partial-trace loop; it
-reads a block's `nonzero_map`, which a split builds once per merged block
-and shares between its factor tests and the reduced states of its parts.
+reads a block's nonzero map, which a split shares between its factor tests
+and the reduced states of its parts.
 """
 
 from __future__ import annotations
@@ -147,14 +152,18 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         orow = i * b.cols
         for k in range(a.cols):
             aik = a.entries[arow + k]
-            if aik.is_zero():
+            # most zero entries are the shared ZERO, which `is` skips
+            # without a call
+            if aik is ZERO or aik.is_zero():
                 continue
             brow = k * b.cols
             for j in range(b.cols):
                 bkj = b.entries[brow + j]
-                if bkj.is_zero():
+                if bkj is ZERO or bkj.is_zero():
                     continue
-                out[orow + j] = out[orow + j] + aik * bkj
+                acc = out[orow + j]
+                # the first product is stored, not added to ZERO
+                out[orow + j] = aik * bkj if acc is ZERO else acc + aik * bkj
     return ExactMatrix(a.rows, b.cols, out)
 
 
@@ -206,19 +215,44 @@ class DensityBlock:
     """Density matrix on an ordered tuple of global qubit labels.
 
     The first label corresponds to the most significant index bit of the
-    matrix.  validate() checks trace one, Hermiticity and positive
-    semidefiniteness, all exactly.
+    matrix.  A block is given as a dense matrix, as its nonzero map
+    {row << k | col: value} (which never holds a zero value), or both when
+    the two are shared, as the basis blocks' are.  `matrix` is a dense view,
+    built from the map on first read and kept; from then on the block keeps
+    only the view, which a caller may write into, and `nonzeros` is rebuilt
+    from it on each read.  validate() checks trace one, Hermiticity and
+    positive semidefiniteness, all exactly.
     """
 
-    __slots__ = ("labels", "matrix")
+    __slots__ = ("labels", "_matrix", "_nonzeros")
 
-    def __init__(self, labels, matrix: ExactMatrix):
+    def __init__(self, labels, matrix: ExactMatrix | None = None,
+                 nonzeros: dict[int, ExactScalar] | None = None):
         self.labels = tuple(labels)
         k = len(self.labels)
-        if matrix.rows != matrix.cols or matrix.rows != (1 << k):
+        if matrix is not None and (matrix.rows != matrix.cols
+                                   or matrix.rows != (1 << k)):
             raise DimensionMismatch(
                 f"block on {k} qubits needs a {1 << k}x{1 << k} matrix")
-        self.matrix = matrix
+        self._matrix = matrix
+        self._nonzeros = nonzeros
+
+    @property
+    def matrix(self) -> ExactMatrix:
+        if self._matrix is None:
+            dim = 1 << len(self.labels)
+            entries = [ZERO] * (dim * dim)
+            for e, x in self._nonzeros.items():
+                entries[e] = x
+            self._matrix = ExactMatrix(dim, dim, entries)
+            self._nonzeros = None
+        return self._matrix
+
+    @property
+    def nonzeros(self) -> dict[int, ExactScalar]:
+        if self._nonzeros is None:
+            return nonzero_map(self._matrix)
+        return self._nonzeros
 
     def size(self) -> int:
         return len(self.labels)
@@ -247,8 +281,9 @@ def target_offsets(width: int, positions) -> list[int]:
 
 
 def nonzero_map(matrix: ExactMatrix) -> dict[int, ExactScalar]:
-    """Each nonzero entry keyed by its flat index row * cols + col, which for
-    a 2^k x 2^k density is row << k | col."""
+    """Each nonzero entry of a dense matrix keyed by its flat index
+    row * cols + col, which for a 2^k x 2^k density is row << k | col: the
+    map a block given as a dense matrix is read through."""
     # most zero entries are the shared ZERO, which `is` skips without a call
     return {e: x for e, x in enumerate(matrix.entries)
             if x is not ZERO and not x.is_zero()}
@@ -257,10 +292,11 @@ def nonzero_map(matrix: ExactMatrix) -> dict[int, ExactScalar]:
 def reduced_state(labels, nonzeros: dict[int, ExactScalar],
                   positions) -> DensityBlock:
     """Exact reduced state on the labels at `positions` of a block over
-    `labels`, in the block's order, from the block's `nonzero_map`.  A term
+    `labels`, in the block's order, from the block's nonzero map.  A term
     row << k | col adds to the reduced entry of its kept bits only when its
     traced-out row and column bits agree, so each entry sums only its
-    nonzero terms."""
+    nonzero terms, the first of them stored as it is; sums that cancel
+    are left out of the map."""
     k = len(labels)
     positions = sorted(positions)
     kept_masks = target_offsets(k, positions)
@@ -269,14 +305,15 @@ def reduced_state(labels, nonzeros: dict[int, ExactScalar],
     bits = (1 << k) - 1
     traced_out = bits & ~kept
     dim_out = len(kept_masks)
-    out = [ZERO] * (dim_out * dim_out)
+    out: dict[int, ExactScalar] = {}
     for e, x in nonzeros.items():
         row, col = e >> k, e & bits
         if not (row ^ col) & traced_out:
             i = local[row & kept] * dim_out + local[col & kept]
-            out[i] = out[i] + x
-    return DensityBlock([labels[p] for p in positions],
-                        ExactMatrix(dim_out, dim_out, out))
+            acc = out.get(i)
+            out[i] = x if acc is None else acc + x
+    return DensityBlock([labels[p] for p in positions], nonzeros={
+        i: x for i, x in out.items() if not x.is_zero()})
 
 
 def partial_trace(rho: DensityBlock, keep) -> DensityBlock:
@@ -287,14 +324,15 @@ def partial_trace(rho: DensityBlock, keep) -> DensityBlock:
     for label in keep:
         if label not in rho.labels:
             raise LabelNotInBlock(f"label {label} not in block {rho.labels}")
-    return reduced_state(rho.labels, nonzero_map(rho.matrix),
+    return reduced_state(rho.labels, rho.nonzeros,
                          [p for p, l in enumerate(rho.labels) if l in keep])
 
 
 def kron_blocks(blocks, labels) -> DensityBlock:
     """Tensor product of density blocks, laid out in the order of `labels`
-    (a permutation of the blocks' labels): each product entry is written
-    once, straight to its index, with factors multiplied in block order."""
+    (a permutation of the blocks' labels): each nonzero product entry is
+    made once, keyed straight by its index, with factors multiplied in
+    block order."""
     blocks, labels = list(blocks), tuple(labels)
     where = {l: p for p, l in enumerate(labels)}
     if len(where) != len(labels) or \
@@ -302,21 +340,18 @@ def kron_blocks(blocks, labels) -> DensityBlock:
         raise BadPermutation(f"{labels} is not a permutation of the labels "
                              f"of {[b.labels for b in blocks]}")
     k = len(labels)
-    dim = 1 << k
-    # (flat index, value) of each nonzero entry of the product so far
+    # (flat index, value) of each nonzero entry of the product so far; a
+    # product of nonzeros is nonzero
     terms = None
     for block in blocks:
         off = target_offsets(k, [where[l] for l in block.labels])
-        bdim = block.matrix.rows
-        local = [(off[e // bdim] * dim + off[e % bdim], x)
-                 for e, x in enumerate(block.matrix.entries)
-                 if not x.is_zero()]
+        kb = len(block.labels)
+        bits = (1 << kb) - 1
+        local = [(off[e >> kb] << k | off[e & bits], x)
+                 for e, x in block.nonzeros.items()]
         terms = local if terms is None else \
             [(f + g, y * x) for f, y in terms for g, x in local]
-    ent = [ZERO] * (dim * dim)
-    for f, x in terms:
-        ent[f] = x
-    return DensityBlock(labels, ExactMatrix(dim, dim, ent))
+    return DensityBlock(labels, nonzeros=dict(terms))
 
 
 def product_over_partition(labels, reduced) -> DensityBlock:

@@ -39,6 +39,27 @@ class TestInit:
         assert state.max_block_size() == 1
         assert [b.labels for b in state.assignment] == [(0,), (1,), (2,), (3,)]
 
+    def test_basis_blocks_share_one_map_and_one_matrix_per_bit(self):
+        """A start state allocates no map or matrix per basis qubit: every
+        |b><b| block of two wide start states holds the one map and the one
+        matrix of its bit, and equal bits share the block itself."""
+        rng = CounterRng(8, "basis")
+        inputs = ["".join("01"[rng.randrange(2)] for _ in range(1000))
+                  for _ in range(2)]
+        first, second = (init_blocked(Circuit(1000, bits, ()))
+                         for bits in inputs)
+        maps, matrices = {}, {}
+        for q, bits in enumerate(zip(*inputs)):
+            for bit, block in zip(bits, (first.block_of(q),
+                                         second.block_of(q))):
+                maps.setdefault(bit, {})[id(block.nonzeros)] = block.nonzeros
+                matrices.setdefault(bit, set()).add(id(block.matrix))
+            if bits[0] == bits[1]:
+                assert first.block_of(q) is second.block_of(q)
+        assert {bit: list(m.values()) for bit, m in maps.items()} == \
+            {"0": [{0: ONE}], "1": [{3: ONE}]}
+        assert [len(ids) for ids in matrices.values()] == [1, 1]
+
 
 class TestApply:
     def test_case1_same_block(self):

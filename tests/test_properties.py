@@ -2,7 +2,9 @@
 round-trips, the parser fails only with CircuitError, tensor products of
 blocks land in label order and trace back to their factors, a partial trace
 is the reduced state of its definition, a block
-conjugated tile by tile equals F rho F^dagger with the full gate F, the dense
+conjugated tile by tile equals F rho F^dagger with the full gate F, the
+nonzero maps that gates, merges and partial traces give hold no zero and
+match their dense views, `mat_mul` is the plain triple loop, the dense
 blockedness decider agrees with brute-force enumeration, the blocked engine
 aborts exactly when a prefix state is not p-blocked and otherwise ends with
 the dense density, a run hands one state forward, so that its newest
@@ -35,7 +37,7 @@ from pblocksim.circuits import (LIBRARY, Circuit, CircuitError, CircuitStep,
 from pblocksim.dense import dense_blockedness, dense_marginal, dense_run
 from pblocksim.exact import I_UNIT, MINUS_ONE, ONE, ZERO, ExactScalar
 from pblocksim.matrices import (DensityBlock, ExactMatrix, kron_blocks,
-                                mat_mul, partial_trace)
+                                mat_mul, nonzero_map, partial_trace)
 from pblocksim.prng import CounterRng
 from pblocksim.stabilizer import (StabilizerTableau, tableau_apply,
                                   tableau_marginal)
@@ -331,6 +333,91 @@ def test_conjugate_block_is_the_full_gate_conjugation(case):
     got = conjugate_block(block, gate, targets)
     assert got.labels == block.labels
     assert got.matrix == want
+
+
+@st.composite
+def mapped_blocks(draw):
+    """A pure, mixed or sparse block as `traced_blocks` draws it, given as
+    its nonzero map the way a run holds it, with labels to keep and a gate
+    that fits on it with targets in any order."""
+    dense, keep = draw(traced_blocks())
+    k = len(dense.labels)
+    gate = draw(st.sampled_from(GATES if k > 1 else GATES_1))
+    targets = tuple(dense.labels[i] for i in _targets(draw, k, gate.arity))
+    return (DensityBlock(dense.labels, nonzeros=nonzero_map(dense.matrix)),
+            keep, gate, targets)
+
+
+def _sparse_block(labels, amps):
+    dense = density_from_statevector(amps).scale(
+        ExactScalar(Fraction(1, sum(1 for a in amps if a))))
+    return DensityBlock(labels, nonzeros=nonzero_map(dense))
+
+
+def _map_and_view(block: DensityBlock) -> ExactMatrix:
+    """Check the map a block holds, which its first `matrix` read drops:
+    no zero value and no key outside its 4^k entries, and exactly the
+    nonzero entries of the view; return the view."""
+    nonzeros = dict(block.nonzeros)
+    dim = 1 << len(block.labels)
+    assert not any(x.is_zero() for x in nonzeros.values())
+    assert all(0 <= e < dim * dim for e in nonzeros)
+    view = block.matrix
+    assert nonzeros == nonzero_map(view)
+    return view
+
+
+# H turns |+><+| into |0><0| through sums that cancel to fresh zeros, and
+# CZ turns |++> into CZ|++>, whose marginals' off-diagonal sums cancel
+@settings(PROPERTY, max_examples=150)
+@example((_sparse_block((4,), [ONE, ONE]), [4], LIBRARY["H"], (4,)))
+@example((_sparse_block((2, 7), [ONE, ONE, ONE, ONE]), [7],
+          LIBRARY["CZ"], (7, 2)))
+@given(mapped_blocks())
+def test_block_maps_hold_only_nonzero_entries(case):
+    """Gates, merges and partial traces give blocks whose maps hold only
+    nonzero entries, with views equal to the dense reference, and a block
+    whose view was read turns under the next gate as one never read."""
+    block, keep, gate, targets = case
+    full = full_gate(gate.matrix, block.labels, targets)
+    turned = conjugate_block(block, gate, targets)
+    unread = conjugate_block(turned, gate, targets)
+    assert _map_and_view(turned) == \
+        mat_mul(mat_mul(full, block.matrix), full.dagger())
+    read = conjugate_block(turned, gate, targets)
+    assert _map_and_view(read) == _map_and_view(unread)
+    kept = partial_trace(turned, keep)
+    assert _map_and_view(kept) == _reduced_by_definition(turned, keep).matrix
+    rest = [q for q in turned.labels if q not in keep]
+    parts = [kept] + ([partial_trace(turned, rest)] if rest else [])
+    merged = kron_blocks(parts, turned.labels)
+    assert _map_and_view(merged) == kron_chain(parts, turned.labels).matrix
+
+
+@st.composite
+def products_with_fresh_zeros(draw):
+    """Two matrices of compatible shapes whose entries are units that
+    cancel in sums, the shared ZERO or fresh zeros."""
+    rows, inner, cols = (draw(st.integers(1, 4)) for _ in range(3))
+    entry = st.sampled_from([ZERO, ONE, MINUS_ONE, I_UNIT]) | \
+        st.builds(ExactScalar, st.just(0))
+    return tuple(ExactMatrix(r, c, draw(st.lists(entry, min_size=r * c,
+                                                 max_size=r * c)))
+                 for r, c in ((rows, inner), (inner, cols)))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(products_with_fresh_zeros())
+def test_mat_mul_is_the_plain_triple_loop(case):
+    a, b = case
+    want = [ExactScalar(0)] * (a.rows * b.cols)
+    for i in range(a.rows):
+        for j in range(b.cols):
+            for t in range(a.cols):
+                want[i * b.cols + j] = want[i * b.cols + j] + \
+                    a.at(i, t) * b.at(t, j)
+    got = mat_mul(a, b)
+    assert (got.rows, got.cols, got.entries) == (a.rows, b.cols, want)
 
 
 @settings(PROPERTY, max_examples=40)
