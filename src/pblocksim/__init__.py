@@ -14,9 +14,8 @@ fair-coin sampler for the output distributions.
 """
 
 from .exact import BigRational, ExactScalar, parse_scalar
-from .matrices import (ExactMatrix, DensityBlock, mat_mul, mat_eq,
-                       is_unitary, partial_trace, trace_norm_float,
-                       DimensionMismatch, NotHermitian)
+from .matrices import (ExactMatrix, DensityBlock, mat_mul, is_unitary,
+                       trace_norm_float, DimensionMismatch, NotHermitian)
 from .circuits import (GateDef, CircuitStep, Circuit, builtin_library,
                        LIBRARY, parse_circuit, serialize_circuit,
                        gen_block_local, gen_entangle_disentangle,

@@ -13,8 +13,9 @@ closest so far only when it is closer by a relative margin, which nothing
 is once the distance is 0, so stopping there installs the same blocks and
 logs the same residual as scoring every partition.  Each part's reduced
 state is traced once per step and shared by every partition that holds the
-part and by the installed winner; in the difference block - product,
-entries that compare equal give zero without any arithmetic, and most do.
+part and by the installed winner.  The difference block - product is
+formed over the two nonzero maps, where equal entries (most of them) drop
+out without arithmetic; only the trace norm builds a dense matrix.
 The certified bound follows the recursion
 
     e_0 = 0,   e_{j+1} = (2p+3) * (e_j + epsilon)
@@ -40,9 +41,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .matrices import (DensityBlock, ExactMatrix, mat_eq, partial_trace,
-                       reduced_state, trace_norm_float,
-                       product_over_partition, target_offsets)
+from .exact import ZERO
+from .matrices import (DensityBlock, ExactMatrix, reduced_state,
+                       trace_norm_float, product_over_partition,
+                       target_offsets)
 from .circuits import (CircuitStep, GateDef, LIBRARY, gen_block_local,
                        _fixed_cells)
 from .partitions import partitions_max_part, rank_positions
@@ -205,7 +207,13 @@ def closest_product(block: DensityBlock, p: int
                     labels, nonzeros, [positions[r] for r in part])
         candidate = product_over_partition(
             labels, [reduced[part] for part in parts])
-        dist = trace_norm_float(block.matrix.sub(candidate.matrix))
+        diff = dict(nonzeros)
+        for e, x in candidate.nonzeros.items():
+            y = diff.pop(e, ZERO)
+            if y != x:
+                diff[e] = y - x
+        dist = trace_norm_float(ExactMatrix.from_nonzeros(1 << len(labels),
+                                                          diff))
         if best is None or dist < best[0] * (1 - TIE_RTOL):
             best = (dist, parts, candidate)
             if dist == 0.0:
@@ -214,8 +222,9 @@ def closest_product(block: DensityBlock, p: int
     if DEBUG_CHECKS:
         for part in parts:
             kept = reduced[part]
-            assert mat_eq(partial_trace(candidate, kept.labels).matrix,
-                          kept.matrix), "projection changed a part marginal"
+            assert reduced_state(labels, candidate.nonzeros,
+                                 [positions[r] for r in part]).nonzeros \
+                == kept.nonzeros, "projection changed a part marginal"
     return d, [reduced[part] for part in parts]
 
 

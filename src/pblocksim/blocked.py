@@ -14,21 +14,20 @@ an input contract, not something this engine can repair.
 projection in place of the exact split.
 
 Blocks are stored as the nonzero maps of their density matrices, even when
-pure; mixed per-block inputs (`inputblock` in the circuit format) run through
-the same code path.  A gate acts on a block through its own 2x2 or 4x4
-matrix and the dagger the gate keeps, tile by tile on the targets' index
-bits, and only on the tiles that hold a nonzero; no 2^k x 2^k gate is ever
-built.  A split asks of each candidate part only whether it splits off, by
-the rank-one test the dense blockedness decider also uses, so pure and mixed
-blocks split the same way.
+pure, and read only through them; mixed per-block inputs (`inputblock` in
+the circuit format) run through the same code path.  A gate acts on a
+block through its own 2x2 or 4x4 matrix and the dagger the gate keeps,
+tile by tile on the targets' index bits, and only on the tiles that hold a
+nonzero; no 2^k x 2^k gate is ever built.  A split asks of each candidate
+part only whether it splits off, by the rank-one test the dense blockedness
+decider also uses, so pure and mixed blocks split the same way.
 """
 
 from __future__ import annotations
 
 from .exact import ZERO, ONE
 from .matrices import (ExactMatrix, DensityBlock, mat_mul, kron_blocks,
-                       nonzero_map, partial_trace, reduced_state,
-                       target_offsets)
+                       nonzero_map, reduced_state, target_offsets)
 from .circuits import Circuit, CircuitStep, GateDef
 from .partitions import partitions_max_part, rank_positions, splits_across
 from .sampling import OutcomeDistribution
@@ -225,9 +224,9 @@ def apply_blocked(state: BlockedState, step: CircuitStep, p: int,
 def measurement_marginal(state: BlockedState, qubit: int
                          ) -> OutcomeDistribution:
     block = state.block_of(qubit)
-    single = partial_trace(block, (qubit,))
-    p0 = single.matrix.at(0, 0)
-    p1 = single.matrix.at(1, 1)
+    single = reduced_state(block.labels, block.nonzeros,
+                           [block.labels.index(qubit)]).nonzeros
+    p0, p1 = single.get(0, ZERO), single.get(3, ZERO)
     if not (p0.is_real() and p1.is_real()):
         raise ValueError("marginal probabilities not real")
     return OutcomeDistribution(p0, p1)

@@ -149,6 +149,9 @@ class ExactScalar:
         return ExactScalar._raw(na, nb, nc, nd, self.den * other.den)
 
     def conjugate(self) -> "ExactScalar":
+        # a real scalar is its own conjugate, so ZERO stays the shared ZERO
+        if not (self.xb or self.xd):
+            return self
         out = object.__new__(ExactScalar)
         out.xa, out.xb, out.xc, out.xd = self.xa, -self.xb, self.xc, -self.xd
         out.den = self.den

@@ -6,17 +6,18 @@ eigensolve runs cyclic Jacobi sweeps on the complex matrix itself, so the
 only numeric kernel is a phase followed by a real 2x2 rotation.
 
 A `DensityBlock` is stored as its nonzero map, {row << k | col: value} over
-its nonzero entries only, so gates, merges and splits touch only nonzero
-entries; its dense `matrix` is a view built on first read.  `mat_mul`, the
-tile kernel, skips the shared ZERO by identity.
+its nonzero entries only, and the engines read a block through that map
+alone; its dense `matrix` is a view for the parser's checks and outside
+readers, built on first read.  `mat_mul`, the tile kernel, skips the
+shared ZERO by identity.
 
 `target_offsets` is the one index map: every routine that spreads a local
 index onto bit positions (partial traces, the tiles a gate conjugates in a
 block, the dense engine's gate kernel) takes its offsets from it.
 `kron_blocks` uses it to lay each block's nonzero entries straight into the
-requested label order.  `reduced_state` is the one partial-trace loop; it
-reads a block's nonzero map, which a split shares between its factor tests
-and the reduced states of its parts.
+requested label order.  `reduced_state` is the one partial trace; it reads
+a block's nonzero map, which a split shares between its factor tests and
+the reduced states of its parts.
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ class DimensionMismatch(ValueError):
 
 
 class NotHermitian(ValueError):
-    pass
-
-
-class LabelNotInBlock(ValueError):
     pass
 
 
@@ -78,6 +75,15 @@ class ExactMatrix:
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
         return cls(rows, cols, [ZERO] * (rows * cols))
+
+    @classmethod
+    def from_nonzeros(cls, dim: int,
+                      nonzeros: dict[int, ExactScalar]) -> "ExactMatrix":
+        """dim x dim matrix of a nonzero map {row * dim + col: value}."""
+        entries = [ZERO] * (dim * dim)
+        for e, x in nonzeros.items():
+            entries[e] = x
+        return cls(dim, dim, entries)
 
     def at(self, i: int, j: int) -> ExactScalar:
         return self.entries[i * self.cols + j]
@@ -136,12 +142,6 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
 
 
-def mat_eq(a: ExactMatrix, b: ExactMatrix) -> bool:
-    if a.rows != b.rows or a.cols != b.cols:
-        raise DimensionMismatch("comparing matrices of different shapes")
-    return all(x == y for x, y in zip(a.entries, b.entries))
-
-
 def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     if a.cols != b.rows:
         raise DimensionMismatch(
@@ -170,7 +170,7 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 def is_unitary(u: ExactMatrix) -> bool:
     if u.rows != u.cols:
         return False
-    return mat_eq(mat_mul(u.dagger(), u), ExactMatrix.identity(u.rows))
+    return mat_mul(u.dagger(), u) == ExactMatrix.identity(u.rows)
 
 
 def is_hermitian(h: ExactMatrix) -> bool:
@@ -240,11 +240,8 @@ class DensityBlock:
     @property
     def matrix(self) -> ExactMatrix:
         if self._matrix is None:
-            dim = 1 << len(self.labels)
-            entries = [ZERO] * (dim * dim)
-            for e, x in self._nonzeros.items():
-                entries[e] = x
-            self._matrix = ExactMatrix(dim, dim, entries)
+            self._matrix = ExactMatrix.from_nonzeros(1 << len(self.labels),
+                                                     self._nonzeros)
             self._nonzeros = None
         return self._matrix
 
@@ -266,7 +263,9 @@ class DensityBlock:
             raise ValueError("density block is not positive semidefinite")
 
     def __repr__(self):
-        return f"DensityBlock(labels={self.labels}, {self.matrix!r})"
+        # a view that is not kept, so that printing keeps the block's map
+        view = ExactMatrix.from_nonzeros(1 << len(self.labels), self.nonzeros)
+        return f"DensityBlock(labels={self.labels}, {view!r})"
 
 
 def target_offsets(width: int, positions) -> list[int]:
@@ -314,18 +313,6 @@ def reduced_state(labels, nonzeros: dict[int, ExactScalar],
             out[i] = x if acc is None else acc + x
     return DensityBlock([labels[p] for p in positions], nonzeros={
         i: x for i, x in out.items() if not x.is_zero()})
-
-
-def partial_trace(rho: DensityBlock, keep) -> DensityBlock:
-    """Exact reduced state on the kept labels (original order preserved)."""
-    keep = tuple(keep)
-    if not keep:
-        raise LabelNotInBlock("keep set must be nonempty")
-    for label in keep:
-        if label not in rho.labels:
-            raise LabelNotInBlock(f"label {label} not in block {rho.labels}")
-    return reduced_state(rho.labels, rho.nonzeros,
-                         [p for p, l in enumerate(rho.labels) if l in keep])
 
 
 def kron_blocks(blocks, labels) -> DensityBlock:
@@ -403,7 +390,7 @@ def _hermitian_eigenvalues_float(h: ExactMatrix) -> list[float]:
 def trace_norm_float(h: ExactMatrix) -> float:
     """Sum of |eigenvalues| of an exactly Hermitian matrix, numerically,
     added by math.fsum so that the sum is the same on every Python."""
-    if all(e.is_zero() for e in h.entries):
+    if all(e is ZERO or e.is_zero() for e in h.entries):
         if h.rows != h.cols:
             raise NotHermitian("matrix is not square")
         return 0.0

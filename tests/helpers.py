@@ -2,10 +2,12 @@
 
 Everything here deliberately avoids the code paths under test: partitions
 are enumerated by plain recursion, blockedness is decided by full density
-matrix comparison, the approx projection is scored with fresh partial
-traces and plain scalar arithmetic, tensor factors are placed and gates
-widened by per-bit loops of their own, reversible circuits are evaluated at
-the bit level, and eigenvalues come from exact characteristic polynomials.
+matrix comparison, a partial trace sums the terms of its definition over
+indices put together bit by bit, the approx projection is scored with
+fresh partial traces and plain scalar arithmetic, tensor factors are
+placed and gates widened by per-bit loops of their own, reversible circuits
+are evaluated at the bit level, and eigenvalues come from exact
+characteristic polynomials.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from itertools import combinations
 from pblocksim.approx import TIE_RTOL
 from pblocksim.exact import ExactScalar, ZERO, ONE
 from pblocksim.matrices import (ExactMatrix, DensityBlock, BadPermutation,
-                                mat_eq, mat_mul, partial_trace,
-                                trace_norm_float)
+                                mat_mul, trace_norm_float)
 from pblocksim.circuits import (Circuit, CircuitStep, GateDef, LIBRARY,
                                 parse_circuit)
 from pblocksim.prng import CounterRng
@@ -59,7 +60,7 @@ def brute_blockedness(amps: list[ExactScalar], width: int, p: int):
     best = None
     for parts in all_partitions(range(width), p):
         parts = sorted(tuple(p_) for p_ in parts)
-        if mat_eq(product_of_marginals(rho, parts).matrix, rho.matrix):
+        if product_of_marginals(rho, parts).matrix == rho.matrix:
             if best is None or len(parts) > len(best):
                 best = parts
     return best
@@ -127,9 +128,42 @@ def kron_chain(blocks, labels) -> DensityBlock:
     return relabel_reorder(assembled, labels)
 
 
+def reduced_by_definition(block: DensityBlock, keep) -> DensityBlock:
+    """<r| tr_T rho |s> = sum over the traced-out bits t of <r t| rho |s t>,
+    term by term with zero terms skipped; each full index is put together
+    bit by bit from r or s and t."""
+    labels = block.labels
+    kept = [q for q in labels if q in keep]
+    traced = [q for q in labels if q not in keep]
+    k = len(labels)
+
+    def full_index(r, t):
+        index = 0
+        for bits, group in ((r, kept), (t, traced)):
+            for n, q in enumerate(group):
+                if _bit_of(bits, len(group), n):
+                    index |= 1 << (k - 1 - labels.index(q))
+        return index
+
+    matrix = block.matrix
+    dim_out = 1 << len(kept)
+    full = [[full_index(r, t) for t in range(1 << len(traced))]
+            for r in range(dim_out)]
+    out = []
+    for r in range(dim_out):
+        for s in range(dim_out):
+            acc = ZERO
+            for i, j in zip(full[r], full[s]):
+                x = matrix.at(i, j)
+                if not x.is_zero():
+                    acc = acc + x
+            out.append(acc)
+    return DensityBlock(kept, ExactMatrix(dim_out, dim_out, out))
+
+
 def product_of_marginals(rho: DensityBlock, parts) -> DensityBlock:
     """kron of freshly traced reduced states of `parts`, in rho's order."""
-    return kron_chain([partial_trace(rho, part) for part in parts],
+    return kron_chain([reduced_by_definition(rho, part) for part in parts],
                       rho.labels)
 
 

@@ -8,7 +8,7 @@ import time
 from fractions import Fraction
 
 from pblocksim.exact import ExactScalar
-from pblocksim.matrices import trace_norm_float, partial_trace
+from pblocksim.matrices import trace_norm_float
 from pblocksim.circuits import gen_block_local, gen_entangle_disentangle
 from pblocksim.dense import (StateVector, dense_run, dense_marginal,
                              dense_blockedness, WidthCapExceeded)
@@ -22,7 +22,8 @@ from pblocksim.sampling import CoinSource, coin_sample
 from pblocksim.prng import CounterRng
 
 from helpers import (ghz_circuit, random_clifford_circuit,
-                     random_mixed_density, random_pure_density)
+                     random_mixed_density, random_pure_density,
+                     reduced_by_definition)
 
 
 def _verdict(name: str, ok: bool, detail: str = ""):
@@ -243,8 +244,8 @@ def test_10_trace_norm_checks():
         sigma = random_mixed_density(rng, 2)
         whole = trace_norm_float(rho.matrix.sub(sigma.matrix))
         part = trace_norm_float(
-            partial_trace(rho, (0,)).matrix.sub(
-                partial_trace(sigma, (0,)).matrix))
+            reduced_by_definition(rho, (0,)).matrix.sub(
+                reduced_by_definition(sigma, (0,)).matrix))
         if part > whole + 1e-9:
             ok = False
     elapsed = time.perf_counter() - started

@@ -9,7 +9,6 @@ import pblocksim.approx
 from pblocksim.circuits import parse_circuit, gen_block_local
 from pblocksim.dense import dense_run
 from pblocksim.blocked import PBlockError, advance, init_blocked, run_blocked
-from pblocksim.matrices import mat_eq, partial_trace, product_over_partition
 from pblocksim.partitions import partitions_max_part
 from pblocksim.approx import (ApproxConfig, ErrorLedger, Rotation,
                               approx_step, run_approx, required_epsilon,
@@ -17,7 +16,7 @@ from pblocksim.approx import (ApproxConfig, ErrorLedger, Rotation,
                               simulate_perturbed_floats)
 from pblocksim.prng import CounterRng
 
-from helpers import OUT_OF_ORDER_INPUTS
+from helpers import OUT_OF_ORDER_INPUTS, product_of_marginals
 
 BELL = parse_circuit("qubits 2\ninput 00\ngate H 0\ngate CNOT 0 1\nmeasure 0\n")
 
@@ -188,11 +187,9 @@ class TestApproxRuns:
         order = partitions_max_part(len(merged.labels), 2)
         ranked = sorted(merged.labels)
         k = 1 + next(i for i, parts in enumerate(order)
-                     if mat_eq(product_over_partition(
-                         merged.labels,
-                         [partial_trace(merged, [ranked[r] for r in part])
-                          for part in parts]).matrix,
-                               merged.matrix))
+                     if product_of_marginals(
+                         merged, [[ranked[r] for r in part]
+                                  for part in parts]).matrix == merged.matrix)
         assert (k, len(order)) == (8, 10)
         monkeypatch.setattr(pblocksim.approx, "trace_norm_float", counted)
         state = approx_step(state, c.steps[-1], cfg, ledger)

@@ -8,18 +8,20 @@ from fractions import Fraction
 import pytest
 
 from pblocksim.exact import ExactScalar, ZERO, ONE, HALF_SQRT2
-from pblocksim.matrices import DensityBlock, mat_eq, partial_trace
+from pblocksim.matrices import DensityBlock
 from pblocksim.circuits import (Circuit, CircuitStep, LIBRARY, parse_circuit,
                                 gen_block_local, gen_entangle_disentangle)
 from pblocksim.dense import dense_run, dense_marginal
 from pblocksim.blocked import (BlockedState, PBlockError, init_blocked,
                                apply_blocked, split_exact, run_blocked,
                                run_blocked_full)
+from pblocksim.approx import ApproxConfig, run_approx
 from pblocksim.prng import CounterRng
 
 from helpers import (OUT_OF_ORDER_INPUTS, classical_bits,
                      density_from_statevector, evolve_density_exact, kron,
-                     kron_chain, random_mixed_density, random_pure_density)
+                     kron_chain, random_mixed_density, random_pure_density,
+                     reduced_by_definition)
 
 BELL = parse_circuit("qubits 2\ninput 00\ngate H 0\ngate CNOT 0 1\nmeasure 0\n")
 HALF = ExactScalar(Fraction(1, 2))
@@ -82,7 +84,7 @@ class TestApply:
         circ = Circuit(2, "01", (CircuitStep(LIBRARY["H"], (0,)),
                                  CircuitStep(LIBRARY["CNOT"], (0, 1))))
         want = density_from_statevector(dense_run(circ).amps)
-        assert mat_eq(block.matrix, want)
+        assert block.matrix == want
 
     def test_case2_p1_raises(self):
         state = init_blocked(Circuit(2, "01", ()))
@@ -122,8 +124,8 @@ class TestSplitExact:
         joint = DensityBlock((0, 1), kron(a.matrix, b.matrix))
         parts = split_exact(joint, 1)
         assert [blk.labels for blk in parts] == [(0,), (1,)]
-        assert mat_eq(parts[0].matrix, a.matrix)
-        assert mat_eq(parts[1].matrix, b.matrix)
+        assert parts[0].matrix == a.matrix
+        assert parts[1].matrix == b.matrix
 
     def test_ap1_block_splits_into_pairs(self):
         amp = HALF
@@ -150,7 +152,7 @@ class TestSplitExact:
             joint = DensityBlock((0, 1, 2), kron(a.matrix, b.matrix))
             parts = split_exact(joint, 2)
             reassembled = kron_chain(parts, joint.labels)
-            assert mat_eq(reassembled.matrix, joint.matrix)
+            assert reassembled.matrix == joint.matrix
 
     def test_mixed_block_split(self):
         """Mixed product blocks split exactly too (no purity shortcut)."""
@@ -160,7 +162,7 @@ class TestSplitExact:
         joint = DensityBlock((4, 7), kron(a.matrix, b.matrix))
         parts = split_exact(joint, 1)
         assert [blk.labels for blk in parts] == [(4,), (7,)]
-        assert mat_eq(parts[0].matrix, a.matrix)
+        assert parts[0].matrix == a.matrix
 
 
 class TestRunBlocked:
@@ -222,7 +224,7 @@ class TestRunBlocked:
             state, _ = run_blocked_full(c, 2)
             got = state.global_density()
             want = density_from_statevector(dense_run(c).amps)
-            assert mat_eq(got.matrix, want)
+            assert got.matrix == want
 
     def test_entangle_disentangle_example(self):
         """H, CNOT, CNOT, H pattern: transient Bell inside one 2-block."""
@@ -263,8 +265,8 @@ class TestRunBlocked:
             start = DensityBlock(tuple(range(n)),
                                  kron(mixed0.matrix, rest))
             final = evolve_density_exact(circ, start)
-            assert mat_eq(state.global_density().matrix, final.matrix)
-            single = partial_trace(final, (0,))
+            assert state.global_density().matrix == final.matrix
+            single = reduced_by_definition(final, (0,))
             assert dist.p0 == single.matrix.at(0, 0)
 
     def test_input_block_larger_than_p(self):
@@ -310,3 +312,27 @@ def test_run_loop_keeps_no_old_version():
         state = apply_blocked(state, step, 2, j)
     gc.collect()
     assert early() is None
+
+
+def test_no_engine_reads_a_dense_block(monkeypatch):
+    """Both engines read every block through its nonzero map: runs that
+    merge, split, project onto a product that is not exact and measure
+    never build a block's dense view."""
+    split = parse_circuit("qubits 4\ninput 0000\ngate H 0\ngate CNOT 0 1\n"
+                          "gate SWAP 1 2\ngate CNOT 3 2\nmeasure 0\n")
+    ghz = parse_circuit("qubits 3\ninput 000\ngate H 0\ngate CNOT 0 1\n"
+                        "gate CNOT 1 2\nmeasure 2\n")
+    reads = []
+    view = DensityBlock.matrix
+
+    def counted(block):
+        reads.append(block)
+        return view.fget(block)
+
+    monkeypatch.setattr(DensityBlock, "matrix", property(counted))
+    state, dist = run_blocked_full(split, 2)
+    assert sorted(b.labels for b in state.blocks) == [(0, 2), (1,), (3,)]
+    assert dist.p0 == ExactScalar(Fraction(1, 2))
+    _, ledger, _ = run_approx(ghz, ApproxConfig(2, 0.0))
+    assert ledger.entries[-1].d > 0
+    assert reads == []

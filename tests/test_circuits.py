@@ -3,7 +3,7 @@
 import pytest
 
 from pblocksim.exact import ExactScalar, ZERO, ONE, I_UNIT
-from pblocksim.matrices import mat_eq, mat_mul, ExactMatrix, is_unitary
+from pblocksim.matrices import mat_mul, ExactMatrix, is_unitary
 from pblocksim.circuits import (LIBRARY, builtin_library, parse_circuit,
                                 serialize_circuit, gen_block_local,
                                 gen_entangle_disentangle, CircuitError,
@@ -59,7 +59,7 @@ class TestLibrary:
 
     def test_h_involution(self):
         h = LIBRARY["H"].matrix
-        assert mat_eq(mat_mul(h, h), ExactMatrix.identity(2))
+        assert mat_mul(h, h) == ExactMatrix.identity(2)
 
     def test_all_unitary(self):
         for gate in LIBRARY.values():
@@ -124,7 +124,7 @@ class TestParse:
                 "gate MYZ 0\n")
         c = parse_circuit(text)
         assert c.steps[0].gate.name == "MYZ"
-        assert mat_eq(c.steps[0].gate.matrix, LIBRARY["Z"].matrix)
+        assert c.steps[0].gate.matrix == LIBRARY["Z"].matrix
 
     def test_defgate_requires_exact_unitarity(self):
         # a rational approximation of a rotation is not exactly unitary

@@ -8,6 +8,7 @@ import pytest
 from pblocksim.exact import (BigRational, ExactScalar, ZERO, ONE, MINUS_ONE,
                              I_UNIT, SQRT2, HALF_SQRT2, parse_scalar)
 from pblocksim.matrices import ExactMatrix
+from pblocksim.circuits import LIBRARY
 from pblocksim.prng import CounterRng
 
 from helpers import random_exact_scalar
@@ -50,6 +51,14 @@ def test_conjugation():
     for _ in range(50):
         x = random_exact_scalar(rng)
         assert x.conjugate().conjugate() == x
+
+
+def test_gate_daggers_keep_the_shared_zero():
+    """A real scalar is its own conjugate, so every zero entry of a gate's
+    dagger is the shared ZERO, which `mat_mul` skips by identity."""
+    assert ZERO.conjugate() is ZERO and SQRT2.conjugate() is SQRT2
+    for gate in LIBRARY.values():
+        assert all(x is ZERO for x in gate.dagger.entries if x.is_zero())
 
 
 def test_inverse_values():

@@ -6,17 +6,17 @@ import pytest
 
 from pblocksim.exact import ExactScalar, ZERO, ONE, HALF_SQRT2, I_UNIT
 from pblocksim.matrices import (ExactMatrix, DensityBlock, DimensionMismatch,
-                                NotHermitian, LabelNotInBlock, BadPermutation,
-                                mat_mul, mat_eq, is_unitary, partial_trace,
-                                trace_norm_float, is_psd,
-                                product_over_partition)
+                                NotHermitian, BadPermutation, mat_mul,
+                                is_unitary, reduced_state, trace_norm_float,
+                                is_psd)
 from pblocksim.circuits import LIBRARY
 from pblocksim.blocked import conjugate_block
 from pblocksim.prng import CounterRng
 
 from helpers import (char_poly, poly_eval, density_from_statevector,
-                     full_gate, kron, random_exact_scalar,
-                     random_pure_density, random_mixed_density,
+                     full_gate, kron, product_of_marginals,
+                     random_exact_scalar, random_pure_density,
+                     random_mixed_density, reduced_by_definition,
                      relabel_reorder)
 
 HALF = ExactScalar(Fraction(1, 2))
@@ -37,16 +37,16 @@ class TestMatMul:
     def test_identity(self):
         rng = CounterRng(20, "matmul")
         a = random_matrix(rng, 4, 4)
-        assert mat_eq(mat_mul(ExactMatrix.identity(4), a), a)
+        assert mat_mul(ExactMatrix.identity(4), a) == a
 
     def test_h_involution(self):
         h = LIBRARY["H"].matrix
-        assert mat_eq(mat_mul(h, h), ExactMatrix.identity(2))
+        assert mat_mul(h, h) == ExactMatrix.identity(2)
 
     def test_x_flips_column(self):
         ket0 = ExactMatrix(2, 1, [ONE, ZERO])
         ket1 = ExactMatrix(2, 1, [ZERO, ONE])
-        assert mat_eq(mat_mul(LIBRARY["X"].matrix, ket0), ket1)
+        assert mat_mul(LIBRARY["X"].matrix, ket0) == ket1
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -56,8 +56,8 @@ class TestMatMul:
 # kron and relabel_reorder are the test oracles from helpers; these pin them
 class TestKron:
     def test_identities(self):
-        assert mat_eq(kron(ExactMatrix.identity(2), ExactMatrix.identity(2)),
-                      ExactMatrix.identity(4))
+        assert kron(ExactMatrix.identity(2), ExactMatrix.identity(2)) == \
+            ExactMatrix.identity(4)
 
     def test_basis_projectors(self):
         p0 = ExactMatrix(2, 2, [ONE, ZERO, ZERO, ZERO])
@@ -65,7 +65,7 @@ class TestKron:
         out = kron(p0, p1)  # |01><01|
         expect = ExactMatrix.zeros(4, 4)
         expect.entries[1 * 4 + 1] = ONE
-        assert mat_eq(out, expect)
+        assert out == expect
 
     def test_entry_formula(self):
         rng = CounterRng(21, "kron")
@@ -83,9 +83,9 @@ class TestKron:
 class TestPartialTrace:
     def test_bell_marginal_is_maximally_mixed(self):
         rho = DensityBlock((0, 1), bell_density())
-        reduced = partial_trace(rho, (0,))
+        marginal = reduced_state(rho.labels, rho.nonzeros, (0,))
         expect = ExactMatrix(2, 2, [HALF, ZERO, ZERO, HALF])
-        assert mat_eq(reduced.matrix, expect)
+        assert marginal.matrix == expect
 
     def test_product_reduces_to_factor(self):
         rng = CounterRng(22, "ptrace")
@@ -93,22 +93,17 @@ class TestPartialTrace:
             rho1 = random_pure_density(rng, 1)
             rho2 = random_mixed_density(rng, 2)
             joint = DensityBlock((0, 1, 2), kron(rho1.matrix, rho2.matrix))
-            back = partial_trace(joint, (0,))
-            assert mat_eq(back.matrix, rho1.matrix)
-            back2 = partial_trace(joint, (1, 2))
-            assert mat_eq(back2.matrix, rho2.matrix)
+            back = reduced_state(joint.labels, joint.nonzeros, (0,))
+            assert back.matrix == rho1.matrix
+            back2 = reduced_state(joint.labels, joint.nonzeros, (1, 2))
+            assert back2.matrix == rho2.matrix
 
     def test_trace_preserved(self):
         rng = CounterRng(23, "ptrace_tr")
         for _ in range(10):
             rho = random_mixed_density(rng, 3)
-            red = partial_trace(rho, (0, 2))
+            red = reduced_state(rho.labels, rho.nonzeros, (0, 2))
             assert red.matrix.trace() == ONE
-
-    def test_label_not_in_block(self):
-        rho = DensityBlock((0, 1), bell_density())
-        with pytest.raises(LabelNotInBlock):
-            partial_trace(rho, (5,))
 
 
 class TestTraceNorm:
@@ -203,8 +198,8 @@ class TestTraceNorm:
             rho = random_mixed_density(rng, 2)
             sigma = random_mixed_density(rng, 2)
             whole = trace_norm_float(rho.matrix.sub(sigma.matrix))
-            ra = partial_trace(rho, (0,))
-            sa = partial_trace(sigma, (0,))
+            ra = reduced_by_definition(rho, (0,))
+            sa = reduced_by_definition(sigma, (0,))
             part = trace_norm_float(ra.matrix.sub(sa.matrix))
             assert part <= whole + 1e-9
 
@@ -223,24 +218,19 @@ class TestMatEq:
     def test_reflexive(self):
         rng = CounterRng(27, "mateq")
         a = random_matrix(rng, 3, 3)
-        assert mat_eq(a, a)
+        assert a == ExactMatrix(3, 3, list(a.entries))
 
     def test_bell_is_not_product_of_marginals(self):
         rho = DensityBlock((0, 1), bell_density())
-        product = product_over_partition(
-            rho.labels, [partial_trace(rho, (0,)), partial_trace(rho, (1,))])
-        assert not mat_eq(product.matrix, rho.matrix)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            mat_eq(ExactMatrix.identity(2), ExactMatrix.identity(4))
+        product = product_of_marginals(rho, [(0,), (1,)])
+        assert product.matrix != rho.matrix
 
 
 class TestRelabelReorder:
     def test_identity_permutation(self):
         rng = CounterRng(28, "relabel")
         rho = random_mixed_density(rng, 2)
-        assert mat_eq(relabel_reorder(rho, rho.labels).matrix, rho.matrix)
+        assert relabel_reorder(rho, rho.labels).matrix == rho.matrix
 
     def test_swap_product_factors(self):
         rng = CounterRng(29, "relabel_swap")
@@ -250,7 +240,7 @@ class TestRelabelReorder:
         b = DensityBlock((1,), r1.matrix)
         joint = DensityBlock((0, 1), kron(a.matrix, b.matrix))
         swapped = relabel_reorder(joint, (1, 0))
-        assert mat_eq(swapped.matrix, kron(b.matrix, a.matrix))
+        assert swapped.matrix == kron(b.matrix, a.matrix)
 
     def test_involution(self):
         rng = CounterRng(30, "relabel_inv")
@@ -258,7 +248,7 @@ class TestRelabelReorder:
         perm = (2, 0, 1)
         there = relabel_reorder(rho, tuple(rho.labels[i] for i in perm))
         back = relabel_reorder(there, rho.labels)
-        assert mat_eq(back.matrix, rho.matrix)
+        assert back.matrix == rho.matrix
 
     def test_bad_permutation(self):
         rng = CounterRng(31, "relabel_bad")
@@ -274,7 +264,8 @@ def test_partial_trace_kron_inverse_property():
         r2 = random_pure_density(rng, 1)
         joint = DensityBlock((0, 1, 2),
                              kron(r1.matrix, r2.matrix))
-        assert mat_eq(partial_trace(joint, (0, 1)).matrix, r1.matrix)
+        back = reduced_state(joint.labels, joint.nonzeros, (0, 1))
+        assert back.matrix == r1.matrix
 
 
 def test_conjugate_block_positions():
@@ -299,6 +290,17 @@ def test_conjugate_block_positions():
     full = full_gate(cnot.matrix, labels, (9, 4))
     assert conjugate_block(rho, cnot, (9, 4)).matrix == \
         mat_mul(mat_mul(full, rho.matrix), full.dagger())
+
+
+def test_repr_keeps_the_nonzero_map():
+    """Printing a block builds a view it does not keep, so the block goes
+    on answering from the same map."""
+    block = conjugate_block(DensityBlock((3,), nonzeros={0: ONE}),
+                            LIBRARY["H"], (3,))
+    nonzeros = block.nonzeros
+    assert repr(block) == \
+        "DensityBlock(labels=(3,), ExactMatrix(2x2: 1/2 1/2; 1/2 1/2))"
+    assert block.nonzeros is nonzeros
 
 
 def test_density_block_validation():

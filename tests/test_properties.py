@@ -37,7 +37,7 @@ from pblocksim.circuits import (LIBRARY, Circuit, CircuitError, CircuitStep,
 from pblocksim.dense import dense_blockedness, dense_marginal, dense_run
 from pblocksim.exact import I_UNIT, MINUS_ONE, ONE, ZERO, ExactScalar
 from pblocksim.matrices import (DensityBlock, ExactMatrix, kron_blocks,
-                                mat_mul, nonzero_map, partial_trace)
+                                mat_mul, nonzero_map, reduced_state)
 from pblocksim.prng import CounterRng
 from pblocksim.stabilizer import (StabilizerTableau, tableau_apply,
                                   tableau_marginal)
@@ -45,7 +45,8 @@ from pblocksim.stabilizer import (StabilizerTableau, tableau_apply,
 from helpers import (S_H_CNOT, all_partitions, brute_blockedness,
                      brute_projection, density_from_statevector, full_gate,
                      kron, kron_chain, product_of_marginals,
-                     random_mixed_density, random_pure_density, reorder_bits)
+                     random_mixed_density, random_pure_density,
+                     reduced_by_definition, reorder_bits)
 
 # derandomized so that every run checks the same examples
 PROPERTY = settings(deadline=None, derandomize=True)
@@ -216,7 +217,7 @@ def test_kron_blocks_lays_factors_out_in_label_order(case):
     assert product.labels == labels
     assert product.matrix == kron_chain(blocks, labels).matrix
     for block in blocks:
-        reduced = partial_trace(product, block.labels)
+        reduced = reduced_by_definition(product, block.labels)
         assert reduced.matrix == reorder_bits(block.matrix, block.labels,
                                               reduced.labels)
 
@@ -257,35 +258,18 @@ def traced_blocks(draw):
     return DensityBlock(labels, matrix), keep
 
 
-def _reduced_by_definition(block: DensityBlock, keep) -> DensityBlock:
-    """sum over the traced-out bits t of <r t| rho |s t>, by a plain loop
-    over every pair of full indices."""
-    labels = block.labels
-    kept = [q for q in labels if q in keep]
-    k, dim_out = len(labels), 1 << len(kept)
-
-    def bit(index, q):
-        return index >> (k - 1 - labels.index(q)) & 1
-
-    def local(index):
-        return sum(bit(index, q) << (len(kept) - 1 - n)
-                   for n, q in enumerate(kept))
-
-    out = [ZERO] * (dim_out * dim_out)
-    for i in range(1 << k):
-        for j in range(1 << k):
-            if all(bit(i, q) == bit(j, q) for q in labels if q not in keep):
-                e = local(i) * dim_out + local(j)
-                out[e] = out[e] + block.matrix.at(i, j)
-    return DensityBlock(kept, ExactMatrix(dim_out, dim_out, out))
+def _reduced(block: DensityBlock, keep) -> DensityBlock:
+    """`reduced_state` of a block on the kept labels."""
+    return reduced_state(block.labels, block.nonzeros,
+                         [block.labels.index(q) for q in keep])
 
 
 @settings(PROPERTY, max_examples=100)
 @given(traced_blocks())
 def test_partial_trace_is_the_reduced_state_by_definition(case):
     block, keep = case
-    got = partial_trace(block, keep)
-    want = _reduced_by_definition(block, keep)
+    got = _reduced(block, keep)
+    want = reduced_by_definition(block, keep)
     assert (got.labels, got.matrix) == (want.labels, want.matrix)
 
 
@@ -386,10 +370,10 @@ def test_block_maps_hold_only_nonzero_entries(case):
         mat_mul(mat_mul(full, block.matrix), full.dagger())
     read = conjugate_block(turned, gate, targets)
     assert _map_and_view(read) == _map_and_view(unread)
-    kept = partial_trace(turned, keep)
-    assert _map_and_view(kept) == _reduced_by_definition(turned, keep).matrix
+    kept = _reduced(turned, keep)
+    assert _map_and_view(kept) == reduced_by_definition(turned, keep).matrix
     rest = [q for q in turned.labels if q not in keep]
-    parts = [kept] + ([partial_trace(turned, rest)] if rest else [])
+    parts = [kept] + ([_reduced(turned, rest)] if rest else [])
     merged = kron_blocks(parts, turned.labels)
     assert _map_and_view(merged) == kron_chain(parts, turned.labels).matrix
 
@@ -582,7 +566,7 @@ def test_split_exact_matches_brute_force(block):
         assert want is not None
         assert [(b.labels, b.matrix) for b in got] == \
             [(r.labels, r.matrix) for r in
-             (partial_trace(block, part) for part in want)]
+             (reduced_by_definition(block, part) for part in want)]
 
 
 @settings(PROPERTY, max_examples=60)
@@ -718,7 +702,8 @@ def test_approx_projection_matches_brute_force():
         installed = {out.block_of(q) for q in merged.labels}
         assert sorted((b.labels, b.matrix.entries) for b in installed) == \
             sorted((r.labels, r.matrix.entries) for r in
-                   (partial_trace(merged, part) for part in want_parts))
+                   (reduced_by_definition(merged, part)
+                    for part in want_parts))
         distances.append(want_d)
 
     check()
