@@ -1,11 +1,12 @@
 """Blockedness analysis of equal-amplitude basis superpositions.
 
 States here are supports: a set of basis integers, all with amplitude
-1/sqrt(|support|).  Such a state factors over a partition of bit positions
-exactly when the support is the Cartesian product of its bit-projections,
-so the decision is pure set combinatorics and scales past any amplitude
-representation.  Qubits are labelled by the power of two they carry (bit 0
-is the 1s place).
+1/sqrt(|support|).  Such a state is the nonzero map with every value 1,
+and it factors over a partition of bit positions exactly when the support
+is the Cartesian product of its projections; `finest_factorization` decides
+it with the same factor test the other engines use, and no amplitude is
+ever built.  Qubits are labelled by the power of two they carry (bit 0 is
+the 1s place).
 
 Arithmetic-progression supports {x0 + k*r} are the intermediate states of
 period finding; the census measures how rarely they stay p-blocked as the
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import peel_finest
+from .partitions import finest_factorization
 from .prng import CounterRng
 
 
@@ -65,43 +66,17 @@ def build_pair(x0: int, x1: int, n: int) -> BasisSuperposition:
     return BasisSuperposition(n, tuple(sorted((x0, x1))))
 
 
-def _projection(support, mask: int) -> frozenset[int]:
-    return frozenset(s & mask for s in support)
-
-
 def analyze_blockedness(s: BasisSuperposition, p: int):
     """Finest partition of bit positions (parts <= p) over which the state
     factors, or None when no such partition exists.
 
-    Because projections onto disjoint masks combine freely, the support is a
-    product over a bipartition exactly when the projection sizes multiply to
-    the support size; `peel_finest` turns that test into the unique finest
-    partition."""
+    The state is its support with every amplitude equal, so it is the
+    nonzero map with every value 1, bit position q owning the index bit
+    1 << q; `finest_factorization` decides it like any other state."""
     if p < 1:
         raise BadArgs("p must be >= 1")
-    support = s.support
-    full = (1 << s.width) - 1
-
-    def splits_off(part) -> bool:
-        mask = sum(1 << q for q in part)
-        return len(_projection(support, mask)) * \
-            len(_projection(support, full ^ mask)) == len(support)
-
-    parts = peel_finest(range(s.width), splits_off, p)
-    if parts is not None:
-        _self_check_partition(support, parts)
-    return parts
-
-
-def _self_check_partition(support, parts) -> None:
-    """The product of the projections must rebuild the support exactly."""
-    total = 1
-    for part in parts:
-        mask = 0
-        for q in part:
-            mask |= 1 << q
-        total *= len(_projection(support, mask))
-    assert total == len(support), "projection product mismatch"
+    return finest_factorization(dict.fromkeys(s.support, 1),
+                                [1 << q for q in range(s.width)], p)
 
 
 def format_partition(parts) -> str:

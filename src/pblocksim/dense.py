@@ -13,7 +13,7 @@ from __future__ import annotations
 from .exact import ExactScalar, ZERO, ONE
 from .circuits import Circuit, CircuitStep
 from .matrices import target_offsets
-from .partitions import peel_finest, splits_across
+from .partitions import finest_factorization
 from .sampling import OutcomeDistribution
 
 WIDTH_CAP = 14
@@ -126,12 +126,9 @@ def dense_marginal(state: StateVector, qubit: int) -> OutcomeDistribution:
 #
 # A pure state factors over a partition exactly when its amplitudes do:
 # arranged as a matrix with the part's index bits choosing the row and the
-# other bits the column, they have rank one.  That is `splits_across`, the
-# test the blocked engine's split also asks of a density, with the mask
-# taken from `target_offsets` like every other index map.  The finest such
-# partition is unique, and `peel_finest` finds it with that test as its
-# predicate.  The answer is then rebuilt amplitude by amplitude, so a wrong
-# split can never be returned silently.
+# other bits the column, they have rank one.  `finest_factorization` asks
+# that of the nonzero amplitudes, each qubit owning the bit `target_offsets`
+# gives it, and rebuilds its answer before returning it.
 
 def dense_blockedness(state: StateVector, p: int):
     """Finest partition (parts <= p) over which the state factors exactly,
@@ -140,37 +137,6 @@ def dense_blockedness(state: StateVector, p: int):
     nonzeros = state.nonzeros()
     if not nonzeros:
         raise ValueError("zero state has no blockedness")
-
-    def mask(part):
-        return target_offsets(state.width, part)[-1]
-
-    parts = peel_finest(
-        range(state.width),
-        lambda part: splits_across(nonzeros, mask(part)), p)
-    if parts is not None:
-        _self_check_product(nonzeros, [mask(part) for part in parts])
-    return parts
-
-
-def _self_check_product(nonzeros, masks):
-    """Assert the parts rebuild every amplitude exactly.
-
-    Each part's factor is read off the state with the other bits held at a
-    reference index idx0, which scales it by the other factors' values
-    there, so the product over the k parts is psi(idx) * psi(idx0)^(k-1).
-    Matching every nonzero amplitude and the support size pins the state."""
-    idx0, a0 = next(iter(nonzeros.items()))
-    factors = [{idx & m: amp for idx, amp in nonzeros.items()
-                if idx & ~m == idx0 & ~m} for m in masks]
-    support = 1
-    for factor in factors:
-        support *= len(factor)
-    assert support == len(nonzeros), "factor support mismatch"
-    scale = ONE
-    for _ in masks[1:]:
-        scale = scale * a0
-    for idx, amp in nonzeros.items():
-        prod = ONE
-        for m, factor in zip(masks, factors):
-            prod = prod * factor.get(idx & m, ZERO)
-        assert prod == amp * scale, "factor product mismatch"
+    return finest_factorization(
+        nonzeros, [target_offsets(state.width, (q,))[-1]
+                   for q in range(state.width)], p)

@@ -111,13 +111,11 @@ class ExactMatrix:
                            [x + y for x, y in zip(self.entries, other.entries)])
 
     def sub(self, other: "ExactMatrix") -> "ExactMatrix":
-        """Entrywise difference; entries that compare equal give ZERO
-        without any arithmetic."""
+        """Entrywise difference."""
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch("matrix sub shape mismatch")
         return ExactMatrix(self.rows, self.cols,
-                           [ZERO if x == y else x - y
-                            for x, y in zip(self.entries, other.entries)])
+                           [x - y for x, y in zip(self.entries, other.entries)])
 
     def scale(self, s: ExactScalar) -> "ExactMatrix":
         return ExactMatrix(self.rows, self.cols, [s * x for x in self.entries])

@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the code paths under test: partitions
 are enumerated by plain recursion, blockedness is decided by full density
-matrix comparison, a partial trace sums the terms of its definition over
+matrix comparison or, for an equal-amplitude support, by counting the
+projections of the support, a factor test by every 2 x 2 minor of a dense
+matrix, a partial trace sums the terms of its definition over
 indices put together bit by bit, the approx projection is scored with
 fresh partial traces and plain scalar arithmetic, tensor factors are
 placed and gates widened by per-bit loops of their own, reversible circuits
@@ -64,6 +66,47 @@ def brute_blockedness(amps: list[ExactScalar], width: int, p: int):
             if best is None or len(parts) > len(best):
                 best = parts
     return best
+
+
+def brute_support_blockedness(support, width: int, p: int):
+    """Finest partition of bit positions (parts <= p) over which an
+    equal-amplitude support factors, by set counting: the support is a
+    product over a partition exactly when its projections onto the parts'
+    bits have sizes that multiply to its own size.  Every partition is
+    tried, most parts first; None when none passes."""
+    support = set(support)
+    candidates = sorted((sorted(parts)
+                         for parts in all_partitions(range(width), p)),
+                        key=lambda parts: (-len(parts), parts))
+    for parts in candidates:
+        total = 1
+        for part in parts:
+            mask = sum(1 << q for q in part)
+            total *= len({x & mask for x in support})
+        if total == len(support):
+            return parts
+    return None
+
+
+def rank_one_by_minors(nonzeros: dict, mask: int, bits: int, zero) -> bool:
+    """Whether the values keyed by `bits`-bit index, laid out as the dense
+    2^|mask| x 2^(bits-|mask|) matrix whose row is chosen by the index bits
+    in `mask` and whose column by the rest (absent entries `zero`), have
+    rank one: some entry is nonzero and every 2 x 2 minor vanishes."""
+    row_bits = [b for b in range(bits) if mask >> b & 1]
+    col_bits = [b for b in range(bits) if not mask >> b & 1]
+
+    def spread(i, positions):
+        return sum((i >> j & 1) << b for j, b in enumerate(positions))
+
+    m = [[nonzeros.get(spread(r, row_bits) | spread(c, col_bits), zero)
+          for c in range(1 << len(col_bits))]
+         for r in range(1 << len(row_bits))]
+    if all(x == zero for row in m for x in row):
+        return False
+    return all(m[r][c] * m[s][d] == m[r][d] * m[s][c]
+               for r, s in combinations(range(len(m)), 2)
+               for c, d in combinations(range(len(m[0])), 2))
 
 
 def _bit_of(index: int, width: int, position: int) -> int:

@@ -11,6 +11,8 @@ from pblocksim.ap import (BasisSuperposition, RangeOverflow, BadArgs,
 from pblocksim.dense import StateVector, dense_blockedness
 from pblocksim.prng import CounterRng
 
+from helpers import brute_support_blockedness
+
 
 def to_dense_parts(parts, n):
     """Convert bit-position parts to circuit-qubit labels (q = n-1-pos)."""
@@ -69,7 +71,6 @@ class TestAnalyze:
     def test_pair_differing_bits_share_one_block(self):
         """Brute force over partitions: the k differing bit positions must
         land in a single part, so k > p means not p-blocked."""
-        from helpers import all_partitions
         for x0, x1, n in ((0b0000, 0b0111, 4), (0b1000, 0b0011, 4)):
             s = build_pair(x0, x1, n)
             diff_bits = [q for q in range(n) if (x0 ^ x1) >> q & 1]
@@ -79,13 +80,7 @@ class TestAnalyze:
             assert parts is not None
             assert tuple(sorted(diff_bits)) in parts
             # independent check at p = k-1: no partition factors the support
-            for cand in all_partitions(range(n), k - 1):
-                ok = True
-                total = 1
-                for part in cand:
-                    mask = sum(1 << q for q in part)
-                    total *= len({v & mask for v in s.support})
-                assert total != len(s.support)
+            assert brute_support_blockedness(s.support, n, k - 1) is None
 
     def test_parity_state_is_irreducible(self):
         """Even-parity support {000,011,101,110}: every pair of bit
@@ -99,20 +94,28 @@ class TestAnalyze:
                                       ExactScalar(Fraction(1, 2)))
         assert dense_blockedness(sv, 2) is None
 
-    def test_agrees_with_dense_on_small_states(self):
-        """Combinatorial and vector-level deciders agree on random
-        progressions; factorization is amplitude-scale-invariant so the
-        dense side can use an unnormalized support vector."""
-        rng = CounterRng(70, "ap_dense")
-        for _ in range(25):
-            n = 3 + rng.randrange(4)  # up to 6 qubits
-            r = 1 + rng.randrange(10)
-            x0 = rng.randrange(max(1, min(r, (1 << n) - 1)))
-            max_count = ((1 << n) - 1 - x0) // r + 1
-            count = 1 + rng.randrange(max_count)
-            self._check_against_dense(build_ap(x0, r, count, n))
+    def test_agrees_with_set_reference_up_to_width_7(self):
+        """The analyzer against an independent set count over every
+        partition, on random progressions and pairs at every p."""
+        rng = CounterRng(70, "ap_sets")
+        for i in range(40):
+            n = 2 + rng.randrange(6)  # up to 7 qubits
+            if i % 4 == 0:
+                x0 = rng.randrange(1 << n)
+                x1 = (x0 + 1 + rng.randrange((1 << n) - 1)) % (1 << n)
+                state = build_pair(x0, x1, n)
+            else:
+                r = 1 + rng.randrange(10)
+                x0 = rng.randrange(max(1, min(r, (1 << n) - 1)))
+                max_count = ((1 << n) - 1 - x0) // r + 1
+                state = build_ap(x0, r, 1 + rng.randrange(max_count), n)
+            for p in range(1, n + 1):
+                assert analyze_blockedness(state, p) == \
+                    brute_support_blockedness(state.support, n, p), (state, p)
 
     def test_agrees_with_dense_up_to_width_12(self):
+        """The same decider as the dense engine's, reached through another
+        value type and bit order."""
         cases = [build_ap(5, 9, 50, 10), build_ap(1, 641, 6, 12),
                  build_ap(7, 340, 12, 12), build_pair(0b101000111000, 1, 12)]
         for state in cases:
@@ -126,10 +129,7 @@ class TestAnalyze:
         for p in (1, 2, 3):
             got = analyze_blockedness(s, p)
             want = dense_blockedness(sv, p)
-            want_pos = None if want is None else \
-                sorted(tuple(sorted(n - 1 - q for q in part))
-                       for part in want)
-            assert got == want_pos, (s, p)
+            assert got == (want and to_dense_parts(want, n)), (s, p)
 
 
 class TestCensus:

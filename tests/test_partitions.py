@@ -1,11 +1,20 @@
-"""Restricted-part-size partition enumeration and its canonical order, and
-the factor-peeling search."""
+"""Restricted-part-size partition enumeration and its canonical order, the
+one factor test, and the factor-peeling search with its rebuild check."""
 
+from fractions import Fraction
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from pblocksim.partitions import partitions_max_part, peel_finest
+from pblocksim import partitions
+from pblocksim.ap import analyze_blockedness, build_pair
+from pblocksim.circuits import parse_circuit
+from pblocksim.dense import dense_blockedness, dense_run
+from pblocksim.exact import ExactScalar, ZERO
+from pblocksim.partitions import (partitions_max_part, peel_finest,
+                                  splits_across)
 
-from helpers import all_partitions
+from helpers import all_partitions, rank_one_by_minors
 
 
 def test_counts_against_plain_recursion():
@@ -113,3 +122,68 @@ def test_peel_finest_tries_smallest_parts_first():
     assert peel_finest([5, 4, 3, 2, 1], splits_off, 3) == \
         [(1, 4), (2, 3, 5)]
     assert asked == [(1,), (1, 2), (1, 3), (1, 4), (2,), (2, 3), (2, 5)]
+
+
+EXACT_VALUES = [ExactScalar(a, b, c) for a, b, c in
+                ((1, 0, 0), (-1, 0, 0), (Fraction(1, 2), 0, 0), (0, 1, 0),
+                 (0, 0, 1), (1, 1, 0), (0, Fraction(-1, 3), 1), (2, 0, -1))]
+INT_VALUES = [-3, -2, -1, 1, 2, 3]
+
+
+@st.composite
+def factor_cases(draw):
+    """(nonzeros, mask, bits, zero): a random sparse map, a product u (x) w
+    across the mask, or such a product with one entry changed or dropped,
+    over exact scalars or ints, at 1-6 index bits."""
+    bits = draw(st.integers(1, 6))
+    mask = draw(st.integers(0, (1 << bits) - 1))
+    values, zero = draw(st.sampled_from([(EXACT_VALUES, ZERO),
+                                         (INT_VALUES, 0)]))
+    value = st.sampled_from(values)
+    kind = draw(st.sampled_from(["random", "product", "changed", "dropped"]))
+    if kind == "random":
+        keys = draw(st.lists(st.integers(0, (1 << bits) - 1), min_size=1,
+                             unique=True))
+        return {k: draw(value) for k in keys}, mask, bits, zero
+    rows = [i for i in range(1 << bits) if i & ~mask == 0]
+    cols = [i for i in range(1 << bits) if i & mask == 0]
+    row_keys = draw(st.lists(st.sampled_from(rows), unique=True,
+                             min_size=min(2, len(rows))))
+    col_keys = draw(st.lists(st.sampled_from(cols), unique=True,
+                             min_size=min(2, len(cols))))
+    u = {r: draw(value) for r in row_keys}
+    w = {c: draw(value) for c in col_keys}
+    nonzeros = {r | c: u[r] * w[c] for r in u for c in w}
+    if kind != "product":
+        key = draw(st.sampled_from(sorted(nonzeros)))
+        if kind == "dropped" and len(nonzeros) > 1:
+            del nonzeros[key]
+        else:
+            nonzeros[key] = nonzeros[key] * draw(value) + draw(value)
+            if nonzeros[key] == zero:
+                del nonzeros[key]
+    return nonzeros, mask, bits, zero
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(factor_cases())
+def test_splits_across_is_rank_one(case):
+    """The one-pass factor test says what every 2 x 2 minor of the dense
+    matrix says, for exact scalars and for ints."""
+    nonzeros, mask, bits, zero = case
+    if nonzeros:
+        assert splits_across(nonzeros, mask) == \
+            rank_one_by_minors(nonzeros, mask, bits, zero)
+
+
+def test_rebuild_check_catches_a_wrong_split(monkeypatch):
+    """A factor test that passes every part would hand back a split the
+    state does not have; the rebuild check stops it in both deciders."""
+    monkeypatch.setattr(partitions, "splits_across", lambda nonzeros, mask:
+                        True)
+    bell = dense_run(parse_circuit(
+        "qubits 2\ninput 00\ngate H 0\ngate CNOT 0 1\nmeasure 0\n"))
+    with pytest.raises(AssertionError):
+        dense_blockedness(bell, 1)
+    with pytest.raises(AssertionError):
+        analyze_blockedness(build_pair(0, 3, 2), 1)
