@@ -90,11 +90,7 @@ def format_partition(parts) -> str:
 @dataclass(frozen=True)
 class CensusResult:
     fraction: float
-    blocked: int
     trials: int
-    p: int
-    r_bits: int
-    n: int
     seed: int
 
     def line(self) -> str:
@@ -128,4 +124,4 @@ def census(r_bits: int, trials: int, p: int, n: int, seed: int
         state = build_ap(x0, r, count, n)
         if analyze_blockedness(state, p) is not None:
             blocked += 1
-    return CensusResult(blocked / trials, blocked, trials, p, r_bits, n, seed)
+    return CensusResult(blocked / trials, trials, seed)

@@ -40,13 +40,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 from .exact import ZERO
 from .matrices import (DensityBlock, ExactMatrix, reduced_state,
                        trace_norm_float, product_over_partition,
                        target_offsets)
 from .circuits import (CircuitStep, GateDef, LIBRARY, gen_block_local,
-                       _fixed_cells)
+                       _fixed_cells, _pauli_matrix)
 from .partitions import partitions_max_part, rank_positions
 from .blocked import (BlockedState, advance, measurement_marginal,
                       start_state)
@@ -266,19 +267,13 @@ def run_approx(circuit, cfg: ApproxConfig
 # A complex statevector under the true rotations.  Gates, rotations and the
 # Pauli pair of an expectation all go through the dense engine's kernel.
 
-_PAULI_1Q = {
-    "X": [[0, 1], [1, 0]],
-    "Y": [[0, -1j], [1j, 0]],
-    "Z": [[1, 0], [0, -1]],
-}
-
-
-def _pauli_pair(pauli: str) -> list[list]:
+@cache  # nine pairs, each read only
+def _pauli_pair(pauli: str) -> list[list[complex]]:
     """4x4 matrix of a Pauli pair like 'ZZ', the first letter on the first
-    target."""
-    pa, pb = _PAULI_1Q[pauli[0]], _PAULI_1Q[pauli[1]]
-    return [[pa[i >> 1][j >> 1] * pb[i & 1][j & 1] for j in range(4)]
-            for i in range(4)]
+    target (the high index bit), as i^#Y X^x Z^z since Y = iXZ."""
+    x = sum(2 >> j for j, letter in enumerate(pauli) if letter in "XY")
+    z = sum(2 >> j for j, letter in enumerate(pauli) if letter in "YZ")
+    return _pauli_matrix(4, x, z, pauli.count("Y")).to_complex_rows()
 
 
 def _rotation_matrix(pauli: str, theta: float) -> list[list[complex]]:

@@ -10,11 +10,11 @@ width, an input basis string, a gate sequence, and the measured qubit
     measure <q>
 
 with '#' comments.  `defgate <NAME> <arity>` followed by 2^arity rows of
-2^arity scalar literals defines extra gates; they must be exactly unitary
-over Q(i, sqrt2) or loading fails.  A defgate whose matrix is Clifford runs
-on the stabilizer engine like a built-in gate, whatever its name.
-`inputblock <q1,q2,...>` followed by a density-matrix literal prepares a
-mixed input block (used by the blocked engine only).
+2^arity scalar literals defines a gate (a Clifford one runs on the
+stabilizer engine whatever its name), and `inputblock <q1,q2,...>` and a
+density-matrix literal a mixed input block for the blocked engines.  Each
+of `GateDef`, `CircuitStep`, `InputBlock` and `Circuit` checks itself when
+built; the parser only reads text and puts the line on their `CircuitError`.
 """
 
 from __future__ import annotations
@@ -66,14 +66,23 @@ def _pauli_matrix(dim: int, x: int, z: int, k: int = 0) -> ExactMatrix:
 
 
 class GateDef:
-    """Named unitary of arity 1 or 2 with exact entries."""
+    """Named exactly unitary gate; check_signature bounds name and arity."""
 
     __slots__ = ("name", "arity", "matrix", "dagger", "_nonzero_rows",
                  "_clifford_table")
 
+    ARITIES = (1, 2)
+
+    @staticmethod
+    def check_signature(name: str, arity: int) -> None:
+        if name.split() != [name] or "#" in name:
+            raise CircuitError(f"gate name {name!r} is not one '#'-free token")
+        if arity not in GateDef.ARITIES:
+            raise CircuitError(f"gate {name}: arity must be "
+                               + " or ".join(map(str, GateDef.ARITIES)))
+
     def __init__(self, name: str, arity: int, matrix: ExactMatrix):
-        if arity not in (1, 2):
-            raise CircuitError(f"gate {name}: arity must be 1 or 2")
+        self.check_signature(name, arity)
         dim = 1 << arity
         if matrix.rows != dim or matrix.cols != dim:
             raise CircuitError(f"gate {name}: expected {dim}x{dim} matrix")
@@ -226,6 +235,14 @@ class InputBlock:
     labels: tuple[int, ...]
     matrix: ExactMatrix
 
+    def __post_init__(self):
+        if len(set(self.labels)) != len(self.labels):
+            raise DuplicateTarget(f"inputblock qubits repeat: {self.labels}")
+        try:
+            DensityBlock(self.labels, self.matrix).validate()
+        except (ValueError, OverflowError) as exc:
+            raise CircuitError(f"inputblock: {exc}") from None
+
 
 @dataclass(frozen=True)
 class Circuit:
@@ -276,6 +293,13 @@ def parse_circuit(text: str) -> Circuit:
 
     def fail(lineno, msg, cls=CircuitSyntaxError):
         raise cls(f"line {lineno}: {msg}")
+
+    def build(lineno, make, *args):
+        try:
+            return make(*args)
+        except CircuitError as exc:  # a plain one is a syntax error
+            fail(lineno, exc, type(exc) if type(exc) is not CircuitError
+                 else CircuitSyntaxError)
 
     def parse_int(tok, lineno, what):
         try:
@@ -343,27 +367,17 @@ def parse_circuit(text: str) -> Circuit:
                            for t in toks[1].split(","))
             for q in labels:
                 check_qubit(q, lineno)
-            if len(set(labels)) != len(labels):
-                fail(lineno, "inputblock qubits repeat", DuplicateTarget)
             mat = read_matrix_rows(1 << len(labels), lineno, "inputblock")
-            blk = DensityBlock(labels, mat)
-            try:
-                blk.validate()
-            except (ValueError, OverflowError) as exc:
-                fail(lineno, f"inputblock: {exc}")
-            input_blocks.append(InputBlock(labels, mat))
+            input_blocks.append(build(lineno, InputBlock, labels, mat))
         elif head == "defgate":
             if len(toks) != 3:
                 fail(lineno, "usage: defgate <NAME> <arity>")
             name = toks[1]
             arity = parse_int(toks[2], lineno, "arity")
-            if arity not in (1, 2):
-                fail(lineno, f"gate {name}: arity must be 1 or 2")
+            # before 1 << arity sizes the rows to read
+            build(lineno, GateDef.check_signature, name, arity)
             mat = read_matrix_rows(1 << arity, lineno, f"defgate {name}")
-            try:
-                gates[name] = GateDef(name, arity, mat)
-            except CircuitError as exc:
-                fail(lineno, str(exc))
+            gates[name] = build(lineno, GateDef, name, arity, mat)
         elif head == "gate":
             if len(toks) < 3:
                 fail(lineno, "usage: gate <NAME> <q> [<q2>]")
@@ -372,13 +386,9 @@ def parse_circuit(text: str) -> Circuit:
                 fail(lineno, f"unknown gate {name!r}", UnknownGate)
             gate = gates[name]
             qs = tuple(parse_int(t, lineno, "qubit") for t in toks[2:])
-            if len(qs) != gate.arity:
-                fail(lineno, f"gate {name} takes {gate.arity} qubit(s)")
             for q in qs:
                 check_qubit(q, lineno)
-            if len(set(qs)) != len(qs):
-                fail(lineno, f"gate {name} targets repeat", DuplicateTarget)
-            steps.append(CircuitStep(gate, qs))
+            steps.append(build(lineno, CircuitStep, gate, qs))
         elif head == "measure":
             if len(toks) != 2:
                 fail(lineno, "usage: measure <q>")

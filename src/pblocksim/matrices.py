@@ -7,7 +7,7 @@ only numeric kernel is a phase followed by a real 2x2 rotation.
 
 A `DensityBlock` is stored as its nonzero map, {row << k | col: value} over
 its nonzero entries only, and the engines read a block through that map
-alone; its dense `matrix` is a view for the parser's checks and outside
+alone; its dense `matrix` is a view for `InputBlock`'s checks and outside
 readers, built on first read.  `mat_mul`, the tile kernel, skips the
 shared ZERO by identity.
 
@@ -172,13 +172,11 @@ def is_unitary(u: ExactMatrix) -> bool:
 
 
 def is_hermitian(h: ExactMatrix) -> bool:
-    if h.rows != h.cols:
-        return False
-    for i in range(h.rows):
-        for j in range(i, h.cols):
-            if h.at(i, j) != h.at(j, i).conjugate():
-                return False
-    return True
+    n, ent = h.rows, h.entries
+    # row i against column i; two shared ZEROs pass by identity, uncalled
+    return h.cols == n and all(
+        a is ZERO and b is ZERO or a == b.conjugate() for i in range(n)
+        for a, b in zip(ent[i * n + i:(i + 1) * n], ent[i * n + i::n]))
 
 
 def is_psd(h: ExactMatrix) -> bool:

@@ -1,5 +1,7 @@
 """Gate library, circuit text format, and the seeded generators."""
 
+from fractions import Fraction
+
 import pytest
 
 from pblocksim.exact import ExactScalar, ZERO, ONE, I_UNIT
@@ -9,7 +11,7 @@ from pblocksim.circuits import (LIBRARY, builtin_library, parse_circuit,
                                 gen_entangle_disentangle, CircuitError,
                                 CircuitSyntaxError, UnknownGate,
                                 QubitOutOfRange, DuplicateTarget, GateDef,
-                                _fixed_cells)
+                                InputBlock, _fixed_cells)
 
 BELL_TEXT = "qubits 2\ninput 00\ngate H 0\ngate CNOT 0 1\nmeasure 0\n"
 
@@ -69,6 +71,81 @@ class TestLibrary:
         bad = ExactMatrix(2, 2, [ONE, ZERO, ZERO, ExactScalar(2)])
         with pytest.raises(CircuitError):
             GateDef("BAD", 1, bad)
+
+
+def _diagonal(*values):
+    dim = len(values)
+    entries = [ZERO] * (dim * dim)
+    for i, v in enumerate(values):
+        entries[i * dim + i] = ExactScalar(v)
+    return ExactMatrix(dim, dim, entries)
+
+
+class TestPartsCheckThemselves:
+    """A part built in code is refused where the parser refuses its text."""
+
+    @pytest.mark.parametrize("matrix", [
+        _diagonal(1, 0),                     # |0><0|, one qubit's size
+        _diagonal(1, 0, 0, 0, 0, 0, 0, 0),   # |000><000|, three qubits'
+        _diagonal(1, 1, 0, 0),               # trace 2
+        _diagonal(Fraction(3, 2), Fraction(-1, 2), 0, 0),  # negative
+    ], ids=["2x2", "8x8", "trace-2", "negative"])
+    def test_input_block_must_be_a_density_of_its_size(self, matrix):
+        with pytest.raises(CircuitError, match="inputblock: "):
+            InputBlock((0, 1), matrix)
+
+    def test_input_block_labels_must_differ(self):
+        with pytest.raises(DuplicateTarget):
+            InputBlock((1, 1), _diagonal(1, 0, 0, 0))
+
+    @pytest.mark.parametrize("name", ["my gate", "", "a#b", "#", "x\ny",
+                                      " X"])
+    def test_gate_name_is_one_token_without_hash(self, name):
+        with pytest.raises(CircuitError, match="gate name"):
+            GateDef(name, 1, LIBRARY["X"].matrix)
+
+    @pytest.mark.parametrize("arity", [0, 3])
+    def test_arity_is_bounded_by_one_constant(self, arity):
+        assert arity not in GateDef.ARITIES
+        with pytest.raises(CircuitError, match="arity must be 1 or 2"):
+            GateDef("G", arity, ExactMatrix.identity(1 << arity))
+
+
+# Malformed files, each with the class of its error and the line it names
+MALFORMED = {
+    "target-count": ("qubits 2\n\ngate CNOT 0\n",
+                     CircuitSyntaxError, 3),
+    "repeated-targets": ("# c\nqubits 2\ngate CNOT 1 1\n",
+                         DuplicateTarget, 3),
+    "repeated-labels": ("qubits 2\ninputblock 1,1\n1 0 0 0\n0 0 0 0\n"
+                        "0 0 0 0\n0 0 0 0\n", DuplicateTarget, 2),
+    "non-unitary": ("qubits 1\ndefgate BAD 1\n1 0\n0 2\ngate BAD 0\n",
+                    CircuitSyntaxError, 2),
+    "arity-0": ("qubits 1\ndefgate G 0\n1\n", CircuitSyntaxError, 2),
+    "arity-3": ("qubits 3\ndefgate G 3\n"
+                + "".join(" ".join("1" if c == r else "0" for c in range(8))
+                          + "\n" for r in range(8)),
+                CircuitSyntaxError, 2),
+    "trace-2": ("qubits 1\ninputblock 0\n1 0\n0 1\n",
+                CircuitSyntaxError, 2),
+    "not-hermitian": ("qubits 1\ninput 1\ninputblock 0\n1/2 1\n0 1/2\n",
+                      CircuitSyntaxError, 3),
+    "negative": ("qubits 1\ninputblock 0\n3/2 0\n0 -1/2\n",
+                 CircuitSyntaxError, 2),
+    "gate-out-of-range": ("qubits 2\ngate H 0\ngate CNOT 0 2\n",
+                          QubitOutOfRange, 3),
+    "block-out-of-range": ("qubits 2\ninputblock 2\n1 0\n0 0\n",
+                           QubitOutOfRange, 2),
+    "measure-out-of-range": ("qubits 2\nmeasure 2\n", QubitOutOfRange, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_files_keep_their_class_and_line(name):
+    text, cls, lineno = MALFORMED[name]
+    with pytest.raises(CircuitError, match=f"^line {lineno}: ") as info:
+        parse_circuit(text)
+    assert type(info.value) is cls
 
 
 class TestParse:

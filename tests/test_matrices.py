@@ -8,7 +8,7 @@ from pblocksim.exact import ExactScalar, ZERO, ONE, HALF_SQRT2, I_UNIT
 from pblocksim.matrices import (ExactMatrix, DensityBlock, DimensionMismatch,
                                 NotHermitian, BadPermutation, mat_mul,
                                 is_unitary, reduced_state, trace_norm_float,
-                                is_psd)
+                                is_psd, is_hermitian)
 from pblocksim.circuits import LIBRARY
 from pblocksim.blocked import conjugate_block
 from pblocksim.prng import CounterRng
@@ -312,6 +312,28 @@ def test_density_block_validation():
     not_herm = DensityBlock((0,), ExactMatrix(2, 2, [HALF, ONE, ZERO, HALF]))
     with pytest.raises(NotHermitian):
         not_herm.validate()
+
+
+def test_is_hermitian_is_the_definition():
+    """M == M^dagger on sparse matrices that hold the shared ZERO, zeros
+    made by arithmetic and nonzero entries facing either kind of zero."""
+    rng = CounterRng(31, "hermitian")
+    made_zero = ONE - ONE
+    seen = set()
+    for _ in range(400):
+        n = 1 + rng.randrange(5)
+        pool = [ZERO, ZERO, ZERO, made_zero, random_exact_scalar(rng, 3)]
+        entries = [pool[rng.randrange(len(pool))] for _ in range(n * n)]
+        if rng.coin_bit():  # mirror the lower triangle into the upper
+            for i in range(n):
+                for j in range(i):
+                    entries[j * n + i] = entries[i * n + j].conjugate()
+        m = ExactMatrix(n, n, entries)
+        want = m == m.dagger()
+        assert is_hermitian(m) == want, m
+        seen.add(want)
+    assert seen == {True, False}
+    assert not is_hermitian(ExactMatrix(1, 2, [ONE, ONE]))
 
 
 def test_density_block_psd_is_exact():

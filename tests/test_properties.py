@@ -1,5 +1,7 @@
 """Property tests over generated circuits and texts: the text format
-round-trips, the parser fails only with CircuitError, tensor products of
+round-trips, the parser fails only with CircuitError, a circuit built part
+by part in code fails as it is built exactly when a part is invalid and
+otherwise round-trips and runs, tensor products of
 blocks land in label order and trace back to their factors, a partial trace
 is the reduced state of its definition, a block
 conjugated tile by tile equals F rho F^dagger with the full gate F, the
@@ -127,6 +129,95 @@ def circuits(draw, max_width=5, custom=True):
 @given(circuits())
 def test_serialize_parse_roundtrip(circuit):
     assert parse_circuit(serialize_circuit(circuit)) == circuit
+
+
+# names a defgate line cannot carry
+BAD_NAMES = st.sampled_from(["", "my gate", "a#b", "#", "x\ny", " X", "\t"])
+FAULTS = st.sampled_from(
+    [None, None, None, "repeat", "size", "trace", "hermitian", "negative"])
+
+
+def _faulty_matrix(draw, fault, labels):
+    """An input block's matrix on `labels`, made not a density of their
+    size by `fault`."""
+    k = len(labels)
+    if fault == "size":
+        k = draw(st.sampled_from([j for j in (1, 2, 3) if j != k]))
+        labels = tuple(range(k))
+    matrix = draw(input_blocks(labels)).matrix
+    dim = 1 << k
+    if fault == "trace":
+        return matrix.scale(ExactScalar(2))
+    if fault == "hermitian":  # entry (0, 1) no longer mirrors (1, 0)
+        entries = list(matrix.entries)
+        entries[1] = entries[1] + ONE
+        return ExactMatrix(dim, dim, entries)
+    if fault == "negative":  # trace 1 and Hermitian, but <1|M|1> < 0
+        entries = list(matrix.entries)
+        entries[0] = entries[0] + ExactScalar(2)
+        entries[dim + 1] = entries[dim + 1] - ExactScalar(2)
+        return ExactMatrix(dim, dim, entries)
+    return matrix
+
+
+def _build_circuit(width, bits, gate_args, steps, block_args, measured):
+    """A circuit made part by part through the constructors; steps index
+    the library gates and then the custom ones."""
+    gates = GATES + [GateDef(*args) for args in gate_args]
+    return Circuit(width, bits,
+                   tuple(CircuitStep(gates[g], t) for g, t in steps),
+                   measured, tuple(InputBlock(*args) for args in block_args))
+
+
+@st.composite
+def circuit_parts(draw):
+    """The arguments of `_build_circuit`, some parts invalid: a gate name a
+    defgate line cannot carry, or an input block whose labels repeat or
+    whose matrix is not a density of its size; and whether any is."""
+    width = draw(st.integers(1, 4))
+    bits = draw(st.text("01", min_size=width, max_size=width))
+    bad = False
+    gate_args = []
+    for gate in draw(st.lists(custom_gates(), max_size=2)):
+        name = gate.name
+        if draw(st.integers(0, 3)) == 3:
+            name, bad = draw(BAD_NAMES), True
+        gate_args.append((name, gate.arity, gate.matrix))
+    arities = [g.arity for g in GATES] + [a for _, a, _ in gate_args]
+    usable = [g for g, a in enumerate(arities) if a <= width]
+    steps = tuple((g, _targets(draw, width, arities[g]))
+                  for g in draw(st.lists(st.sampled_from(usable),
+                                         max_size=8)))
+    block_args = []
+    free = draw(st.permutations(range(width)))
+    while free and draw(st.booleans()):
+        size = draw(st.integers(1, min(2, len(free))))
+        labels, free = tuple(free[:size]), free[size:]
+        fault = draw(FAULTS)
+        matrix = _faulty_matrix(draw, fault, labels)
+        if fault == "repeat":
+            labels += labels[:1]
+        block_args.append((labels, matrix))
+        bad = bad or fault is not None
+    measured = draw(st.integers(0, width - 1))
+    return (width, bits, tuple(gate_args), steps, tuple(block_args),
+            measured), bad
+
+
+@settings(PROPERTY, max_examples=150)
+@given(circuit_parts())
+def test_parts_built_in_code_check_what_the_parser_checks(parts_and_bad):
+    """A circuit built in code either fails as it is built, exactly when
+    one of its parts is invalid, or reads back from its text and runs."""
+    parts, bad = parts_and_bad
+    if bad:
+        with pytest.raises(CircuitError):
+            _build_circuit(*parts)
+        return
+    circuit = _build_circuit(*parts)
+    assert parse_circuit(serialize_circuit(circuit)) == circuit
+    dist = run_blocked_full(circuit, circuit.width)[1]
+    assert dist.p0 + dist.p1 == ONE
 
 
 DIRECTIVES = st.sampled_from(
