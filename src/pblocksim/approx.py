@@ -29,11 +29,11 @@ ledger but does not stop the run.
 Validation circuits interleave exactly-blocked gates with tiny two-qubit
 rotations exp(-i*theta*P).  Those rotations model the true process and are
 applied only by the float reference here; the engine substitutes the nearest
-exact gate (the identity, for small theta).  The float reference is a
-complex statevector run on the dense engine's gate kernel (`apply_rows`),
-the loop that applies exact gates there.  The generator calibrates the
-rotations in one forward pass: each angle is set on the float state just
-before its rotation, which is then applied.
+exact gate (the identity, for small theta).  The float reference is the
+dense engine's state with complex values, a map of the nonzero amplitudes
+stepped by the same gate kernel (`apply_rows`).  The generator calibrates
+the rotations in one forward pass: each angle is set on the float state
+just before its rotation, which is then applied.
 """
 
 from __future__ import annotations
@@ -264,8 +264,9 @@ def run_approx(circuit, cfg: ApproxConfig
 
 # -- float reference for perturbed circuits ---
 #
-# A complex statevector under the true rotations.  Gates, rotations and the
-# Pauli pair of an expectation all go through the dense engine's kernel.
+# The nonzero amplitudes of a complex statevector, {index: amplitude},
+# under the true rotations.  Gates, rotations and the Pauli pair of an
+# expectation all go through the dense engine's kernel.
 
 @cache  # nine pairs, each read only
 def _pauli_pair(pauli: str) -> list[list[complex]]:
@@ -284,12 +285,12 @@ def _rotation_matrix(pauli: str, theta: float) -> list[list[complex]]:
              for j in range(4)] for i in range(4)]
 
 
-def _float_apply(amps: list[complex], width: int, mat, targets) -> list[complex]:
+def _float_apply(amps: dict, width: int, mat, targets) -> dict:
     rows = [[(col, v) for col, v in enumerate(row) if v] for row in mat]
     return apply_rows(amps, target_offsets(width, targets), rows, 0j)
 
 
-def _float_step(amps: list[complex], width: int, step) -> list[complex]:
+def _float_step(amps: dict, width: int, step) -> dict:
     if isinstance(step, Rotation):
         mat = _rotation_matrix(step.pauli, step.theta)
     else:
@@ -297,33 +298,31 @@ def _float_step(amps: list[complex], width: int, step) -> list[complex]:
     return _float_apply(amps, width, mat, step.targets)
 
 
-def _float_basis(width: int, bits: str) -> list[complex]:
-    amps = [0j] * (1 << width)
-    amps[int(bits, 2)] = 1.0 + 0j
-    return amps
+def _float_basis(bits: str) -> dict:
+    return {int(bits, 2): 1.0 + 0j}
 
 
 def simulate_perturbed_floats(pc: PerturbedCircuit) -> tuple[float, float]:
     """Float statevector reference that applies the true rotations."""
-    amps = _float_basis(pc.width, pc.input_bits)
+    amps = _float_basis(pc.input_bits)
     for step in pc.steps:
         amps = _float_step(amps, pc.width, step)
     mb = target_offsets(pc.width, (pc.measured_qubit,))[-1]
     # fsum is correctly rounded, so the result is the same on every Python
     # (a plain sum of floats is compensated since 3.12 and naive before)
-    p1 = math.fsum(abs(a) ** 2 for i, a in enumerate(amps) if i & mb)
-    p0 = math.fsum(abs(a) ** 2 for i, a in enumerate(amps) if not i & mb)
+    p1 = math.fsum(abs(a) ** 2 for i, a in amps.items() if i & mb)
+    p0 = math.fsum(abs(a) ** 2 for i, a in amps.items() if not i & mb)
     return p0, p1
 
 
-def _pauli_expectation(amps: list[complex], width: int, pauli: str,
+def _pauli_expectation(amps: dict, width: int, pauli: str,
                        targets) -> float:
-    """<psi| P |psi> for a 2-qubit Pauli pair, from the raw amplitudes."""
+    """<psi| P |psi> for a 2-qubit Pauli pair, summed in ascending index
+    order, so that it rounds as a sum over the full statevector does."""
     moved = _float_apply(amps, width, _pauli_pair(pauli), targets)
     acc = 0j
-    for a, b in zip(amps, moved):
-        if a:
-            acc += a.conjugate() * b
+    for i in sorted(amps):
+        acc += amps[i].conjugate() * moved.get(i, 0j)
     return acc.real
 
 
@@ -355,7 +354,7 @@ def gen_perturbed(n: int, p: int, steps: int, eps: float, seed: int
         mixed.insert(pos + k, Rotation(pauli, 0.0, (qa, qb)))  # theta below
     # one forward pass: calibrate each rotation on the float state just
     # before it so that the state moves by <= eps, then apply it
-    amps = _float_basis(n, base.input_bits)
+    amps = _float_basis(base.input_bits)
     final_steps = []
     for step in mixed:
         if isinstance(step, Rotation):

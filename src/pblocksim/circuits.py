@@ -216,12 +216,21 @@ ONE_QUBIT_GATES = tuple(n for n, g in LIBRARY.items() if g.arity == 1)
 TWO_QUBIT_GATES = tuple(n for n, g in LIBRARY.items() if g.arity == 2)
 
 
+def _store_tuple(part, name: str) -> None:
+    """Store a sequence field as a tuple, so that a part built from lists
+    equals and hashes like the parsed one; a tuple is kept as it is."""
+    value = getattr(part, name)
+    if not isinstance(value, tuple):
+        object.__setattr__(part, name, tuple(value))
+
+
 @dataclass(frozen=True)
 class CircuitStep:
     gate: GateDef
     targets: tuple[int, ...]
 
     def __post_init__(self):
+        _store_tuple(self, "targets")
         if len(self.targets) != self.gate.arity:
             raise CircuitError(
                 f"gate {self.gate.name} takes {self.gate.arity} targets")
@@ -236,6 +245,7 @@ class InputBlock:
     matrix: ExactMatrix
 
     def __post_init__(self):
+        _store_tuple(self, "labels")
         if len(set(self.labels)) != len(self.labels):
             raise DuplicateTarget(f"inputblock qubits repeat: {self.labels}")
         try:
@@ -253,6 +263,8 @@ class Circuit:
     input_blocks: tuple[InputBlock, ...] = field(default=())
 
     def __post_init__(self):
+        _store_tuple(self, "steps")
+        _store_tuple(self, "input_blocks")
         if self.width < 1:
             raise CircuitError("circuit width must be positive")
         if len(self.input_bits) != self.width or \

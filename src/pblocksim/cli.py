@@ -71,26 +71,27 @@ def _load_circuit(path: str) -> Circuit:
         raise _CliError(EXIT_USAGE, f"{path}: {exc}")
 
 
-def _check_engine(engine: str, args) -> None:
+def _check_engine(engine: str, p: int | None) -> None:
     if engine not in ENGINES:
         raise _CliError(EXIT_USAGE, f"unknown engine {engine!r}")
-    if engine in ("blocked", "approx") and args.p is None:
+    if engine in ("blocked", "approx") and p is None:
         raise _CliError(EXIT_USAGE, f"--p is required for --engine {engine}")
 
 
-def _run_engine(engine: str, circuit: Circuit, args):
+def _run_engine(engine: str, circuit: Circuit, p: int | None,
+                epsilon: float):
     """Returns (distribution, ledger, digit_stats)."""
-    _check_engine(engine, args)
+    _check_engine(engine, p)
     if engine == "blocked":
-        state, dist = run_blocked_full(circuit, args.p)
+        state, dist = run_blocked_full(circuit, p)
         return dist, None, state.digit_count()
     if engine == "dense":
         state = dense_run(circuit)
         dist = dense_marginal(state, circuit.measured_qubit)
-        digits = max(a.digit_count() for a in state.amps)
+        digits = max(a.digit_count() for a in state.amps.values())
         return dist, None, digits
     if engine == "approx":
-        cfg = ApproxConfig(args.p, args.epsilon)
+        cfg = ApproxConfig(p, epsilon)
         dist, ledger, cert = run_approx(circuit, cfg)
         return dist, (ledger, cert), None
     return run_stabilizer(circuit), None, None
@@ -123,7 +124,8 @@ def cmd_simulate(args) -> None:
         _check_ledger_writable(args.ledger)
     started = time.perf_counter()
     try:
-        dist, ledger_info, digits = _run_engine(args.engine, circuit, args)
+        dist, ledger_info, digits = _run_engine(args.engine, circuit, args.p,
+                                                args.epsilon)
     except _ENGINE_FAILURES as exc:
         code = _failure_code(exc)
         raise _CliError(code, f"not p-blocked: {exc}"
@@ -168,12 +170,13 @@ def cmd_compare(args) -> int:
     if len(engines) < 2:
         raise _CliError(EXIT_USAGE, "--engines needs at least two entries")
     for engine in engines:
-        _check_engine(engine, args)
+        _check_engine(engine, args.p)
     results: dict[str, OutcomeDistribution] = {}
     failures: dict[str, int] = {}
     for engine in engines:
         try:
-            dist, _, _ = _run_engine(engine, circuit, args)
+            # the ledger is discarded, so approx runs with epsilon 0
+            dist, _, _ = _run_engine(engine, circuit, args.p, 0.0)
             results[engine] = dist
             print(_format_prob(f"{engine} p0", dist.p0))
         except _ENGINE_FAILURES as exc:
@@ -249,7 +252,6 @@ def _build_parser() -> _Parser:
                       help="comma-separated engine list")
     cmp_.add_argument("--circuit", required=True)
     cmp_.add_argument("--p", type=int, default=None)
-    cmp_.add_argument("--epsilon", type=float, default=0.0)
 
     ana = sub.add_parser("analyze-ap",
                          help="blockedness of progression/pair states")

@@ -1,11 +1,14 @@
 """Exact full-statevector simulator: the ground truth for the other engines.
 
-Amplitudes are exact scalars, so two engines agreeing here agree as rational
-identities, not to a tolerance.  Width is capped at the constant 14
-(`WIDTH_CAP`), because the point of this module is oracle duty, not scale.
+A state is its nonzero amplitudes, `{basis index: amplitude}`, the way a
+density block is its nonzero entries; a gate touches only the groups of
+indices that hold one.  Amplitudes are exact scalars, so two engines
+agreeing here agree as rational identities, not to a tolerance.  Width is
+capped at the constant 14 (`WIDTH_CAP`), because a fully spread state still
+has 2^n entries and the point of this module is oracle duty, not scale.
 The gate kernel `apply_rows` works for any scalar whose zero tests false,
-so the approx engine's float reference runs complex amplitudes through the
-same loop.
+so the approx engine's float reference steps complex amplitudes through the
+same map.
 """
 
 from __future__ import annotations
@@ -31,60 +34,49 @@ def _check_width(width: int) -> None:
 class StateVector:
     __slots__ = ("width", "amps")
 
-    def __init__(self, width: int, amps: list[ExactScalar]):
-        if len(amps) != 1 << width:
-            raise ValueError("amplitude count must be 2^width")
+    def __init__(self, width: int, amps: dict[int, ExactScalar]):
         self.width = width
-        self.amps = amps
+        self.amps = amps  # {basis index: amplitude}, never a zero value
 
     @classmethod
     def from_bits(cls, bits: str) -> "StateVector":
-        width = len(bits)
-        amps = [ZERO] * (1 << width)
-        amps[int(bits, 2)] = ONE
-        return cls(width, amps)
+        return cls(len(bits), {int(bits, 2): ONE})
 
     @classmethod
     def from_support(cls, width: int, support, amplitude: ExactScalar
                      ) -> "StateVector":
-        amps = [ZERO] * (1 << width)
-        for idx in support:
-            amps[idx] = amplitude
-        return cls(width, amps)
+        return cls(width, dict.fromkeys(support, amplitude))
 
     def norm_squared(self) -> ExactScalar:
         acc = ZERO
-        for a in self.amps:
-            if not a.is_zero():
-                acc = acc + a.abs_squared()
+        for a in self.amps.values():
+            acc = acc + a.abs_squared()
         return acc
 
     def is_normalized(self) -> bool:
         return self.norm_squared() == ONE
 
     def nonzeros(self) -> dict[int, ExactScalar]:
-        return {i: a for i, a in enumerate(self.amps) if not a.is_zero()}
+        return self.amps
 
 
-def apply_rows(amps: list, offsets: list[int], rows, zero) -> list:
+def apply_rows(amps: dict, offsets: list[int], rows, zero) -> dict:
     """Apply a gate given by its nonzero rows (per row, (column, entry)
-    pairs) to the amplitudes at `offsets`.  Works for any scalar type whose
-    zero tests false: exact scalars and complex floats alike."""
-    both = offsets[-1]
-    out = [zero] * len(amps)
-    for i in range(len(amps)):
-        if i & both:
-            continue
-        group = [amps[i | o] for o in offsets]
-        if not any(group):
-            continue
+    pairs) to the amplitudes at `offsets`, over the groups that hold a
+    nonzero; only nonzero results are kept.  Works for any scalar type
+    whose zero tests false: exact scalars and complex floats alike."""
+    clear = ~offsets[-1]
+    out = {}
+    for base in {i & clear for i in amps}:
+        group = [amps.get(base | o, zero) for o in offsets]
         for r, cols in enumerate(rows):
             acc = zero
             for col, coeff in cols:
                 v = group[col]
                 if v:
                     acc = acc + coeff * v
-            out[i | offsets[r]] = acc
+            if acc:
+                out[base | offsets[r]] = acc
     return out
 
 
@@ -112,9 +104,7 @@ def dense_marginal(state: StateVector, qubit: int) -> OutcomeDistribution:
     mb = target_offsets(state.width, (qubit,))[-1]
     p0 = ZERO
     p1 = ZERO
-    for i, a in enumerate(state.amps):
-        if a.is_zero():
-            continue
+    for i, a in state.amps.items():
         if i & mb:
             p1 = p1 + a.abs_squared()
         else:
@@ -134,9 +124,8 @@ def dense_blockedness(state: StateVector, p: int):
     """Finest partition (parts <= p) over which the state factors exactly,
     or None when the state is not p-blocked."""
     _check_width(state.width)
-    nonzeros = state.nonzeros()
-    if not nonzeros:
+    if not state.amps:
         raise ValueError("zero state has no blockedness")
     return finest_factorization(
-        nonzeros, [target_offsets(state.width, (q,))[-1]
-                   for q in range(state.width)], p)
+        state.amps, [target_offsets(state.width, (q,))[-1]
+                     for q in range(state.width)], p)

@@ -24,16 +24,11 @@ qubit's destabilizer column names, so no elimination is needed.  Rows
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import compress
 
-from .exact import ExactScalar
+from .exact import HALF, ONE, ZERO
 from .circuits import Circuit, CircuitStep
 from .sampling import OutcomeDistribution
-
-_HALF = ExactScalar(Fraction(1, 2))
-_ONE = ExactScalar(1)
-_ZERO = ExactScalar(0)
 
 
 class NonCliffordGate(ValueError):
@@ -199,7 +194,7 @@ def tableau_marginal(t: StabilizerTableau, qubit: int) -> OutcomeDistribution:
     has X on q (<d_i, g_j> = delta_ij); only their rows are built, to
     multiply out the sign."""
     if t.xs[qubit]:
-        return OutcomeDistribution(_HALF, _HALF)
+        return OutcomeDistribution(HALF, HALF)
     chosen = t.dxs[qubit]
     xrows = _transpose([x & chosen for x in t.xs])
     zrows = _transpose([z & chosen for z in t.zs])
@@ -211,8 +206,8 @@ def tableau_marginal(t: StabilizerTableau, qubit: int) -> OutcomeDistribution:
         prod = prod.mul(PauliString(
             t.width, x, z, 2 * (t.signs >> i & 1) + (x & z).bit_count()))
     if prod.letter_sign() > 0:
-        return OutcomeDistribution(_ONE, _ZERO)
-    return OutcomeDistribution(_ZERO, _ONE)
+        return OutcomeDistribution(ONE, ZERO)
+    return OutcomeDistribution(ZERO, ONE)
 
 
 def run_stabilizer(circuit: Circuit) -> OutcomeDistribution:

@@ -42,6 +42,11 @@ def all_partitions(items, max_size):
                 yield [part] + tail
 
 
+def full_amps(state) -> list[ExactScalar]:
+    """The dense engine's nonzero amplitudes as a full 2^n list."""
+    return [state.amps.get(i, ZERO) for i in range(1 << state.width)]
+
+
 def density_from_statevector(amps: list[ExactScalar]) -> ExactMatrix:
     dim = len(amps)
     ent = [ZERO] * (dim * dim)

@@ -281,9 +281,9 @@ class TestPerturbed:
         # after the Bell projection the surrogate is I/2 x I/2; the true
         # state is the Bell projector; their distance is the recorded d
         from pblocksim.matrices import trace_norm_float, ExactMatrix
-        from helpers import density_from_statevector
+        from helpers import density_from_statevector, full_amps
         from pblocksim.dense import dense_run
-        true_rho = density_from_statevector(dense_run(BELL).amps)
+        true_rho = density_from_statevector(full_amps(dense_run(BELL)))
         from pblocksim.exact import ExactScalar
         from fractions import Fraction
         quarter = ExactScalar(Fraction(1, 4))

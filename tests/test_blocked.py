@@ -19,9 +19,9 @@ from pblocksim.approx import ApproxConfig, run_approx
 from pblocksim.prng import CounterRng
 
 from helpers import (OUT_OF_ORDER_INPUTS, classical_bits,
-                     density_from_statevector, evolve_density_exact, kron,
-                     kron_chain, random_mixed_density, random_pure_density,
-                     reduced_by_definition)
+                     density_from_statevector, evolve_density_exact,
+                     full_amps, kron, kron_chain, random_mixed_density,
+                     random_pure_density, reduced_by_definition)
 
 BELL = parse_circuit("qubits 2\ninput 00\ngate H 0\ngate CNOT 0 1\nmeasure 0\n")
 HALF = ExactScalar(Fraction(1, 2))
@@ -83,7 +83,7 @@ class TestApply:
         # dense oracle on the same 2-qubit circuit
         circ = Circuit(2, "01", (CircuitStep(LIBRARY["H"], (0,)),
                                  CircuitStep(LIBRARY["CNOT"], (0, 1))))
-        want = density_from_statevector(dense_run(circ).amps)
+        want = density_from_statevector(full_amps(dense_run(circ)))
         assert block.matrix == want
 
     def test_case2_p1_raises(self):
@@ -223,7 +223,7 @@ class TestRunBlocked:
             c = gen_entangle_disentangle(5, 2, 30, seed)
             state, _ = run_blocked_full(c, 2)
             got = state.global_density()
-            want = density_from_statevector(dense_run(c).amps)
+            want = density_from_statevector(full_amps(dense_run(c)))
             assert got.matrix == want
 
     def test_entangle_disentangle_example(self):
@@ -261,7 +261,7 @@ class TestRunBlocked:
             state, dist = run_blocked_full(circ, 2)
             # oracle: evolve the full density matrix directly
             rest = density_from_statevector(
-                dense_run(Circuit(2, "00", ())).amps)
+                full_amps(dense_run(Circuit(2, "00", ()))))
             start = DensityBlock(tuple(range(n)),
                                  kron(mixed0.matrix, rest))
             final = evolve_density_exact(circ, start)

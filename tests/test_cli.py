@@ -177,8 +177,7 @@ class TestCompare:
 
     def test_approx_in_compare(self, bell_path):
         code, out, _ = run_cli(["compare", "--engines", "approx,dense",
-                                "--p", "2", "--epsilon", "0.0",
-                                "--circuit", bell_path])
+                                "--p", "2", "--circuit", bell_path])
         assert code == EXIT_OK
         assert "dist(approx,dense) = 0.000000000000 MATCH" in out
 
@@ -262,6 +261,8 @@ REJECTED = [
     ["compare", "--engines", "dense,nosuch", "--circuit", "{bell}"],
     ["compare", "--engines", "dense,blocked", "--circuit", "{bell}"],
     ["compare", "--engines", "dense,approx", "--circuit", "{bell}"],
+    ["compare", "--engines", "approx,dense", "--p", "2", "--epsilon", "0.0",
+     "--circuit", "{bell}"],
     ["analyze-ap", "--census", "--n", "3", "--rbits", "8", "--p", "2"],
     ["analyze-ap", "--census", "--n", "9", "--rbits", "0", "--p", "2"],
     ["analyze-ap", "--census", "--n", "11", "--p", "2", "--trials", "0"],

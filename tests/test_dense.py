@@ -12,8 +12,8 @@ from pblocksim.dense import (StateVector, dense_apply, dense_run,
                              WidthCapExceeded)
 from pblocksim.prng import CounterRng
 
-from helpers import (brute_blockedness, float_statevector, ghz_circuit,
-                     random_clifford_circuit)
+from helpers import (brute_blockedness, float_statevector, full_amps,
+                     ghz_circuit, random_clifford_circuit)
 
 BELL = parse_circuit("qubits 2\ninput 00\ngate H 0\ngate CNOT 0 1\nmeasure 0\n")
 
@@ -45,9 +45,7 @@ class TestDenseApply:
     def test_h_on_leftmost(self):
         sv = StateVector.from_bits("00")
         out = dense_apply(sv, CircuitStep(LIBRARY["H"], (0,)))
-        assert out.amps[0b00] == HALF_SQRT2
-        assert out.amps[0b10] == HALF_SQRT2
-        assert out.amps[0b01].is_zero() and out.amps[0b11].is_zero()
+        assert out.amps == {0b00: HALF_SQRT2, 0b10: HALF_SQRT2}
 
     def test_gate_then_inverse_restores(self):
         rng = CounterRng(40, "uinv")
@@ -60,7 +58,7 @@ class TestDenseApply:
             from pblocksim.circuits import GateDef
             inv = GateDef("INV", step.gate.arity, step.gate.matrix.dagger())
             back = dense_apply(fwd, CircuitStep(inv, step.targets))
-            assert all(x == y for x, y in zip(back.amps, sv.amps))
+            assert back.amps == sv.amps
 
     def test_norm_preserved(self):
         rng = CounterRng(41, "norm")
@@ -76,7 +74,7 @@ class TestDenseApply:
             c = random_circuit(rng, 3, 25)
             sv = dense_run(c)
             ref = float_statevector(c)
-            for mine, theirs in zip(sv.amps, ref):
+            for mine, theirs in zip(full_amps(sv), ref):
                 assert abs(mine.to_complex() - theirs) <= 1e-12
 
 
@@ -101,6 +99,10 @@ class TestDenseRun:
         whole = Circuit(3, c.input_bits, c.steps + inv_steps)
         sv = dense_run(whole)
         assert sv.amps[int(c.input_bits, 2)] == ONE
+
+    def test_ghz_at_the_cap_holds_two_amplitudes(self):
+        sv = dense_run(ghz_circuit(14))
+        assert sv.amps == {0: HALF_SQRT2, (1 << 14) - 1: HALF_SQRT2}
 
     def test_width_cap(self):
         with pytest.raises(WidthCapExceeded):
@@ -154,7 +156,7 @@ class TestBlockedness:
             sv = dense_run(c)
             for p in (1, 2, 3):
                 got = dense_blockedness(sv, p)
-                want = brute_blockedness(sv.amps, n, p)
+                want = brute_blockedness(full_amps(sv), n, p)
                 assert got == want, (c, p)
 
     def test_matches_brute_force_on_structured_supports(self):
@@ -167,7 +169,7 @@ class TestBlockedness:
         for sv in cases:
             for p in (1, 2, 3):
                 got = dense_blockedness(sv, p)
-                want = brute_blockedness(sv.amps, sv.width, p)
+                want = brute_blockedness(full_amps(sv), sv.width, p)
                 assert got == want, (sv.nonzeros(), p)
 
     def test_monotone_in_p(self):

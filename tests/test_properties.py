@@ -1,12 +1,14 @@
 """Property tests over generated circuits and texts: the text format
 round-trips, the parser fails only with CircuitError, a circuit built part
 by part in code fails as it is built exactly when a part is invalid and
-otherwise round-trips and runs, tensor products of
+otherwise round-trips, hashes and runs, with its sequences given as tuples
+or lists, tensor products of
 blocks land in label order and trace back to their factors, a partial trace
 is the reduced state of its definition, a block
 conjugated tile by tile equals F rho F^dagger with the full gate F, the
 nonzero maps that gates, merges and partial traces give hold no zero and
 match their dense views, `mat_mul` is the plain triple loop, the dense
+state is the nonzero entries of the full statevector, the dense
 blockedness decider agrees with brute-force enumeration, the blocked engine
 aborts exactly when a prefix state is not p-blocked and otherwise ends with
 the dense density, a run hands one state forward, so that its newest
@@ -45,8 +47,8 @@ from pblocksim.stabilizer import (StabilizerTableau, tableau_apply,
                                   tableau_marginal)
 
 from helpers import (S_H_CNOT, all_partitions, brute_blockedness,
-                     brute_projection, density_from_statevector, full_gate,
-                     kron, kron_chain, product_of_marginals,
+                     brute_projection, density_from_statevector, full_amps,
+                     full_gate, kron, kron_chain, product_of_marginals,
                      random_mixed_density, random_pure_density,
                      reduced_by_definition, reorder_bits)
 
@@ -160,20 +162,24 @@ def _faulty_matrix(draw, fault, labels):
     return matrix
 
 
-def _build_circuit(width, bits, gate_args, steps, block_args, measured):
+def _build_circuit(width, bits, gate_args, steps, block_args, measured,
+                   seq):
     """A circuit made part by part through the constructors; steps index
-    the library gates and then the custom ones."""
+    the library gates and then the custom ones, and every sequence passed
+    to a constructor is made by `seq` (tuple or list)."""
     gates = GATES + [GateDef(*args) for args in gate_args]
     return Circuit(width, bits,
-                   tuple(CircuitStep(gates[g], t) for g, t in steps),
-                   measured, tuple(InputBlock(*args) for args in block_args))
+                   seq(CircuitStep(gates[g], seq(t)) for g, t in steps),
+                   measured, seq(InputBlock(seq(labels), matrix)
+                                 for labels, matrix in block_args))
 
 
 @st.composite
 def circuit_parts(draw):
     """The arguments of `_build_circuit`, some parts invalid: a gate name a
     defgate line cannot carry, or an input block whose labels repeat or
-    whose matrix is not a density of its size; and whether any is."""
+    whose matrix is not a density of its size; and whether any is.  The
+    sequences are tuples or lists."""
     width = draw(st.integers(1, 4))
     bits = draw(st.text("01", min_size=width, max_size=width))
     bad = False
@@ -200,22 +206,26 @@ def circuit_parts(draw):
         block_args.append((labels, matrix))
         bad = bad or fault is not None
     measured = draw(st.integers(0, width - 1))
+    seq = draw(st.sampled_from([tuple, list]))
     return (width, bits, tuple(gate_args), steps, tuple(block_args),
-            measured), bad
+            measured, seq), bad
 
 
 @settings(PROPERTY, max_examples=150)
 @given(circuit_parts())
 def test_parts_built_in_code_check_what_the_parser_checks(parts_and_bad):
     """A circuit built in code either fails as it is built, exactly when
-    one of its parts is invalid, or reads back from its text and runs."""
+    one of its parts is invalid, or reads back from its text, equal and
+    with the same hash whether its parts were given as tuples or lists, and
+    runs."""
     parts, bad = parts_and_bad
     if bad:
         with pytest.raises(CircuitError):
             _build_circuit(*parts)
         return
     circuit = _build_circuit(*parts)
-    assert parse_circuit(serialize_circuit(circuit)) == circuit
+    parsed = parse_circuit(serialize_circuit(circuit))
+    assert parsed == circuit and hash(parsed) == hash(circuit)
     dist = run_blocked_full(circuit, circuit.width)[1]
     assert dist.p0 + dist.p1 == ONE
 
@@ -495,13 +505,33 @@ def test_mat_mul_is_the_plain_triple_loop(case):
     assert (got.rows, got.cols, got.entries) == (a.rows, b.cols, want)
 
 
+@settings(PROPERTY, max_examples=100)
+@given(circuits(custom=False))
+def test_dense_state_is_the_nonzero_part_of_the_full_vector(circuit):
+    """The dense engine's map is the basis vector evolved by full-width
+    gate matrices, restricted to its nonzero entries: no nonzero is lost
+    and no zero is stored."""
+    labels = tuple(range(circuit.width))
+    dim = 1 << circuit.width
+    entries = [ZERO] * dim
+    entries[int(circuit.input_bits, 2)] = ONE
+    vector = ExactMatrix(dim, 1, entries)
+    for step in circuit.steps:
+        vector = mat_mul(full_gate(step.gate.matrix, labels, step.targets),
+                         vector)
+    amps = dense_run(circuit).amps
+    assert not any(a.is_zero() for a in amps.values())
+    assert amps == {i: a for i, a in enumerate(vector.entries)
+                    if not a.is_zero()}
+
+
 @settings(PROPERTY, max_examples=40)
 @given(factored_circuits())
 def test_dense_blockedness_matches_brute_force(circuit):
     state = dense_run(circuit)
     for p in range(1, circuit.width + 1):
         assert dense_blockedness(state, p) == \
-            brute_blockedness(state.amps, circuit.width, p)
+            brute_blockedness(full_amps(state), circuit.width, p)
 
 
 @st.composite
@@ -545,7 +575,7 @@ def test_blocked_aborts_iff_a_prefix_is_not_p_blocked(circuit):
         assert not failing
         assert blocked.max_block_size() <= p
         assert blocked.global_density().matrix == \
-            density_from_statevector(states[-1].amps)
+            density_from_statevector(full_amps(states[-1]))
 
 
 # H on the first target, then CNOT: a Bell pair from any two basis qubits
@@ -875,7 +905,7 @@ def test_stabilizer_matches_dense_on_clifford_circuits(circuit):
     tableau.check_invariants()
     state = dense_run(circuit)
     for gen in tableau.generators:
-        assert _pauli_fixes(gen, state.amps, circuit.width), gen
+        assert _pauli_fixes(gen, full_amps(state), circuit.width), gen
     for q in range(circuit.width):
         assert tableau_marginal(tableau, q).exact_eq(
             dense_marginal(state, q))
