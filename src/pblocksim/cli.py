@@ -30,6 +30,11 @@ EXIT_PBLOCK = 2
 EXIT_NONCLIFFORD = 3
 
 ENGINES = ("blocked", "approx", "dense", "stabilizer")
+# simulate's flags that only some engines read; any other engine refuses
+# them, so no flag is silently ignored
+_ENGINE_FLAGS = (("p", ("blocked", "approx")),
+                 ("epsilon", ("approx",)),
+                 ("ledger", ("approx",)))
 
 # exit code of each engine failure; the first row that matches wins
 _FAILURE_CODES = ((PBlockError, EXIT_PBLOCK),
@@ -117,15 +122,18 @@ def cmd_simulate(args) -> None:
         raise _CliError(EXIT_USAGE, "--samples must be >= 0")
     if args.samples and not args.eta > 0:
         raise _CliError(EXIT_USAGE, "--eta must be positive")
-    if args.ledger and args.engine != "approx":
-        raise _CliError(EXIT_USAGE, "--ledger needs --engine approx")
+    for flag, engines in _ENGINE_FLAGS:
+        if getattr(args, flag) is not None and args.engine not in engines:
+            raise _CliError(EXIT_USAGE, f"--{flag} needs --engine "
+                            + " or ".join(engines))
     circuit = _load_circuit(args.circuit)
     if args.ledger:
         _check_ledger_writable(args.ledger)
     started = time.perf_counter()
     try:
-        dist, ledger_info, digits = _run_engine(args.engine, circuit, args.p,
-                                                args.epsilon)
+        dist, ledger_info, digits = _run_engine(
+            args.engine, circuit, args.p,
+            0.0 if args.epsilon is None else args.epsilon)
     except _ENGINE_FAILURES as exc:
         code = _failure_code(exc)
         raise _CliError(code, f"not p-blocked: {exc}"
@@ -239,8 +247,11 @@ def _build_parser() -> _Parser:
     sim.add_argument("--engine", required=True,
                      choices=ENGINES)
     sim.add_argument("--circuit", required=True)
-    sim.add_argument("--p", type=int, default=None)
-    sim.add_argument("--epsilon", type=float, default=0.0)
+    sim.add_argument("--p", type=int, default=None,
+                     help="block size bound (blocked and approx only)")
+    sim.add_argument("--epsilon", type=float, default=None,
+                     help="per-step distance assumption (approx only; "
+                          "default 0)")
     sim.add_argument("--eta", type=float, default=1e-6)
     sim.add_argument("--samples", type=int, default=0)
     sim.add_argument("--seed", type=int, default=0)

@@ -1,30 +1,37 @@
 """Stabilizer-tableau engine for Clifford circuits.
 
-A state is the n commuting independent signed Pauli generators that fix it,
+A state is the commuting independent signed Pauli generators that fix it,
 stored by columns (Aaronson & Gottesman, quant-ph/0406196): per qubit, an
-n-bit mask of the generators with X there and one of those with Z there,
+m-bit mask of the generators with X there and one of those with Z there,
 plus a mask of the generators whose letter form is negative.  Beside them
-sit the n unsigned destabilizers, stored the same way: destabilizer i
-anticommutes with generator i and commutes with the others.  A tableau is
-built one way, from the circuit's input bits (generators (-1)^b_q Z_q,
-destabilizers X_q), and changes only by gate updates, so it always holds
-n commuting independent generators with their dual destabilizers.  Each
+sit the m unsigned destabilizers, stored the same way: destabilizer i
+anticommutes with generator i and commutes with the others.  A tableau
+holds columns only for the m qubits it is given, the held qubits; every
+other qubit stays in its input basis state, a product factor that no gate
+changes, so it needs no column.  A run holds the qubits its circuit
+touches and the measured one, so its cost follows those m qubits and not
+the register width n.  A tableau is built one way, from the input bits
+(generators (-1)^b_q Z_q, destabilizers X_q, one pair per held qubit), and
+changes only by gate updates on held qubits, so it always holds m
+commuting independent generators with their dual destabilizers.  Each
 gate's action is compiled once from its exact matrix
 (`GateDef.clifford_table`), so any 1- or 2-qubit Clifford gate runs,
 built-in or defined, whatever its name: every target column it changes is
 an XOR of old target columns, and the sign mask flips on an XOR of ANDs of
-them, a constant number of n-bit mask operations done in place (as in Stim,
+them, a constant number of m-bit mask operations done in place (as in Stim,
 Gidney, arXiv:2103.02202).  A gate whose matrix maps some Pauli outside the
 Pauli group is not Clifford and is rejected.  Measurement here is the
 end-of-circuit marginal only, computed without collapsing the state: a
 deterministic outcome's sign is the product of the generators that the
 qubit's destabilizer column names, so no elimination is needed.  Rows
-(`PauliString`s) are built only where they are read.
+(`PauliString`s) are built only where they are read, over the held qubits.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import compress
+from operator import or_
 
 from .exact import HALF, ONE, ZERO
 from .circuits import Circuit, CircuitStep
@@ -92,40 +99,60 @@ class StabilizerTableau:
     qubit q; bit i of `signs` is set when its letter form is negative.
     `dxs` and `dzs` hold the unsigned destabilizers the same way:
     destabilizer i anticommutes with generator i and commutes with every
-    other generator."""
+    other generator.  Only the held qubits, `qubits` in ascending order,
+    have columns: generator i belongs to the i-th of them, so masks are m
+    bits wide for m held qubits.  The column lists stay indexed by qubit
+    number, and the entries of qubits that are not held are unused zeros;
+    a gate must act on held qubits only.  A held qubit's generator column
+    `xs[q] | zs[q]` is never zero, because m independent commuting
+    generators cannot all be the identity on one of m qubits."""
 
-    __slots__ = ("width", "xs", "zs", "signs", "dxs", "dzs")
+    __slots__ = ("width", "qubits", "xs", "zs", "signs", "dxs", "dzs")
 
-    def __init__(self, width: int, bits: str):
+    def __init__(self, width: int, bits: str,
+                 qubits: Iterable[int] | None = None):
         """Basis state |b1...bn>: generators (-1)^b_q Z_q, destabilizers
-        X_q."""
+        X_q, for each held qubit q; `qubits` defaults to every qubit."""
         if len(bits) != width or bits.strip("01"):
             raise ValueError("input must be a bitstring of the given width")
         self.width = width
-        self.xs, self.dzs = [0] * width, [0] * width
-        self.zs = [1 << q for q in range(width)]
-        self.dxs = list(self.zs)
-        self.signs = int(bits[::-1] or "0", 2)
+        self.qubits = (tuple(range(width)) if qubits is None
+                       else tuple(sorted(set(qubits))))
+        if self.qubits and not 0 <= self.qubits[0] <= self.qubits[-1] < width:
+            raise ValueError("held qubits must lie in the register")
+        self.xs, self.zs, self.dxs, self.dzs = ([0] * width for _ in range(4))
+        signs = 0
+        for i, q in enumerate(self.qubits):
+            self.zs[q] = self.dxs[q] = 1 << i
+            if bits[q] == "1":
+                signs |= 1 << i
+        self.signs = signs
 
     @property
     def generators(self) -> list[PauliString]:
         """The generators as rows, built afresh on every read."""
-        signs = self.signs
+        signs, held = self.signs, self.qubits
         return [PauliString(self.width, x, z,
                             2 * (signs >> i & 1) + (x & z).bit_count())
-                for i, (x, z) in enumerate(zip(_transpose(self.xs),
-                                               _transpose(self.zs)))]
+                for i, (x, z) in enumerate(zip(_rows(self.xs, held),
+                                               _rows(self.zs, held)))]
 
     def check_invariants(self) -> None:
-        """Raise ValueError unless the generators commute and the
-        destabilizers are dual to them; O(n^2).  A correct update
-        conjugates every row by the same Clifford, which keeps both, so a
-        fault made at any step still shows when a run ends."""
+        """Raise ValueError unless the generators act on every held qubit
+        and on no other, commute, and have dual destabilizers; O(m^2) past
+        one scan of the columns.  A correct update conjugates every row by
+        the same Clifford, which keeps all three, so a fault made at any
+        step still shows when a run ends."""
+        held = self.qubits
+        if tuple(compress(range(self.width), map(or_, self.xs, self.zs))
+                 ) != held:
+            raise ValueError("the generators' support is not the held "
+                             "qubits")
         gens = self.generators
         _check_commuting(gens)
         # duality also makes the generators independent
-        for i, (dx, dz) in enumerate(zip(_transpose(self.dxs),
-                                         _transpose(self.dzs))):
+        for i, (dx, dz) in enumerate(zip(_rows(self.dxs, held),
+                                         _rows(self.dzs, held))):
             d = PauliString(self.width, dx, dz)
             for j, g in enumerate(gens):
                 if d.commutes(g) == (i == j):
@@ -133,16 +160,18 @@ class StabilizerTableau:
                         "destabilizers are not dual to the generators")
 
 
-def _transpose(masks: list[int]) -> list[int]:
-    """Transpose of a square bit matrix: bit i of out[j] is bit j of
-    masks[i].  Costs one step per set bit."""
-    out = [0] * len(masks)
-    for i in compress(range(len(masks)), masks):
-        mask = masks[i]
+def _rows(columns: list[int], qubits: tuple[int, ...], keep: int = -1
+          ) -> list[int]:
+    """The rows of a column-stored matrix, one per held qubit: bit q of
+    out[i] is bit i of columns[q], for q in `qubits` and the rows in
+    `keep`.  Costs one step per held qubit and per set bit."""
+    out = [0] * len(qubits)
+    for q in qubits:
+        mask = columns[q] & keep
         while mask:
-            j = mask.bit_length() - 1
-            out[j] |= 1 << i
-            mask ^= 1 << j
+            i = mask.bit_length() - 1
+            out[i] |= 1 << q
+            mask ^= 1 << i
     return out
 
 
@@ -191,13 +220,16 @@ def tableau_marginal(t: StabilizerTableau, qubit: int) -> OutcomeDistribution:
     """{p0, p1} in {{1,0}, {0,1}, {1/2,1/2}}: random when a generator has X
     on the qubit.  Otherwise Z_q is, up to sign, the product of the
     generators g_i whose destabilizer d_i anticommutes with Z_q, that is
-    has X on q (<d_i, g_j> = delta_ij); only their rows are built, to
-    multiply out the sign."""
+    has X on q (<d_i, g_j> = delta_ij); only their rows are built, over the
+    held qubits, to multiply out the sign.  A qubit the tableau does not
+    hold raises ValueError: its generator column is zero."""
     if t.xs[qubit]:
         return OutcomeDistribution(HALF, HALF)
+    if not t.zs[qubit]:
+        raise ValueError(f"qubit {qubit} is not held by the tableau")
     chosen = t.dxs[qubit]
-    xrows = _transpose([x & chosen for x in t.xs])
-    zrows = _transpose([z & chosen for z in t.zs])
+    xrows = _rows(t.xs, t.qubits, chosen)
+    zrows = _rows(t.zs, t.qubits, chosen)
     prod = PauliString(t.width)
     while chosen:
         i = chosen.bit_length() - 1
@@ -211,9 +243,13 @@ def tableau_marginal(t: StabilizerTableau, qubit: int) -> OutcomeDistribution:
 
 
 def run_stabilizer(circuit: Circuit) -> OutcomeDistribution:
+    """The measured qubit's marginal from a tableau that holds only the
+    qubits some gate touches and the measured one."""
     if circuit.input_blocks:
         raise ValueError("stabilizer engine cannot take mixed inputs")
-    t = StabilizerTableau(circuit.width, circuit.input_bits)
+    held = {q for step in circuit.steps for q in step.targets}
+    held.add(circuit.measured_qubit)
+    t = StabilizerTableau(circuit.width, circuit.input_bits, held)
     for j, step in enumerate(circuit.steps):
         try:
             t = tableau_apply(t, step)

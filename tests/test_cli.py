@@ -258,6 +258,12 @@ REJECTED = [
      "--epsilon", "-1"],
     ["simulate", "--engine", "approx", "--p", "1", "--circuit", "{bell}",
      "--epsilon", "nan"],
+    # a flag the engine does not read is refused, not ignored
+    ["simulate", "--engine", "dense", "--p", "1", "--circuit", "{bell}"],
+    ["simulate", "--engine", "stabilizer", "--p", "0", "--circuit",
+     "{bell}"],
+    ["simulate", "--engine", "blocked", "--p", "2", "--circuit", "{bell}",
+     "--epsilon", "nan"],
     ["compare", "--engines", "dense,nosuch", "--circuit", "{bell}"],
     ["compare", "--engines", "dense,blocked", "--circuit", "{bell}"],
     ["compare", "--engines", "dense,approx", "--circuit", "{bell}"],

@@ -18,11 +18,14 @@ and classically correlated factors, the float
 reference runs the dense engine's kernel to the same marginals, the approx
 engine's projection agrees with a brute-force search and, at epsilon 0 on
 p-blocked circuits, ends with the blocked engine's blocks, the stabilizer
-engine agrees with the dense state on Clifford circuits, and its tableau
-converts between columns and rows without loss, and the blocked engine
+engine agrees with the dense state on Clifford circuits, and gives the
+same marginal from the qubits a circuit touches when that circuit sits in
+a register of thousands of idle qubits, and the blocked engine
 agrees with the stabilizer engine on every marginal of wide Clifford
 circuits that merge and split."""
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -43,8 +46,8 @@ from pblocksim.exact import I_UNIT, MINUS_ONE, ONE, ZERO, ExactScalar
 from pblocksim.matrices import (DensityBlock, ExactMatrix, kron_blocks,
                                 mat_mul, nonzero_map, reduced_state)
 from pblocksim.prng import CounterRng
-from pblocksim.stabilizer import (StabilizerTableau, tableau_apply,
-                                  tableau_marginal)
+from pblocksim.stabilizer import (StabilizerTableau, run_stabilizer,
+                                  tableau_apply, tableau_marginal)
 
 from helpers import (S_H_CNOT, all_partitions, brute_blockedness,
                      brute_projection, density_from_statevector, full_amps,
@@ -909,6 +912,38 @@ def test_stabilizer_matches_dense_on_clifford_circuits(circuit):
     for q in range(circuit.width):
         assert tableau_marginal(tableau, q).exact_eq(
             dense_marginal(state, q))
+
+
+@settings(PROPERTY, max_examples=80)
+@given(clifford_circuits(), st.data())
+def test_stabilizer_holds_only_the_touched_qubits(circuit, data):
+    """A Clifford circuit placed in a register of up to 3000 qubits by a
+    random injective qubit map, with random bits on the idle qubits, gives
+    exactly the compact circuit's marginal, which is the dense one; a
+    measured qubit that no gate touches gives its input bit."""
+    k = circuit.width
+    width = data.draw(st.integers(k, 3000), label="width")
+    where = data.draw(st.lists(st.integers(0, width - 1), min_size=k,
+                               max_size=k, unique=True), label="map")
+    noise = random.Random(data.draw(st.integers(0, 1 << 32))
+                          ).getrandbits(width)
+    bits = [str(noise >> q & 1) for q in range(width)]
+    for q, b in zip(where, circuit.input_bits):
+        bits[q] = b
+    measured = data.draw(st.integers(0, k - 1), label="measured")
+    compact = replace(circuit, measured_qubit=measured)
+    padded = Circuit(width, "".join(bits), tuple(
+        CircuitStep(step.gate, tuple(where[q] for q in step.targets))
+        for step in circuit.steps), where[measured])
+    want = dense_marginal(dense_run(compact), measured)
+    assert run_stabilizer(compact).exact_eq(want)
+    assert run_stabilizer(padded).exact_eq(want)
+    idle = sorted(set(range(width)) - set(where))
+    if idle:
+        q = idle[data.draw(st.integers(0, len(idle) - 1), label="idle")]
+        got = run_stabilizer(replace(padded, measured_qubit=q))
+        assert (got.p0, got.p1) == ((ONE, ZERO) if bits[q] == "0"
+                                    else (ZERO, ONE))
 
 
 @settings(PROPERTY, max_examples=6)

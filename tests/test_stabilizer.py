@@ -245,6 +245,65 @@ class TestRunStabilizer:
         assert abs(f0 + f1 - 1.0) < 1e-12
 
 
+class TestHeldQubits:
+    def test_holds_every_qubit_by_default(self):
+        assert StabilizerTableau(3, "010").qubits == (0, 1, 2)
+
+    def test_generator_i_belongs_to_the_ith_held_qubit(self):
+        t = StabilizerTableau(5, "01001", [4, 1, 2])
+        assert t.qubits == (1, 2, 4)
+        assert [(g.z_mask, g.letter_sign()) for g in t.generators] == [
+            (1 << 1, -1), (1 << 2, 1), (1 << 4, -1)]
+        assert t.xs == [0] * 5 and t.zs == [0, 1, 2, 0, 4]
+
+    def test_held_qubits_lie_in_the_register(self):
+        for qubits in ([3], [-1, 0]):
+            with pytest.raises(ValueError, match="in the register"):
+                StabilizerTableau(3, "000", qubits)
+
+    def test_marginal_of_a_qubit_not_held_raises(self):
+        t = tableau_apply(StabilizerTableau(4, "0000", [0, 2]),
+                          step("H", 0))
+        for q in (1, 3):
+            with pytest.raises(ValueError, match=f"qubit {q} is not held"):
+                tableau_marginal(t, q)
+        assert tableau_marginal(t, 2).p0 == ONE
+
+    @pytest.mark.parametrize("gate", ["CNOT", "CZ", "SWAP"])
+    def test_gate_off_the_held_qubits_is_caught(self, gate):
+        t = StabilizerTableau(3, "000", [0, 1])
+        t = tableau_apply(t, step("H", 0))
+        t.check_invariants()
+        t = tableau_apply(t, step(gate, 0, 2))
+        with pytest.raises(ValueError, match="support is not the held"):
+            t.check_invariants()
+
+    def test_ghz_at_the_end_of_a_wide_register(self, monkeypatch):
+        """GHZ(3) on the last three of 100 000 qubits: the run's tableau
+        holds three columns, its masks are three bits wide, and every held
+        qubit reads 1/2, 1/2."""
+        n = 100_000
+        a, b, c = n - 3, n - 2, n - 1
+        circuit = Circuit(n, "0" * n, (step("H", a), step("CNOT", a, b),
+                                       step("CNOT", b, c)), c)
+        seen = []
+
+        def spy(t, qubit):
+            seen.append(t)
+            return tableau_marginal(t, qubit)
+
+        monkeypatch.setattr("pblocksim.stabilizer.tableau_marginal", spy)
+        dist = run_stabilizer(circuit)
+        assert dist.p0 == HALF and dist.p1 == HALF
+        (t,) = seen
+        assert t.qubits == (a, b, c)
+        assert all(0 < t.xs[q] | t.zs[q] < 8 for q in t.qubits)
+        t.check_invariants()
+        for q in t.qubits:
+            got = tableau_marginal(t, q)
+            assert got.p0 == HALF and got.p1 == HALF
+
+
 def test_pauli_string_products():
     # X * Z on one qubit = -i Y (phase tracked through mask multiply)
     x = PauliString(1, 1, 0, 0)
