@@ -47,7 +47,7 @@ from .matrices import (DensityBlock, ExactMatrix, reduced_state,
                        trace_norm_float, product_over_partition,
                        target_offsets)
 from .circuits import (CircuitStep, GateDef, LIBRARY, gen_block_local,
-                       _fixed_cells, _pauli_matrix)
+                       _fixed_cells, _pauli_matrix, _store_tuple)
 from .partitions import partitions_max_part, rank_positions
 from .blocked import (BlockedState, advance, measurement_marginal,
                       start_state)
@@ -153,6 +153,7 @@ class Rotation:
     targets: tuple[int, int]
 
     def __post_init__(self):
+        _store_tuple(self, "targets")
         if len(self.pauli) != 2 or any(c not in "XYZ" for c in self.pauli):
             raise ValueError("pauli must be two letters from XYZ")
         if self.targets[0] == self.targets[1]:

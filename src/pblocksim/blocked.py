@@ -25,6 +25,9 @@ decider also uses, so pure and mixed blocks split the same way.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from functools import cache
+
 from .exact import ZERO, ONE
 from .matrices import (ExactMatrix, DensityBlock, mat_mul, kron_blocks,
                        nonzero_map, reduced_state, target_offsets)
@@ -62,10 +65,11 @@ class BlockedState:
         return self._assignment
 
     @property
-    def blocks(self) -> dict[DensityBlock, DensityBlock]:
+    def blocks(self) -> "BlockView":
         """Each block once, keyed by itself, so that
-        blocks[assignment[q]] is q's block; O(width) to build."""
-        return {b: b for b in self.assignment}
+        blocks[assignment[q]] is q's block; a view, built in O(1)."""
+        self.assignment     # a spent state raises here already
+        return BlockView(self)
 
     def copy(self, parts) -> "BlockedState":
         """The next state, in which each part's qubits hold that part; it
@@ -85,13 +89,42 @@ class BlockedState:
 
     def global_density(self) -> DensityBlock:
         """kron of all blocks in ascending qubit order (small widths only)."""
-        return kron_blocks(dict.fromkeys(self.assignment), range(self.width))
+        return kron_blocks(self.blocks, range(self.width))
 
     def digit_count(self) -> int:
         """Most digits of any entry; every block holds a nonzero, so the
         zeros (1 digit) never decide it."""
-        return max(x.digit_count() for b in dict.fromkeys(self.assignment)
+        return max(x.digit_count() for b in self.blocks
                    for x in b.nonzeros.values())
+
+
+class BlockView(Mapping):
+    """The blocks of a state, each once and keyed by itself, read from its
+    assignment and not copied: iterating walks the assignment once and
+    yields each block at its first label, and a lookup is one identity
+    test.  Reading it once its state is spent raises, as reading the state
+    does."""
+    __slots__ = ("_state",)
+
+    def __init__(self, state: BlockedState):
+        self._state = state
+
+    def __getitem__(self, block: DensityBlock) -> DensityBlock:
+        assignment = self._state.assignment
+        try:
+            if assignment[block.labels[0]] is block:
+                return block
+        except (AttributeError, IndexError, TypeError):
+            pass
+        raise KeyError(block)
+
+    def __iter__(self):
+        for q, block in enumerate(self._state.assignment):
+            if block.labels[0] == q:
+                yield block
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
 
 
 # |0><0| and |1><1| as nonzero map and matrix, both shared by every
@@ -128,27 +161,31 @@ def init_blocked(circuit: Circuit) -> BlockedState:
     return BlockedState(width, assignment)
 
 
+@cache
+def _tile_layout(k: int, positions: tuple[int, ...]):
+    """(g, tile mask, spread) of a gate on `positions` of a k-qubit block:
+    an entry's flat index row << k | col with the targets' bits cleared in
+    both halves is the base of its g x g tile, whose entry (r, c) sits at
+    base + spread[r * g + c]."""
+    offsets = target_offsets(k, positions)
+    others = ((1 << k) - 1) & ~offsets[-1]  # the index bits that are not targets
+    return (len(offsets), others << k | others,
+            tuple(r << k | c for r in offsets for c in offsets))
+
+
 def conjugate_block(block: DensityBlock, gate: GateDef,
                     targets) -> DensityBlock:
     """rho -> G rho G^dagger for a gate G on `targets` inside the block.
 
     G acts only on the targets' index bits, so rho falls into g x g tiles,
-    one per (row base, column base) with every target bit clear, whose
-    entries sit at base + offsets[r] * dim + offsets[c].  Each tile that
-    holds a nonzero, found from the keys of the block's nonzero map, becomes
-    G T G^dagger with the small gate and the dagger it keeps, and only its
-    nonzero results are written; every other tile stays zero."""
+    one per (row base, column base) with every target bit clear.  Each tile
+    that holds a nonzero, found from the keys of the block's nonzero map,
+    becomes G T G^dagger with the small gate and the dagger it keeps, and
+    only its nonzero results are written; every other tile stays zero."""
     labels = block.labels
-    k = len(labels)
-    dim = 1 << k
-    offsets = target_offsets(k, [labels.index(t) for t in targets])
-    g = len(offsets)
-    others = (dim - 1) & ~offsets[-1]   # the index bits that are not targets
-    # a flat index row * dim + col with the target bits cleared in both
-    # halves is the base of its tile
-    tile_mask = others << k | others
+    g, tile_mask, spread = _tile_layout(len(labels),
+                                        tuple(map(labels.index, targets)))
     nonzeros = block.nonzeros
-    spread = [r * dim + c for r in offsets for c in offsets]
     out = {}
     for base in {e & tile_mask for e in nonzeros}:
         places = [base + s for s in spread]
@@ -184,7 +221,7 @@ def split_exact(block: DensityBlock, p: int,
 
     def splits_off(part):
         if part not in verdicts:
-            m = target_offsets(k, [positions[r] for r in part])[-1]
+            m = target_offsets(k, tuple(positions[r] for r in part))[-1]
             verdicts[part] = splits_across(nonzeros, m << k | m)
         return verdicts[part]
 

@@ -60,7 +60,7 @@ class StateVector:
         return self.amps
 
 
-def apply_rows(amps: dict, offsets: list[int], rows, zero) -> dict:
+def apply_rows(amps: dict, offsets: tuple[int, ...], rows, zero) -> dict:
     """Apply a gate given by its nonzero rows (per row, (column, entry)
     pairs) to the amplitudes at `offsets`, over the groups that hold a
     nonzero; only nonzero results are kept.  Works for any scalar type

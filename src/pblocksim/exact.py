@@ -10,6 +10,10 @@ scalar is five integers (xa, xb, xc, xd, den) meaning
 Since sqrt(2) is irrational over Q(i) the representation of a value is
 unique, so equality is plain component comparison and hashing works.
 
+A product with the shared ``ONE`` on either side is the other factor itself,
+made without arithmetic; ``ONE * ONE`` is ``ONE``, so a state built from the
+basis blocks keeps that shortcut from step to step.
+
 ``BigRational`` is the standard library Fraction, which already guarantees a
 positive denominator and a reduced numerator/denominator pair.
 """
@@ -137,6 +141,11 @@ class ExactScalar:
                                 self.xd * od - other.xd * sd, sd * od)
 
     def __mul__(self, other: "ExactScalar") -> "ExactScalar":
+        # x * 1 is x itself, and ONE * ONE stays the shared ONE
+        if other is ONE:
+            return self
+        if self is ONE:
+            return other
         if self.is_zero() or other.is_zero():
             return ZERO
         xa, xb, xc, xd = self.xa, self.xb, self.xc, self.xd

@@ -17,12 +17,16 @@ block, the dense engine's gate kernel) takes its offsets from it.
 `kron_blocks` uses it to lay each block's nonzero entries straight into the
 requested label order.  `reduced_state` is the one partial trace; it reads
 a block's nonzero map, which a split shares between its factor tests and
-the reduced states of its parts.
+the reduced states of its parts.  Every index map is a function of the
+width and the positions alone, so each is computed once per shape, cached
+on a tuple key, and returned as a tuple that no caller can write into; a
+step then pays only for the block's values.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
 
 from .exact import ExactScalar, ZERO, ONE
 
@@ -264,7 +268,8 @@ class DensityBlock:
         return f"DensityBlock(labels={self.labels}, {view!r})"
 
 
-def target_offsets(width: int, positions) -> list[int]:
+@cache
+def target_offsets(width: int, positions: tuple[int, ...]) -> tuple[int, ...]:
     """offsets[r] is local index r spread onto an index of `width` bits:
     positions[j] (0 is the most significant bit) carries bit len-1-j of r,
     so positions (a, b) give (0, mb, ma, ma | mb)."""
@@ -272,7 +277,7 @@ def target_offsets(width: int, positions) -> list[int]:
     for pos in reversed(positions):
         mask = 1 << (width - 1 - pos)
         offsets += [o | mask for o in offsets]
-    return offsets
+    return tuple(offsets)
 
 
 def nonzero_map(matrix: ExactMatrix) -> dict[int, ExactScalar]:
@@ -284,6 +289,21 @@ def nonzero_map(matrix: ExactMatrix) -> dict[int, ExactScalar]:
             if x is not ZERO and not x.is_zero()}
 
 
+@cache
+def _trace_layout(k: int, positions: tuple[int, ...]):
+    """(traced-out bits, row place, column place) of the partial trace of a
+    k-qubit block onto the sorted `positions`: a term row << k | col lands
+    at row_place[row] + col_place[col] of the reduced state."""
+    kept_masks = target_offsets(k, positions)
+    local = [0] * (1 << k)
+    for r, m in enumerate(kept_masks):
+        local[m] = r
+    kept, dim_out = kept_masks[-1], len(kept_masks)
+    col_place = tuple(local[i & kept] for i in range(1 << k))
+    return (((1 << k) - 1) & ~kept, tuple(r * dim_out for r in col_place),
+            col_place)
+
+
 def reduced_state(labels, nonzeros: dict[int, ExactScalar],
                   positions) -> DensityBlock:
     """Exact reduced state on the labels at `positions` of a block over
@@ -293,22 +313,28 @@ def reduced_state(labels, nonzeros: dict[int, ExactScalar],
     nonzero terms, the first of them stored as it is; sums that cancel
     are left out of the map."""
     k = len(labels)
-    positions = sorted(positions)
-    kept_masks = target_offsets(k, positions)
-    local = {m: r for r, m in enumerate(kept_masks)}
-    kept = kept_masks[-1]
+    positions = tuple(sorted(positions))
+    traced_out, row_place, col_place = _trace_layout(k, positions)
     bits = (1 << k) - 1
-    traced_out = bits & ~kept
-    dim_out = len(kept_masks)
     out: dict[int, ExactScalar] = {}
     for e, x in nonzeros.items():
         row, col = e >> k, e & bits
         if not (row ^ col) & traced_out:
-            i = local[row & kept] * dim_out + local[col & kept]
+            i = row_place[row] + col_place[col]
             acc = out.get(i)
             out[i] = x if acc is None else acc + x
     return DensityBlock([labels[p] for p in positions], nonzeros={
         i: x for i, x in out.items() if not x.is_zero()})
+
+
+@cache
+def _placements(k: int, positions: tuple[int, ...]) -> tuple[int, ...]:
+    """place[e] is the flat index, in a k-qubit product, of the flat index e
+    of a factor whose labels sit at `positions`."""
+    off = target_offsets(k, positions)
+    kb = len(positions)
+    bits = (1 << kb) - 1
+    return tuple(off[e >> kb] << k | off[e & bits] for e in range(1 << 2 * kb))
 
 
 def kron_blocks(blocks, labels) -> DensityBlock:
@@ -317,21 +343,22 @@ def kron_blocks(blocks, labels) -> DensityBlock:
     made once, keyed straight by its index, with factors multiplied in
     block order."""
     blocks, labels = list(blocks), tuple(labels)
+    k = len(labels)
     where = {l: p for p, l in enumerate(labels)}
-    if len(where) != len(labels) or \
-            sorted(where) != sorted(l for b in blocks for l in b.labels):
+    # each block's positions in `labels`, -1 for a label not there; a
+    # permutation puts its k labels on k positions, all of them distinct
+    # (a repeated label leaves a position that no block can reach)
+    spots = [tuple(where.get(l, -1) for l in b.labels) for b in blocks]
+    placed = {p for s in spots for p in s}
+    if -1 in placed or len(placed) != k or sum(map(len, spots)) != k:
         raise BadPermutation(f"{labels} is not a permutation of the labels "
                              f"of {[b.labels for b in blocks]}")
-    k = len(labels)
     # (flat index, value) of each nonzero entry of the product so far; a
     # product of nonzeros is nonzero
     terms = None
-    for block in blocks:
-        off = target_offsets(k, [where[l] for l in block.labels])
-        kb = len(block.labels)
-        bits = (1 << kb) - 1
-        local = [(off[e >> kb] << k | off[e & bits], x)
-                 for e, x in block.nonzeros.items()]
+    for block, spot in zip(blocks, spots):
+        place = _placements(k, spot)
+        local = [(place[e], x) for e, x in block.nonzeros.items()]
         terms = local if terms is None else \
             [(f + g, y * x) for f, y in terms for g, x in local]
     return DensityBlock(labels, nonzeros=dict(terms))
@@ -386,7 +413,9 @@ def _hermitian_eigenvalues_float(h: ExactMatrix) -> list[float]:
 def trace_norm_float(h: ExactMatrix) -> float:
     """Sum of |eigenvalues| of an exactly Hermitian matrix, numerically,
     added by math.fsum so that the sum is the same on every Python."""
-    if all(e is ZERO or e.is_zero() for e in h.entries):
+    # count() passes the shared ZERO by identity, in C, and compares any
+    # other entry by value; a zero scalar is canonical, so it equals ZERO
+    if h.entries.count(ZERO) == len(h.entries):
         if h.rows != h.cols:
             raise NotHermitian("matrix is not square")
         return 0.0

@@ -336,3 +336,24 @@ def test_no_engine_reads_a_dense_block(monkeypatch):
     _, ledger, _ = run_approx(ghz, ApproxConfig(2, 0.0))
     assert ledger.entries[-1].d > 0
     assert reads == []
+
+
+def test_blocks_is_a_view_of_each_block_once():
+    """`blocks` maps each block of the state to itself, read from the
+    assignment without a copy, and refuses blocks it does not hold."""
+    circuit = gen_entangle_disentangle(9, 3, 30, 4)
+    state = init_blocked(circuit)
+    for j, step in enumerate(circuit.steps):
+        view = state.blocks
+        assert dict(view) == {b: b for b in state.assignment}
+        assert len(view) == len(set(state.assignment))
+        assert all(view[state.block_of(q)] is state.block_of(q)
+                   for q in range(circuit.width))
+        state = apply_blocked(state, step, 3, j)
+        with pytest.raises(RuntimeError):
+            list(view)
+    foreign = DensityBlock((0,), nonzeros={0: ONE})
+    for key in (foreign, DensityBlock((99,), nonzeros={0: ONE}), "block"):
+        assert key not in state.blocks
+        with pytest.raises(KeyError):
+            state.blocks[key]

@@ -7,8 +7,8 @@ import pytest
 from pblocksim.exact import ExactScalar, ZERO, ONE, HALF_SQRT2, I_UNIT
 from pblocksim.matrices import (ExactMatrix, DensityBlock, DimensionMismatch,
                                 NotHermitian, BadPermutation, mat_mul,
-                                is_unitary, reduced_state, trace_norm_float,
-                                is_psd, is_hermitian)
+                                is_unitary, kron_blocks, reduced_state,
+                                trace_norm_float, is_psd, is_hermitian)
 from pblocksim.circuits import LIBRARY
 from pblocksim.blocked import conjugate_block
 from pblocksim.prng import CounterRng
@@ -80,6 +80,22 @@ class TestKron:
                             a.at(i, j) * b.at(k, l)
 
 
+@pytest.mark.parametrize("label_sets, labels", [
+    (((1,), (2,)), (1, 2, 2)),     # a repeated label
+    (((1,), (1,)), (1, 1)),        # repeated, and on two blocks
+    (((1,), (2,)), (1,)),          # a block's label missing
+    (((1,), (2,)), (1, 3)),        # a label missing, another in its place
+    (((1,), (2,)), (1, 2, 3)),     # a label no block holds
+    (((1,), (1,)), (1, 2)),        # two blocks share a label, count matches
+    (((1, 2), (2,)), (1, 2, 3)),   # shared across sizes, count matches
+    (((1, 2), (2,)), (1, 2)),      # every label held, one of them twice
+])
+def test_kron_blocks_refuses_what_is_not_a_permutation(label_sets, labels):
+    blocks = [DensityBlock(ls, nonzeros={0: ONE}) for ls in label_sets]
+    with pytest.raises(BadPermutation):
+        kron_blocks(blocks, labels)
+
+
 class TestPartialTrace:
     def test_bell_marginal_is_maximally_mixed(self):
         rho = DensityBlock((0, 1), bell_density())
@@ -142,6 +158,14 @@ class TestTraceNorm:
         d2 = [c * (len(d1) - 1 - k) for k, c in enumerate(d1[:-1])]
         assert poly_eval(d1, Fraction(-1, 4)) == 0
         assert poly_eval(d2, Fraction(-1, 4)) == 0
+
+    def test_zero_matrices_have_norm_zero(self):
+        """The shared ZERO passes by identity, a fresh zero by value."""
+        for entries in ([ZERO] * 4, [ExactScalar(0)] * 4,
+                        [ZERO, ExactScalar(0), ZERO, ZERO]):
+            assert trace_norm_float(ExactMatrix(2, 2, entries)) == 0.0
+        with pytest.raises(NotHermitian):
+            trace_norm_float(ExactMatrix(1, 2, [ZERO, ZERO]))
 
     def test_rejects_non_hermitian(self):
         m = ExactMatrix(2, 2, [ZERO, ONE, ZERO, ZERO])

@@ -2,7 +2,9 @@
 round-trips, the parser fails only with CircuitError, a circuit built part
 by part in code fails as it is built exactly when a part is invalid and
 otherwise round-trips, hashes and runs, with its sequences given as tuples
-or lists, tensor products of
+or lists, a product with the shared ONE is the other factor and
+agrees with a product by a fresh one, every cached index layout is its
+definition and a tuple, tensor products of
 blocks land in label order and trace back to their factors, a partial trace
 is the reduced state of its definition, a block
 conjugated tile by tile equals F rho F^dagger with the full gate F, the
@@ -33,18 +35,19 @@ from hypothesis import example, given, settings, strategies as st
 
 from pblocksim.approx import (ApproxConfig, ErrorLedger, PerturbedCircuit,
                               approx_step, simulate_perturbed_floats)
-from pblocksim.blocked import (BlockedState, PBlockError, advance,
-                               apply_blocked, conjugate_block, init_blocked,
-                               measurement_marginal, run_blocked_full,
-                               split_exact)
+from pblocksim.blocked import (BlockedState, PBlockError, _tile_layout,
+                               advance, apply_blocked, conjugate_block,
+                               init_blocked, measurement_marginal,
+                               run_blocked_full, split_exact)
 from pblocksim.circuits import (LIBRARY, Circuit, CircuitError, CircuitStep,
                                 GateDef, InputBlock, gen_block_local,
                                 gen_entangle_disentangle, parse_circuit,
                                 serialize_circuit)
 from pblocksim.dense import dense_blockedness, dense_marginal, dense_run
 from pblocksim.exact import I_UNIT, MINUS_ONE, ONE, ZERO, ExactScalar
-from pblocksim.matrices import (DensityBlock, ExactMatrix, kron_blocks,
-                                mat_mul, nonzero_map, reduced_state)
+from pblocksim.matrices import (DensityBlock, ExactMatrix, _placements,
+                                _trace_layout, kron_blocks, mat_mul,
+                                nonzero_map, reduced_state, target_offsets)
 from pblocksim.prng import CounterRng
 from pblocksim.stabilizer import (StabilizerTableau, run_stabilizer,
                                   tableau_apply, tableau_marginal)
@@ -293,6 +296,75 @@ def factored_circuits(draw):
         steps.append(CircuitStep(gate, tuple(
             draw(st.permutations(part))[:gate.arity])))
     return Circuit(circuit.width, circuit.input_bits, tuple(steps))
+
+
+# exact scalars with small components, zeros and the shared constants among
+# them
+_COMPONENTS = st.fractions(-4, 4, max_denominator=6)
+EXACT_SCALARS = st.sampled_from([ZERO, ONE, MINUS_ONE, I_UNIT]) | \
+    st.builds(ExactScalar, _COMPONENTS, _COMPONENTS, _COMPONENTS, _COMPONENTS)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(EXACT_SCALARS)
+def test_a_product_with_one_is_the_other_factor(x):
+    assert ONE * x is x and x * ONE is x
+    fresh = ExactScalar(1)
+    assert fresh is not ONE
+    assert fresh * x == x == x * fresh
+
+
+@st.composite
+def layout_shapes(draw):
+    """A width of 1-6 bits and distinct positions in it, in any order."""
+    width = draw(st.integers(1, 6))
+    count = draw(st.integers(1, width))
+    return width, tuple(draw(st.permutations(range(width)))[:count])
+
+
+def _spread(width, positions, r):
+    """Local index r on `width` bits: positions[j] carries bit n-1-j of r."""
+    n = len(positions)
+    return sum((r >> (n - 1 - j) & 1) << (width - 1 - p)
+               for j, p in enumerate(positions))
+
+
+def _gather(width, positions, index):
+    """The local index that the bits of `index` at `positions` spell."""
+    n = len(positions)
+    return sum((index >> (width - 1 - p) & 1) << (n - 1 - j)
+               for j, p in enumerate(positions))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(layout_shapes())
+def test_cached_layouts_are_their_definitions(shape):
+    """Every index layout the blocked step reads is cached per shape, equals
+    its definition bit by bit, and is a tuple that no caller can write."""
+    k, positions = shape
+    n = len(positions)
+    local = range(1 << n)
+    offsets = target_offsets(k, positions)
+    assert offsets == tuple(_spread(k, positions, r) for r in local)
+    assert target_offsets(k, positions) is offsets
+    others = sum(1 << (k - 1 - q) for q in range(k) if q not in positions)
+    g, tile_mask, spread = _tile_layout(k, positions)
+    assert (g, tile_mask) == (1 << n, others << k | others)
+    assert spread == tuple(_spread(k, positions, r) << k
+                           | _spread(k, positions, c)
+                           for r in local for c in local)
+    kept = tuple(sorted(positions))
+    traced_out, row_place, col_place = _trace_layout(k, kept)
+    assert traced_out == others
+    assert col_place == tuple(_gather(k, kept, i) for i in range(1 << k))
+    assert row_place == tuple(_gather(k, kept, i) << n
+                              for i in range(1 << k))
+    place = _placements(k, positions)
+    assert place == tuple(_spread(k, positions, e >> n) << k
+                          | _spread(k, positions, e & ((1 << n) - 1))
+                          for e in range(1 << 2 * n))
+    for layout in (offsets, spread, row_place, col_place, place):
+        assert type(layout) is tuple
 
 
 @st.composite
