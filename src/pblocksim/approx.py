@@ -175,7 +175,7 @@ class PerturbedCircuit:
 
 # the identity and every two-qubit library gate, each with its complex rows
 _EXACT_CANDIDATES = tuple(
-    (gate, gate.matrix.to_complex_rows())
+    (gate, gate.complex_rows())
     for gate in [_IDENTITY4] + [g for g in LIBRARY.values() if g.arity == 2])
 
 
@@ -295,7 +295,7 @@ def _float_step(amps: dict, width: int, step) -> dict:
     if isinstance(step, Rotation):
         mat = _rotation_matrix(step.pauli, step.theta)
     else:
-        mat = step.gate.matrix.to_complex_rows()
+        mat = step.gate.complex_rows()
     return _float_apply(amps, width, mat, step.targets)
 
 

@@ -15,10 +15,14 @@ projection in place of the exact split.
 
 Blocks are stored as the nonzero maps of their density matrices, even when
 pure, and read only through them; mixed per-block inputs (`inputblock` in
-the circuit format) run through the same code path.  A gate acts on a
-block through its own 2x2 or 4x4 matrix and the dagger the gate keeps,
-tile by tile on the targets' index bits, and only on the tiles that hold a
-nonzero; no 2^k x 2^k gate is ever built.  A split asks of each candidate
+the circuit format) run through the same code path.  A gate that permutes
+the basis states with entries 1 (X, CNOT, SWAP, I, and any such defgate:
+the classical reversible gates) moves each nonzero entry to its image and
+does no arithmetic.  Any other gate acts on a block through its own 2x2 or
+4x4 matrix and the dagger the gate keeps, tile by tile on the targets'
+index bits, and only on the tiles that hold a nonzero; no 2^k x 2^k gate is
+ever built.  A basis state |x><x| splits into the shared start block of
+each of its bits without a search.  Any other split asks of each candidate
 part only whether it splits off, by the rank-one test the dense blockedness
 decider also uses, so pure and mixed blocks split the same way.
 """
@@ -128,15 +132,34 @@ class BlockView(Mapping):
 
 
 # |0><0| and |1><1| as nonzero map and matrix, both shared by every
-# single-qubit start block (no code writes into either)
+# single-qubit basis block (no code writes into either)
 _BASIS_MAPS = {"0": {0: ONE}, "1": {3: ONE}}
 _BASIS_MATRICES = {"0": ExactMatrix(2, 2, [ONE, ZERO, ZERO, ZERO]),
                    "1": ExactMatrix(2, 2, [ZERO, ZERO, ZERO, ONE])}
 # |b><b| on qubit q at [b][q], made on first use and then shared by every
-# start state, as no code writes into a block: states kept side by side share
-# the blocks of their untouched qubits.  Each list is as long as the widest
-# circuit yet.
+# state that holds it, as no code writes into a block: states kept side by
+# side share the blocks of their untouched qubits.  Each list grows to the
+# widest qubit asked for yet.
 _BASIS_BLOCKS = {"0": [], "1": []}
+
+
+def _basis_blocks(qubits, bits) -> list[DensityBlock]:
+    """The shared |b><b| on each qubit q, for q and b ("0" or "1") taken
+    pairwise from `qubits` and `bits`: the blocks of a start state's basis
+    qubits and of a basis state's split alike."""
+    out = []
+    for q, bit in zip(qubits, bits):
+        shared = _BASIS_BLOCKS[bit]
+        try:
+            block = shared[q]
+        except IndexError:
+            shared.extend([None] * (q + 1 - len(shared)))
+            block = None
+        if block is None:
+            block = shared[q] = DensityBlock((q,), _BASIS_MATRICES[bit],
+                                             _BASIS_MAPS[bit])
+        out.append(block)
+    return out
 
 
 def init_blocked(circuit: Circuit) -> BlockedState:
@@ -144,20 +167,16 @@ def init_blocked(circuit: Circuit) -> BlockedState:
     other qubit."""
     bits = circuit.input_bits
     width = len(bits)
+    if not circuit.input_blocks:
+        return BlockedState(width, _basis_blocks(range(width), bits))
     assignment = [None] * width
     for blk in circuit.input_blocks:
         block = DensityBlock(blk.labels, nonzeros=nonzero_map(blk.matrix))
         for q in blk.labels:
             assignment[q] = block
-    for shared in _BASIS_BLOCKS.values():
-        shared.extend([None] * (width - len(shared)))
-    for q, bit in enumerate(bits):
-        if assignment[q] is None:
-            shared = _BASIS_BLOCKS[bit]
-            if shared[q] is None:
-                shared[q] = DensityBlock((q,), _BASIS_MATRICES[bit],
-                                         _BASIS_MAPS[bit])
-            assignment[q] = shared[q]
+    free = [q for q in range(width) if assignment[q] is None]
+    for q, block in zip(free, _basis_blocks(free, [bits[q] for q in free])):
+        assignment[q] = block
     return BlockedState(width, assignment)
 
 
@@ -173,18 +192,51 @@ def _tile_layout(k: int, positions: tuple[int, ...]):
             tuple(r << k | c for r in offsets for c in offsets))
 
 
+@cache
+def _relabel_layout(k: int, positions: tuple[int, ...],
+                    image: tuple[int, ...]):
+    """(target mask, moves) of a gate G|c> = |image[c]> on `positions` of a
+    k-qubit block: G rho G^dagger holds the entry at flat index e at
+    e ^ moves[e & target mask], which puts the targets' row and column bits
+    of tile entry (r, c) at those of (image[r], image[c]).  The moves are a
+    dict, read and never written."""
+    g, tile_mask, spread = _tile_layout(k, positions)
+    moves = {}
+    for r in range(g):
+        for c in range(g):
+            here = spread[r * g + c]
+            moves[here] = here ^ spread[image[r] * g + image[c]]
+    return ((1 << 2 * k) - 1) & ~tile_mask, moves
+
+
 def conjugate_block(block: DensityBlock, gate: GateDef,
                     targets) -> DensityBlock:
     """rho -> G rho G^dagger for a gate G on `targets` inside the block.
 
-    G acts only on the targets' index bits, so rho falls into g x g tiles,
-    one per (row base, column base) with every target bit clear.  Each tile
-    that holds a nonzero, found from the keys of the block's nonzero map,
-    becomes G T G^dagger with the small gate and the dagger it keeps, and
-    only its nonzero results are written; every other tile stays zero."""
+    A gate that permutes the basis states, its every nonzero 1, only moves
+    each nonzero entry to its image, without a tile or any arithmetic;
+    every other gate goes through `_conjugate_tiles`."""
     labels = block.labels
-    g, tile_mask, spread = _tile_layout(len(labels),
-                                        tuple(map(labels.index, targets)))
+    positions = tuple(map(labels.index, targets))
+    image = gate.permutation()
+    if image is None:
+        return _conjugate_tiles(block, gate, positions)
+    target_mask, moves = _relabel_layout(len(labels), positions, image)
+    return DensityBlock(labels, nonzeros={
+        e ^ moves[e & target_mask]: x for e, x in block.nonzeros.items()})
+
+
+def _conjugate_tiles(block: DensityBlock, gate: GateDef,
+                     positions: tuple[int, ...]) -> DensityBlock:
+    """G rho G^dagger for any gate G on the block's `positions`, tile by
+    tile.  G acts only on the targets' index bits, so rho falls into g x g
+    tiles, one per (row base, column base) with every target bit clear.
+    Each tile that holds a nonzero, found from the keys of the block's
+    nonzero map, becomes G T G^dagger with the small gate and the dagger it
+    keeps, and only its nonzero results are written; every other tile stays
+    zero."""
+    labels = block.labels
+    g, tile_mask, spread = _tile_layout(len(labels), positions)
     nonzeros = block.nonzeros
     out = {}
     for base in {e & tile_mask for e in nonzeros}:
@@ -202,6 +254,29 @@ def conjugate_block(block: DensityBlock, gate: GateDef,
 def split_exact(block: DensityBlock, p: int,
                 step_index: int = -1) -> list[DensityBlock]:
     """Finest exact factorization of a block into parts of size <= p.
+
+    A basis state |x><x|, a map of one diagonal entry equal to 1, is the
+    product of its bits: it splits into the shared basis block of each
+    label's bit, in ascending label order, which equals what
+    `_search_split` returns for it at any p >= 1 but takes no factor test
+    or partial trace.  Every other block goes through `_search_split`."""
+    labels = block.labels
+    nonzeros = block.nonzeros
+    if len(nonzeros) == 1:
+        [(e, x)] = nonzeros.items()
+        k = len(labels)
+        row = e >> k
+        if row == e ^ row << k and x == ONE:
+            bits = format(row, f"0{k}b")  # position j's bit at bits[j]
+            order = rank_positions(labels)
+            return _basis_blocks([labels[j] for j in order],
+                                 [bits[j] for j in order])
+    return _search_split(block, p, step_index)
+
+
+def _search_split(block: DensityBlock, p: int,
+                  step_index: int) -> list[DensityBlock]:
+    """The finest exact factorization into parts of size <= p, searched.
 
     The density, read as a vector over flat indices row << k | col, is
     rank one across a part's row and column bits together exactly when the

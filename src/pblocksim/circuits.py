@@ -69,7 +69,7 @@ class GateDef:
     """Named exactly unitary gate; check_signature bounds name and arity."""
 
     __slots__ = ("name", "arity", "matrix", "dagger", "_nonzero_rows",
-                 "_clifford_table")
+                 "_permutation", "_complex_rows", "_clifford_table")
 
     ARITIES = (1, 2)
 
@@ -92,18 +92,48 @@ class GateDef:
         self.arity = arity
         self.matrix = matrix
         self.dagger = matrix.dagger()
-        self._nonzero_rows = None
-        self._clifford_table = _UNDERIVED
+        self._nonzero_rows = self._permutation = self._complex_rows = \
+            self._clifford_table = _UNDERIVED
+
+    # Each derived form below is a function of the exact matrix alone, so
+    # it is derived on first use, cached, and returned as a tuple (or None)
+    # that no caller can write into.
 
     def nonzero_rows(self):
-        """Per-row list of (column, entry) pairs, cached for apply loops."""
-        if self._nonzero_rows is None:
+        """Per row, the (column, entry) pairs of its nonzero entries: the
+        form the dense engine's gate kernel applies."""
+        if self._nonzero_rows is _UNDERIVED:
             dim = self.matrix.rows
-            self._nonzero_rows = [
-                [(j, self.matrix.at(i, j)) for j in range(dim)
-                 if not self.matrix.at(i, j).is_zero()]
-                for i in range(dim)]
+            self._nonzero_rows = tuple(
+                tuple((j, self.matrix.at(i, j)) for j in range(dim)
+                      if not self.matrix.at(i, j).is_zero())
+                for i in range(dim))
         return self._nonzero_rows
+
+    def permutation(self):
+        """pi with G|c> = |pi[c]> when the gate permutes the basis states,
+        every column holding one nonzero and that nonzero equal to 1;
+        otherwise None (a phase such as Z's or CZ's -1 included)."""
+        if self._permutation is _UNDERIVED:
+            self._permutation = self._derive_permutation()
+        return self._permutation
+
+    def _derive_permutation(self):
+        m, dim = self.matrix, self.matrix.rows
+        image = []
+        for c in range(dim):
+            rows = [r for r in range(dim) if not m.at(r, c).is_zero()]
+            if len(rows) != 1 or m.at(rows[0], c) != ONE:
+                return None
+            image.append(rows[0])
+        return tuple(image)
+
+    def complex_rows(self):
+        """The matrix's rows as complex floats, for the float reference."""
+        if self._complex_rows is _UNDERIVED:
+            self._complex_rows = tuple(map(tuple,
+                                           self.matrix.to_complex_rows()))
+        return self._complex_rows
 
     def clifford_table(self):
         """The gate's action on the targets' Pauli bits, in the form the

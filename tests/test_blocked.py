@@ -12,6 +12,7 @@ from pblocksim.matrices import DensityBlock
 from pblocksim.circuits import (Circuit, CircuitStep, LIBRARY, parse_circuit,
                                 gen_block_local, gen_entangle_disentangle)
 from pblocksim.dense import dense_run, dense_marginal
+from pblocksim import blocked
 from pblocksim.blocked import (BlockedState, PBlockError, init_blocked,
                                apply_blocked, split_exact, run_blocked,
                                run_blocked_full)
@@ -163,6 +164,21 @@ class TestSplitExact:
         parts = split_exact(joint, 1)
         assert [blk.labels for blk in parts] == [(4,), (7,)]
         assert parts[0].matrix == a.matrix
+
+
+    def test_basis_state_wider_than_any_start_state(self):
+        """A basis state splits into the shared basis blocks even on qubits
+        past every start state made so far, and a start state made later
+        holds those very blocks."""
+        top = max(map(len, blocked._BASIS_BLOCKS.values()))
+        # label top + 2 at the high bit holds 1, label top holds 0
+        block = DensityBlock((top + 2, top), nonzeros={0b10 << 2 | 0b10: ONE})
+        parts = split_exact(block, 1)
+        assert [(b.labels, b.nonzeros) for b in parts] == \
+            [((top,), {0: ONE}), ((top + 2,), {3: ONE})]
+        start = init_blocked(Circuit(top + 3, "0" * (top + 2) + "1", ()))
+        assert parts[0] is start.block_of(top)
+        assert parts[1] is start.block_of(top + 2)
 
 
 class TestRunBlocked:

@@ -7,7 +7,9 @@ agrees with a product by a fresh one, every cached index layout is its
 definition and a tuple, tensor products of
 blocks land in label order and trace back to their factors, a partial trace
 is the reduced state of its definition, a block
-conjugated tile by tile equals F rho F^dagger with the full gate F, the
+conjugated tile by tile equals F rho F^dagger with the full gate F, a
+permutation gate's moved entries are what its tiles give, and only a
+permutation of ones counts as one, the
 nonzero maps that gates, merges and partial traces give hold no zero and
 match their dense views, `mat_mul` is the plain triple loop, the dense
 state is the nonzero entries of the full statevector, the dense
@@ -16,7 +18,8 @@ aborts exactly when a prefix state is not p-blocked and otherwise ends with
 the dense density, a run hands one state forward, so that its newest
 version reads as its prefix state and every earlier one raises, its split
 agrees with a brute-force search over products of marginals on pure, mixed
-and classically correlated factors, the float
+and classically correlated factors, and splits a basis state as the search
+does, into the shared start blocks, the float
 reference runs the dense engine's kernel to the same marginals, the approx
 engine's projection agrees with a brute-force search and, at epsilon 0 on
 p-blocked circuits, ends with the blocked engine's blocks, the stabilizer
@@ -35,10 +38,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from pblocksim.approx import (ApproxConfig, ErrorLedger, PerturbedCircuit,
                               approx_step, simulate_perturbed_floats)
-from pblocksim.blocked import (BlockedState, PBlockError, _tile_layout,
-                               advance, apply_blocked, conjugate_block,
-                               init_blocked, measurement_marginal,
-                               run_blocked_full, split_exact)
+from pblocksim import blocked
+from pblocksim.blocked import (BlockedState, PBlockError, _conjugate_tiles,
+                               _search_split, _tile_layout, advance,
+                               apply_blocked, conjugate_block, init_blocked,
+                               measurement_marginal, run_blocked_full,
+                               split_exact)
 from pblocksim.circuits import (LIBRARY, Circuit, CircuitError, CircuitStep,
                                 GateDef, InputBlock, gen_block_local,
                                 gen_entangle_disentangle, parse_circuit,
@@ -495,6 +500,84 @@ def test_conjugate_block_is_the_full_gate_conjugation(case):
     assert got.matrix == want
 
 
+# the library gates that permute the basis states with entries 1
+PERMUTATIONS = [g for g in GATES if g.name in ("CNOT", "I", "SWAP", "X")]
+
+
+def _permutation_gate(image, sign=None) -> GateDef:
+    """The defgate G|c> = |image[c]>, its entry in column `sign` -1."""
+    dim = len(image)
+    entries = [ZERO] * (dim * dim)
+    for c, r in enumerate(image):
+        entries[r * dim + c] = MINUS_ONE if c == sign else ONE
+    return GateDef("P", dim.bit_length() - 1, ExactMatrix(dim, dim, entries))
+
+
+@st.composite
+def permuted_blocks(draw):
+    """A library permutation gate or a random permutation defgate of arity
+    1 or 2, and a block of 1-5 qubits it fits on, on scattered labels, with
+    targets in any order: a random mixed density or a pure one with 1-4
+    nonzero amplitudes."""
+    if draw(st.booleans()):
+        gate = draw(st.sampled_from(PERMUTATIONS))
+    else:
+        arity = draw(st.sampled_from([1, 2]))
+        gate = _permutation_gate(draw(st.permutations(range(1 << arity))))
+    k = draw(st.integers(gate.arity, 5))
+    if draw(st.booleans()):
+        rng = CounterRng(draw(st.integers(0, 1 << 16)), "permuted_blocks")
+        matrix = random_mixed_density(rng, k, terms=2).matrix
+    else:
+        support = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1,
+                                max_size=4, unique=True))
+        amps = [ZERO] * (1 << k)
+        for i in support:
+            amps[i] = draw(st.sampled_from(_UNIT_AMPLITUDES))
+        matrix = density_from_statevector(amps).scale(
+            ExactScalar(Fraction(1, len(support))))
+    labels = tuple(draw(st.lists(st.integers(0, 20), min_size=k, max_size=k,
+                                 unique=True)))
+    return DensityBlock(labels, matrix), gate, _targets(draw, k, gate.arity)
+
+
+@settings(PROPERTY, max_examples=150)
+@example((_mixed_pair((5, 2)), LIBRARY["CNOT"], (1, 0)))
+@example((_mixed_pair((5, 2)), LIBRARY["SWAP"], (0, 1)))
+@example((_mixed_pair((5, 2)), LIBRARY["X"], (1,)))
+@example((_mixed_pair((7,)), LIBRARY["I"], (0,)))
+@example((_mixed_pair((5, 2)), _permutation_gate((3, 0, 1, 2)), (0, 1)))
+@given(permuted_blocks())
+def test_a_permutation_gate_relabels_what_its_tiles_give(case):
+    """A permutation gate moves each nonzero entry to its image, and the
+    map that gives is exactly the tile path's, value for value."""
+    block, gate, at = case
+    assert gate.permutation() is not None
+    got = conjugate_block(block, gate, tuple(block.labels[i] for i in at))
+    want = _conjugate_tiles(block, gate, at)
+    assert (got.labels, got.nonzeros) == (want.labels, want.nonzeros)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.sampled_from([1, 2]), st.data())
+def test_a_permutation_is_derived_only_from_entries_one(arity, data):
+    """permutation() is the image of each column for a permutation matrix
+    of ones, and None once one of its entries is -1; every derived form is
+    a tuple, derived once."""
+    image = tuple(data.draw(st.permutations(range(1 << arity))))
+    assert _permutation_gate(image).permutation() == image
+    sign = data.draw(st.integers(0, len(image) - 1))
+    assert _permutation_gate(image, sign).permutation() is None
+    assert {g.name for g in GATES if g.permutation() is not None} \
+        == {g.name for g in PERMUTATIONS}
+    for gate in GATES:
+        for derived in (gate.nonzero_rows, gate.complex_rows):
+            assert isinstance(derived(), tuple)
+            assert derived() is derived()
+        assert gate.complex_rows() == tuple(
+            map(tuple, gate.matrix.to_complex_rows()))
+
+
 @st.composite
 def mapped_blocks(draw):
     """A pure, mixed or sparse block as `traced_blocks` draws it, given as
@@ -763,6 +846,50 @@ def test_split_exact_matches_brute_force(block):
         assert [(b.labels, b.matrix) for b in got] == \
             [(r.labels, r.matrix) for r in
              (reduced_by_definition(block, part) for part in want)]
+
+
+@st.composite
+def one_entry_blocks(draw):
+    """A block of 2-6 qubits on sorted or scattered labels whose map is one
+    entry: the basis state |x><x| in half the draws, else an off-diagonal
+    entry or a diagonal one other than 1; and a p from 1 to k - 1."""
+    k = draw(st.integers(2, 6))
+    labels = draw(st.lists(st.integers(0, 40), min_size=k, max_size=k,
+                           unique=True))
+    if draw(st.booleans()):
+        labels.sort()
+    row = draw(st.integers(0, (1 << k) - 1))
+    col, value = row, ONE
+    if draw(st.booleans()):
+        col = draw(st.integers(0, (1 << k) - 1))
+        value = draw(st.sampled_from([ONE, MINUS_ONE, I_UNIT,
+                                      ExactScalar(Fraction(1, 2))]))
+    block = DensityBlock(labels, nonzeros={row << k | col: value})
+    return block, draw(st.integers(1, k - 1))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(one_entry_blocks())
+def test_a_basis_state_splits_into_the_shared_start_blocks(case):
+    """A basis state splits as the search does, into the same labels, maps
+    and order, and each part is the very block a start state holds for that
+    qubit and bit; any other one-entry map goes through the search."""
+    block, p = case
+    got = split_exact(block, p)
+    want = _search_split(block, p, -1)
+    assert [(b.labels, b.nonzeros) for b in got] == \
+        [(b.labels, b.nonzeros) for b in want]
+    [(e, value)] = block.nonzeros.items()
+    k = len(block.labels)
+    if e >> k == e & (1 << k) - 1 and value == ONE:
+        bits = ["0"] * (max(block.labels) + 1)
+        for j, q in enumerate(block.labels):
+            bits[q] = str(e >> (2 * k - 1 - j) & 1)
+        start = init_blocked(Circuit(len(bits), "".join(bits), ()))
+        assert all(b is start.block_of(b.labels[0]) for b in got)
+    else:
+        shared = blocked._BASIS_BLOCKS["0"] + blocked._BASIS_BLOCKS["1"]
+        assert not any(b is s for b in got for s in shared)
 
 
 @settings(PROPERTY, max_examples=60)
