@@ -29,7 +29,12 @@ ledger but does not stop the run.
 Validation circuits interleave exactly-blocked gates with tiny two-qubit
 rotations exp(-i*theta*P).  Those rotations model the true process and are
 applied only by the float reference here; the engine substitutes the nearest
-exact gate (the identity, for small theta).  The float reference is the
+exact gate in Frobenius norm, found in closed form: for a unitary G,
+||G - exp(-i theta P)||_F^2 = 8 - 2 (a cos(theta) + b sin(theta)) with
+a = Re tr G^dagger and b = Im tr G^dagger P, traced once per Pauli pair from
+the exact matrices, and an exact tie keeps the first candidate in order.  b is
+0 for every candidate, so the identity is chosen exactly when cos(theta) > 0,
+which holds for every calibrated angle.  The float reference is the
 dense engine's state with complex values, a map of the nonzero amplitudes
 stepped by the same gate kernel (`apply_rows`).  The generator calibrates
 the rotations in one forward pass: each angle is set on the float state
@@ -173,22 +178,39 @@ class PerturbedCircuit:
         return len(self.steps)
 
 
-# the identity and every two-qubit library gate, each with its complex rows
-_EXACT_CANDIDATES = tuple(
-    (gate, gate.complex_rows())
-    for gate in [_IDENTITY4] + [g for g in LIBRARY.values() if g.arity == 2])
+# the identity and every two-qubit library gate, in the order ties keep
+_EXACT_CANDIDATES = (_IDENTITY4,) + tuple(
+    gate for gate in LIBRARY.values() if gate.arity == 2)
+
+
+@cache  # nine pairs, each read only
+def _overlaps(pauli: str) -> tuple[tuple[GateDef, float, float], ...]:
+    """(G, Re tr G^dagger, Im tr G^dagger P) for each candidate G, each
+    trace taken exactly and then rounded once."""
+    pair = _pauli_pair_exact(pauli).entries
+    out = []
+    for gate in _EXACT_CANDIDATES:
+        # tr G^dagger P = sum over entries of conj(G_ij) P_ij
+        b = sum((x.conjugate() * y
+                 for x, y in zip(gate.matrix.entries, pair)), ZERO)
+        out.append((gate, gate.dagger.trace().to_complex().real,
+                    b.to_complex().imag))
+    return tuple(out)
 
 
 def nearest_exact_gate(rotation: Rotation) -> GateDef:
-    """Closest two-qubit library gate (or the identity) in Frobenius norm."""
-    rot = _rotation_matrix(rotation.pauli, rotation.theta)
-    best_gate, best_dist = None, None
-    for gate, gm in _EXACT_CANDIDATES:
-        dist = math.fsum(abs(gm[i][j] - rot[i][j]) ** 2
-                         for i in range(4) for j in range(4))
-        if best_dist is None or dist < best_dist:
-            best_gate, best_dist = gate, dist
-    return best_gate
+    """Closest two-qubit library gate (or the identity) in Frobenius norm.
+
+    For a unitary 4x4 G and R = cos(theta) I - i sin(theta) P,
+    ||G - R||_F^2 = 8 - 2 (a cos(theta) + b sin(theta)) with a = Re tr G^dagger
+    and b = Im tr G^dagger P, so the closest candidate is the one that
+    maximises a cos(theta) + b sin(theta); an exact tie keeps the first in
+    `_EXACT_CANDIDATES`.  b is 0 for every candidate, and a is 4 for the
+    identity and 2 for CNOT, CZ and SWAP, so the identity wins exactly when
+    cos(theta) > 0."""
+    c, s = math.cos(rotation.theta), math.sin(rotation.theta)
+    return max(_overlaps(rotation.pauli),
+               key=lambda overlap: overlap[1] * c + overlap[2] * s)[0]
 
 
 def closest_product(block: DensityBlock, p: int
@@ -269,13 +291,18 @@ def run_approx(circuit, cfg: ApproxConfig
 # under the true rotations.  Gates, rotations and the Pauli pair of an
 # expectation all go through the dense engine's kernel.
 
-@cache  # nine pairs, each read only
-def _pauli_pair(pauli: str) -> list[list[complex]]:
+def _pauli_pair_exact(pauli: str) -> ExactMatrix:
     """4x4 matrix of a Pauli pair like 'ZZ', the first letter on the first
     target (the high index bit), as i^#Y X^x Z^z since Y = iXZ."""
     x = sum(2 >> j for j, letter in enumerate(pauli) if letter in "XY")
     z = sum(2 >> j for j, letter in enumerate(pauli) if letter in "YZ")
-    return _pauli_matrix(4, x, z, pauli.count("Y")).to_complex_rows()
+    return _pauli_matrix(4, x, z, pauli.count("Y"))
+
+
+@cache  # nine pairs, each read only
+def _pauli_pair(pauli: str) -> list[list[complex]]:
+    """The Pauli pair's matrix as complex floats."""
+    return _pauli_pair_exact(pauli).to_complex_rows()
 
 
 def _rotation_matrix(pauli: str, theta: float) -> list[list[complex]]:

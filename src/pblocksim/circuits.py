@@ -297,8 +297,7 @@ class Circuit:
         _store_tuple(self, "input_blocks")
         if self.width < 1:
             raise CircuitError("circuit width must be positive")
-        if len(self.input_bits) != self.width or \
-                any(ch not in "01" for ch in self.input_bits):
+        if len(self.input_bits) != self.width or self.input_bits.strip("01"):
             raise CircuitError("input must be a bitstring of circuit width")
         if not 0 <= self.measured_qubit < self.width:
             raise QubitOutOfRange(
@@ -399,7 +398,7 @@ def parse_circuit(text: str) -> Circuit:
                 fail(lineno, "usage: input <bitstring>")
             if width is None:
                 fail(lineno, "'input' before 'qubits'")
-            if len(toks[1]) != width or any(c not in "01" for c in toks[1]):
+            if len(toks[1]) != width or toks[1].strip("01"):
                 fail(lineno, f"input must be a {width}-bit string")
             input_bits = toks[1]
         elif head == "inputblock":

@@ -281,6 +281,12 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    # an exact probability prints in full however many digits it has: the
+    # interpreter's int-to-str limit (3.11+, and 3.10 from 3.10.7) is lifted
+    # for this run and restored after it
+    old_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if old_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
         if args.command == "simulate":
@@ -294,6 +300,9 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(exc.message, file=sys.stderr)
         return exc.code
+    finally:
+        if old_limit is not None:
+            sys.set_int_max_str_digits(old_limit)
 
 
 if __name__ == "__main__":

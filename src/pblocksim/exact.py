@@ -31,6 +31,10 @@ _SQRT2_FLOAT = math.sqrt(2.0)
 _SQ2_PREC_DEN = 10**60
 _SQ2_PREC_NUM = math.isqrt(2 * _SQ2_PREC_DEN * _SQ2_PREC_DEN)
 _FAST_LIMIT = 1 << 50
+# log10(2) rounded down to 40 decimals: floor((b - 1) log10 2) computed with
+# it is exact for bit lengths b far past any int that fits in memory
+_LOG10_2_NUM = 3010299956639811952137388947244930267681
+_LOG10_2_DEN = 10**40
 
 
 class ExactScalar:
@@ -230,9 +234,10 @@ class ExactScalar:
         return 1 if c > 0 else -1
 
     def digit_count(self) -> int:
-        """Max decimal digit count over the four numerators and denominator."""
-        return max(len(str(abs(v)))
-                   for v in (self.xa, self.xb, self.xc, self.xd, self.den))
+        """Max decimal digit count over the four numerators and denominator,
+        counted without str(), which refuses ints past 4300 digits."""
+        return _decimal_digits(max(abs(self.xa), abs(self.xb),
+                                   abs(self.xc), abs(self.xd), self.den))
 
     # -- text form ---
 
@@ -257,6 +262,17 @@ class ExactScalar:
 
     def __repr__(self):
         return f"ExactScalar({self.to_text()})"
+
+
+def _decimal_digits(v: int) -> int:
+    """len(str(v)) for an int v >= 0, from its bit length.  With b bits,
+    2^(b-1) <= v < 2^b, so v has k + 1 or k + 2 digits, k being
+    floor((b - 1) log10 2); one comparison with 10^(k+1) decides."""
+    bits = v.bit_length()
+    if bits == 0:
+        return 1
+    k = (bits - 1) * _LOG10_2_NUM // _LOG10_2_DEN
+    return k + 1 + (v >= 10 ** (k + 1))
 
 
 ZERO = ExactScalar(0)

@@ -134,8 +134,13 @@ class ExactMatrix:
         return hash((self.rows, self.cols, tuple(self.entries)))
 
     def to_complex_rows(self) -> list[list[complex]]:
-        return [[self.entries[i * self.cols + j].to_complex()
-                 for j in range(self.cols)] for i in range(self.rows)]
+        """The rows as complex floats, each a new list.  The shared ZERO
+        becomes 0j by identity, without a call; ZERO.to_complex() is that
+        same 0j, both parts +0.0, so the rows are those of converting every
+        entry."""
+        cols = self.cols
+        flat = [0j if x is ZERO else x.to_complex() for x in self.entries]
+        return [flat[i * cols:(i + 1) * cols] for i in range(self.rows)]
 
     def __repr__(self):
         body = "; ".join(

@@ -11,7 +11,7 @@ from pblocksim.circuits import (LIBRARY, builtin_library, parse_circuit,
                                 gen_entangle_disentangle, CircuitError,
                                 CircuitSyntaxError, UnknownGate,
                                 QubitOutOfRange, DuplicateTarget, GateDef,
-                                InputBlock, _fixed_cells)
+                                InputBlock, Circuit, _fixed_cells)
 
 BELL_TEXT = "qubits 2\ninput 00\ngate H 0\ngate CNOT 0 1\nmeasure 0\n"
 
@@ -146,6 +146,20 @@ def test_malformed_files_keep_their_class_and_line(name):
     with pytest.raises(CircuitError, match=f"^line {lineno}: ") as info:
         parse_circuit(text)
     assert type(info.value) is cls
+
+
+@pytest.mark.parametrize("bits", ["x01", "0x1", "01x", "0 1"],
+                         ids=["start", "middle", "end", "space"])
+def test_input_bits_hold_only_zeros_and_ones(bits):
+    """A wrong character is refused wherever it sits, in code and in a
+    file alike; a file's space splits the line into too many words."""
+    with pytest.raises(CircuitError,
+                       match="^input must be a bitstring of circuit width$"):
+        Circuit(3, bits, ())
+    message = "usage: input <bitstring>" if " " in bits \
+        else "input must be a 3-bit string"
+    with pytest.raises(CircuitSyntaxError, match=f"^line 2: {message}$"):
+        parse_circuit(f"qubits 3\ninput {bits}\nmeasure 0\n")
 
 
 class TestParse:

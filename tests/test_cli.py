@@ -5,6 +5,7 @@ import contextlib
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,8 @@ import pblocksim
 
 from pblocksim import cli
 from pblocksim.circuits import serialize_circuit
+from pblocksim.exact import ExactScalar
+from pblocksim.sampling import OutcomeDistribution
 from pblocksim.cli import main, EXIT_OK, EXIT_USAGE, EXIT_PBLOCK, \
     EXIT_NONCLIFFORD
 
@@ -116,6 +119,27 @@ class TestSimulate:
         assert code == EXIT_OK
         assert "samples=50" in out
         assert len(calls) == 1
+
+    def test_probabilities_print_in_full_past_the_str_limit(
+            self, bell_path, monkeypatch):
+        """A 5001-digit probability prints whole, and the interpreter's
+        int-to-str limit is as it was once main returns."""
+        big = 10**5000 + 1
+        dist = OutcomeDistribution(ExactScalar(Fraction(1, big)),
+                                   ExactScalar(Fraction(big - 1, big)))
+        monkeypatch.setattr(cli, "_run_engine",
+                            lambda *args: (dist, None, dist.p0.digit_count()))
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, _ = run_cli(["simulate", "--engine", "dense",
+                                "--circuit", bell_path])
+        assert code == EXIT_OK
+        big_text = "1" + "0" * 4999 + "1"
+        assert out.splitlines() == [
+            f"p0 = 1/{big_text} (0.000000000000)",
+            f"p1 = 1{'0' * 5000}/{big_text} (1.000000000000)",
+            "digits = 5001"]
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() \
+            == limit
 
     def test_approx_writes_ledger(self, bell_path, tmp_path):
         ledger_path = tmp_path / "ledger.txt"

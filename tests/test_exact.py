@@ -1,6 +1,7 @@
 """Field arithmetic over Q(i, sqrt2): identities, canonical form, parsing."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -174,6 +175,33 @@ def test_canonical_invariants():
             assert isinstance(comp, BigRational)
             assert comp.denominator > 0
             assert math.gcd(comp.numerator, comp.denominator) == 1
+
+
+def _unlimited_str(v: int) -> str:
+    """str(v) with the interpreter's int-to-str digit limit lifted."""
+    old_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if old_limit is None:
+        return str(v)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(v)
+    finally:
+        sys.set_int_max_str_digits(old_limit)
+
+
+def test_digit_count_is_the_length_of_the_decimal_text():
+    """Exact on both sides of a power of ten, in any component, and past
+    the 4300 digits at which str() refuses by default."""
+    assert ZERO.digit_count() == 1
+    for k in sorted({*range(0, 5001, 97), 4299, 4300, 4301, 4302, 5000}):
+        for v in (10**k - 1, 10**k, 10**k + 1):
+            if v == 0:
+                continue
+            want = len(_unlimited_str(v))
+            for x in (ExactScalar(v), ExactScalar(0, -v),
+                      ExactScalar(0, 0, v), ExactScalar(0, 0, 0, -v),
+                      ExactScalar(Fraction(1, v))):
+                assert x.digit_count() == want, (k, v - 10**k)
 
 
 def test_digit_growth_linear():

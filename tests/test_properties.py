@@ -20,7 +20,10 @@ version reads as its prefix state and every earlier one raises, its split
 agrees with a brute-force search over products of marginals on pure, mixed
 and classically correlated factors, and splits a basis state as the search
 does, into the shared start blocks, the float
-reference runs the dense engine's kernel to the same marginals, the approx
+reference runs the dense engine's kernel to the same marginals, the nearest
+exact gate's closed form picks the Frobenius argmin and the identity
+whenever cos(theta) > 0, skipping the shared ZERO's conversion leaves every
+trace norm the same float, the approx
 engine's projection agrees with a brute-force search and, at epsilon 0 on
 p-blocked circuits, ends with the blocked engine's blocks, the stabilizer
 engine agrees with the dense state on Clifford circuits, and gives the
@@ -29,6 +32,7 @@ a register of thousands of idle qubits, and the blocked engine
 agrees with the stabilizer engine on every marginal of wide Clifford
 circuits that merge and split."""
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -36,8 +40,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pblocksim.approx import (ApproxConfig, ErrorLedger, PerturbedCircuit,
-                              approx_step, simulate_perturbed_floats)
+from pblocksim.approx import (_EXACT_CANDIDATES, ApproxConfig, ErrorLedger,
+                              PerturbedCircuit, Rotation, _rotation_matrix,
+                              approx_step, nearest_exact_gate,
+                              simulate_perturbed_floats)
 from pblocksim import blocked
 from pblocksim.blocked import (BlockedState, PBlockError, _conjugate_tiles,
                                _search_split, _tile_layout, advance,
@@ -52,7 +58,8 @@ from pblocksim.dense import dense_blockedness, dense_marginal, dense_run
 from pblocksim.exact import I_UNIT, MINUS_ONE, ONE, ZERO, ExactScalar
 from pblocksim.matrices import (DensityBlock, ExactMatrix, _placements,
                                 _trace_layout, kron_blocks, mat_mul,
-                                nonzero_map, reduced_state, target_offsets)
+                                nonzero_map, reduced_state, target_offsets,
+                                trace_norm_float)
 from pblocksim.prng import CounterRng
 from pblocksim.stabilizer import (StabilizerTableau, run_stabilizer,
                                   tableau_apply, tableau_marginal)
@@ -906,6 +913,61 @@ def test_float_reference_matches_exact_dense(circuit):
             circuit.width, circuit.input_bits, circuit.steps, qubit))
         want = dense_marginal(state, qubit).floats()
         assert all(abs(g - w) <= 1e-12 for g, w in zip(got, want))
+
+
+PAULI_PAIRS = [a + b for a in "XYZ" for b in "XYZ"]
+
+
+@settings(PROPERTY, max_examples=400)
+@example("ZZ", 0.0)
+@example("XY", 0.2)
+@example("YX", math.pi / 2)
+@example("ZX", 3.0)       # cos < 0: CNOT, CZ and SWAP tie
+@example("YY", -math.pi)
+@given(st.sampled_from(PAULI_PAIRS), st.floats(-math.pi, math.pi))
+def test_nearest_exact_gate_is_the_frobenius_argmin(pauli, theta):
+    """The closed form picks the candidate that the 16-entry distances
+    rank first, wherever the two smallest differ by more than rounding
+    could, and it picks the identity whenever cos(theta) > 0."""
+    got = nearest_exact_gate(Rotation(pauli, theta, (0, 1)))
+    rot = _rotation_matrix(pauli, theta)
+    ranked = sorted(
+        (math.fsum(abs(g - r) ** 2
+                   for grow, rrow in zip(gate.complex_rows(), rot)
+                   for g, r in zip(grow, rrow)), k, gate)
+        for k, gate in enumerate(_EXACT_CANDIDATES))
+    (first, _, nearest), (second, _, _) = ranked[:2]
+    if second - first > 1e-9 * second:
+        assert got is nearest
+    if math.cos(theta) > 0:
+        assert got.name == "II"
+
+
+@st.composite
+def sparse_hermitian(draw):
+    """An exact Hermitian matrix of dimension 2-32, its zeros the shared
+    ZERO, and its twin with a fresh zero scalar in each of those places."""
+    dim = draw(st.integers(2, 32))
+    entries = [ZERO] * (dim * dim)
+    for _ in range(draw(st.integers(1, 2 * dim))):
+        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        x = draw(EXACT_SCALARS)
+        if i == j:
+            x = ExactScalar(x.a, 0, x.c)
+        entries[i * dim + j], entries[j * dim + i] = x, x.conjugate()
+    fresh = [ExactScalar(0) if x is ZERO else x for x in entries]
+    return ExactMatrix(dim, dim, entries), ExactMatrix(dim, dim, fresh)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(sparse_hermitian())
+def test_trace_norm_reads_the_shared_zero_as_its_conversion(case):
+    """Skipping the shared ZERO's conversion changes no float: the complex
+    rows match to the sign of each zero, and the trace norm is the same
+    float as the one that converts every entry."""
+    shared, fresh = case
+    assert repr(shared.to_complex_rows()) == repr(fresh.to_complex_rows())
+    assert trace_norm_float(shared) == trace_norm_float(fresh)
 
 
 @st.composite
