@@ -52,7 +52,7 @@ def build_ap(x0: int, r: int, count: int, n: int) -> BasisSuperposition:
     if top >= (1 << n):
         raise RangeOverflow(
             f"progression reaches {top}, beyond {n}-bit range")
-    return BasisSuperposition(n, tuple(x0 + k * r for k in range(count)))
+    return BasisSuperposition(n, tuple(range(x0, top + 1, r)))
 
 
 def build_pair(x0: int, x1: int, n: int) -> BasisSuperposition:

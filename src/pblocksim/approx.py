@@ -163,6 +163,8 @@ class Rotation:
             raise ValueError("pauli must be two letters from XYZ")
         if self.targets[0] == self.targets[1]:
             raise ValueError("rotation targets must differ")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"rotation angle must be finite, got {self.theta}")
 
 
 @dataclass(frozen=True)

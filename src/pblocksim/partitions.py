@@ -20,10 +20,11 @@ factorization.
   needs re-labelling; both only ever see a merged block of at most 2p
   labels, so the list is built once per size and shared.
 - `finest_factorization` finds the unique finest factorization of a
-  nonzero map at any width: `peel_finest` peels one irreducible factor at a
-  time with `splits_across` as its test, and the answer is rebuilt entry by
-  entry before it is returned.  The dense and arithmetic-progression
-  blockedness deciders both call it.
+  nonzero map at any width: labels join one at a time, each asking
+  `splits_across` of the current parts over a slice of the map, so it asks
+  at most one factor test per pair of labels, and the answer is rebuilt
+  entry by entry before it is returned.  The dense and
+  arithmetic-progression blockedness deciders both call it.
 """
 
 from __future__ import annotations
@@ -97,56 +98,49 @@ def rank_positions(labels) -> list[int]:
     return sorted(range(len(labels)), key=labels.__getitem__)
 
 
-def peel_finest(labels, splits_off, max_part: int) -> list[tuple] | None:
-    """Finest partition of `labels` into parts of size <= max_part over which
-    a state factors, or None when some irreducible factor is larger.
-
-    `splits_off(part)` says whether the state is a product across `part`
-    and every other label.  Product bipartitions are closed under meet, so
-    the smallest part that holds the lowest remaining label and splits off is
-    that label's irreducible factor; parts are tried in ascending size, then
-    lexicographic order.  Peeled factors split off too, so testing against
-    the full complement stays correct at every level, and whatever remains
-    once the others are peeled is a factor without asking.  Parts come back
-    as sorted tuples in ascending order.
-    """
-    remaining = sorted(labels)
-    parts = []
-    while remaining:
-        head, rest = remaining[0], remaining[1:]
-        candidates = ((head,) + extra
-                      for size in range(min(max_part, len(remaining)))
-                      for extra in combinations(rest, size))
-        part = next((c for c in candidates
-                     if len(c) == len(remaining) or splits_off(c)), None)
-        if part is None:
-            return None
-        parts.append(part)
-        remaining = [q for q in rest if q not in part]
-    return parts
-
-
 def finest_factorization(nonzeros: dict, masks, max_part: int
                          ) -> list[tuple] | None:
     """Finest partition of the labels 0..len(masks)-1 into parts of size
     <= max_part over which the nonzero map factors, or None when some
-    irreducible factor is larger.
+    irreducible factor is larger.  Parts come back as sorted tuples in
+    ascending order.
 
     Label q owns the index bits in masks[q], and a part asks `splits_across`
-    over the OR of its labels' masks.  The answer is rebuilt entry by entry
-    before it is returned, so a wrong split can never pass silently."""
-    def part_mask(part):
-        mask = 0
-        for q in part:
-            mask |= masks[q]
-        return mask
-
-    parts = peel_finest(
-        range(len(masks)),
-        lambda part: splits_across(nonzeros, part_mask(part)), max_part)
-    if parts is not None:
-        _check_rebuild(nonzeros, [part_mask(part) for part in parts])
-    return parts
+    over the OR of its labels' masks.  With idx0 the map's first key,
+    slice q holds the entries that agree with idx0 on every label after q;
+    labels join in the order 0..n-1, each keeping the finest partition of
+    its slice, so a wide register costs at most one factor test per pair of
+    labels.  A slice of a product is still a product, so a part of slice
+    q's finest partition that does not hold q is already a part of slice
+    q-1's: the parts that still split off in slice q are exactly the ones
+    to keep, and every other part belongs to q's.  Parts only grow as
+    labels join, so one part past max_part settles the answer.  The answer
+    is rebuilt entry by entry before it is returned, so a wrong split can
+    never pass silently."""
+    idx0 = next(iter(nonzeros))
+    slices = []
+    below = nonzeros  # the entries that agree with idx0 after this label
+    for mask in reversed(masks):
+        slices.append(below)
+        fixed = idx0 & mask
+        below = {idx: v for idx, v in below.items() if idx & mask == fixed}
+    slices.reverse()
+    parts = []  # (labels, OR of their masks), finest over the slice so far
+    for q, slice_q in enumerate(slices):
+        labels, part_mask = [q], masks[q]
+        kept = []
+        for part in parts:
+            if splits_across(slice_q, part[1]):
+                kept.append(part)
+            else:
+                labels += part[0]
+                part_mask |= part[1]
+        if len(labels) > max_part:
+            return None
+        parts = kept + [(labels, part_mask)]
+    parts.sort(key=lambda part: min(part[0]))
+    _check_rebuild(nonzeros, [part_mask for _, part_mask in parts])
+    return [tuple(sorted(labels)) for labels, _ in parts]
 
 
 def _check_rebuild(nonzeros: dict, masks) -> None:

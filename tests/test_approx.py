@@ -223,6 +223,13 @@ class TestPerturbed:
         with pytest.raises(ValueError):
             Rotation("XX", 0.1, (1, 1))
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_is_refused(self, theta):
+        """A nan angle would become II and an infinite one would fail
+        inside math.cos; both are refused when the rotation is built."""
+        with pytest.raises(ValueError, match="finite"):
+            Rotation("ZZ", theta, (0, 1))
+
     def test_generator_deterministic(self):
         a = gen_perturbed(6, 1, 5, 1e-5, 3)
         b = gen_perturbed(6, 1, 5, 1e-5, 3)

@@ -1,5 +1,7 @@
 """Restricted-part-size partition enumeration and its canonical order, the
-one factor test, and the factor-peeling search with its rebuild check."""
+one factor test, and the finest-factorization search: its answer against
+brute force, its count of factor tests on Shor registers, and its rebuild
+check."""
 
 from fractions import Fraction
 
@@ -7,11 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pblocksim import partitions
-from pblocksim.ap import analyze_blockedness, build_pair
+from pblocksim.ap import BasisSuperposition, analyze_blockedness, build_pair
 from pblocksim.circuits import parse_circuit
 from pblocksim.dense import dense_blockedness, dense_run
 from pblocksim.exact import ExactScalar, ZERO
-from pblocksim.partitions import (partitions_max_part, peel_finest,
+from pblocksim.partitions import (finest_factorization, partitions_max_part,
                                   splits_across)
 
 from helpers import all_partitions, rank_one_by_minors
@@ -75,55 +77,6 @@ def test_shared_rank_partitions(data):
         _labelled_order(labels, p)
 
 
-@st.composite
-def hidden_partitions(draw):
-    """(labels, hidden partition of them as sorted tuples)."""
-    labels = draw(st.lists(st.integers(0, 40), min_size=1, max_size=8,
-                           unique=True))
-    order = draw(st.permutations(labels))
-    parts = []
-    while order:
-        size = draw(st.integers(1, len(order)))
-        parts.append(tuple(sorted(order[:size])))
-        order = order[size:]
-    return labels, sorted(parts)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(hidden_partitions(), st.integers(1, 8))
-def test_peel_finest_recovers_hidden_partition(case, max_part):
-    """With "splits off" meaning "is a union of hidden parts", peeling
-    returns the hidden partition exactly when every part fits, and never
-    asks about the whole remainder."""
-    labels, hidden = case
-
-    def splits_off(part):
-        # peeling goes in ascending head order, so the parts with a smaller
-        # lowest label are already gone
-        pending = {q for h in hidden if h[0] >= part[0] for q in h}
-        assert set(part) != pending, "asked about the whole remainder"
-        return all(set(h) <= set(part) or not set(h) & set(part)
-                   for h in hidden)
-
-    got = peel_finest(labels, splits_off, max_part)
-    if max(len(h) for h in hidden) <= max_part:
-        assert got == hidden
-    else:
-        assert got is None
-
-
-def test_peel_finest_tries_smallest_parts_first():
-    asked = []
-
-    def splits_off(part):
-        asked.append(part)
-        return set(part) in ({1, 4}, {2, 3, 5})
-
-    assert peel_finest([5, 4, 3, 2, 1], splits_off, 3) == \
-        [(1, 4), (2, 3, 5)]
-    assert asked == [(1,), (1, 2), (1, 3), (1, 4), (2,), (2, 3), (2, 5)]
-
-
 EXACT_VALUES = [ExactScalar(a, b, c) for a, b, c in
                 ((1, 0, 0), (-1, 0, 0), (Fraction(1, 2), 0, 0), (0, 1, 0),
                  (0, 0, 1), (1, 1, 0), (0, Fraction(-1, 3), 1), (2, 0, -1))]
@@ -174,6 +127,103 @@ def test_splits_across_is_rank_one(case):
     if nonzeros:
         assert splits_across(nonzeros, mask) == \
             rank_one_by_minors(nonzeros, mask, bits, zero)
+
+
+@st.composite
+def hidden_products(draw):
+    """(nonzeros, masks): the product of random nonzero maps over a hidden
+    partition of 1-6 labels, over exact scalars or ints, in three draws of
+    ten with one entry changed or dropped.  Label q owns index bit q, as a
+    state's amplitudes do, or bits q and q + n, as a density's flat indices
+    row << n | col do."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        masks = [1 << q for q in range(n)]
+    else:
+        masks = [1 << q | 1 << q + n for q in range(n)]
+    values, zero = draw(st.sampled_from([(EXACT_VALUES, ZERO),
+                                         (INT_VALUES, 0)]))
+    values = st.sampled_from(values)
+    order = draw(st.permutations(range(n)))
+    nonzeros = None
+    while order:
+        size = draw(st.integers(1, len(order)))
+        part_mask = sum(masks[q] for q in order[:size])
+        order = order[size:]
+        keys = draw(st.lists(st.integers(0, part_mask), min_size=1,
+                             max_size=4))
+        factor = {key & part_mask: draw(values) for key in keys}
+        nonzeros = factor if nonzeros is None else \
+            {i | j: x * y for i, x in nonzeros.items()
+             for j, y in factor.items()}
+    change = draw(st.sampled_from(["none"] * 7 + ["changed"] * 2
+                                  + ["dropped"]))
+    if change != "none":
+        key = draw(st.sampled_from(sorted(nonzeros)))
+        changed = nonzeros[key] * draw(values) + draw(values)
+        if change == "changed" and changed != zero:
+            nonzeros[key] = changed
+        elif len(nonzeros) > 1:
+            del nonzeros[key]
+    return nonzeros, masks
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(hidden_products())
+def test_finest_factorization_matches_brute_force(case):
+    """At every max_part, the search returns the first partition, finest
+    first, whose parts all split off, and None when there is none."""
+    nonzeros, masks = case
+    n = len(masks)
+    candidates = sorted((sorted(parts) for parts in
+                         all_partitions(range(n), n)),
+                        key=lambda parts: (-len(parts), parts))
+    verdicts = {}
+
+    def splits_off(part):
+        if part not in verdicts:
+            verdicts[part] = splits_across(
+                nonzeros, sum(masks[q] for q in part))
+        return verdicts[part]
+
+    for max_part in range(1, n + 1):
+        want = next((parts for parts in candidates
+                     if max(map(len, parts)) <= max_part
+                     and all(map(splits_off, parts))), None)
+        assert finest_factorization(nonzeros, masks, max_part) == want
+
+
+def _shor_register(modulus, base, t):
+    """The period-finding register sum over x < 2^t of |x>|base^x mod
+    modulus>, x in the high bits and the residue in the low ones."""
+    work = modulus.bit_length()
+    return BasisSuperposition(t + work, tuple(
+        x << work | pow(base, x, modulus) for x in range(1 << t)))
+
+
+@pytest.mark.parametrize("modulus, base, t, want", [
+    (15, 7, 8, [(0, 1, 2, 3, 4, 5)] + [(q,) for q in range(6, 12)]),
+    (33, 5, 12, [(0, 1, 2, 3, 4) + tuple(range(6, 18)), (5,)]),
+])
+def test_shor_registers_take_a_factor_test_per_pair(monkeypatch, modulus,
+                                                    base, t, want):
+    """A register whose largest part is nearly its width is decided with at
+    most one factor test per pair of labels, where trying the subsets that
+    hold a part's lowest label would take hundreds of thousands."""
+    state = _shor_register(modulus, base, t)
+    n = state.width
+    asked = []
+
+    def counted(nonzeros, mask):
+        asked.append(mask)
+        return splits_across(nonzeros, mask)
+
+    monkeypatch.setattr(partitions, "splits_across", counted)
+    assert analyze_blockedness(state, n) == want
+    assert len(asked) <= n * (n - 1) // 2
+    largest = max(map(len, want))
+    assert analyze_blockedness(state, largest) == want
+    assert analyze_blockedness(state, largest - 1) is None
 
 
 def test_rebuild_check_catches_a_wrong_split(monkeypatch):

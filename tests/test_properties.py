@@ -19,7 +19,8 @@ the dense density, a run hands one state forward, so that its newest
 version reads as its prefix state and every earlier one raises, its split
 agrees with a brute-force search over products of marginals on pure, mixed
 and classically correlated factors, and splits a basis state as the search
-does, into the shared start blocks, the float
+does, into the shared start blocks, every block a run splits splits into
+the finest factorization of its nonzero map, the float
 reference runs the dense engine's kernel to the same marginals, the nearest
 exact gate's closed form picks the Frobenius argmin and the identity
 whenever cos(theta) > 0, skipping the shared ZERO's conversion leaves every
@@ -60,6 +61,7 @@ from pblocksim.matrices import (DensityBlock, ExactMatrix, _placements,
                                 _trace_layout, kron_blocks, mat_mul,
                                 nonzero_map, reduced_state, target_offsets,
                                 trace_norm_float)
+from pblocksim.partitions import finest_factorization, rank_positions
 from pblocksim.prng import CounterRng
 from pblocksim.stabilizer import (StabilizerTableau, run_stabilizer,
                                   tableau_apply, tableau_marginal)
@@ -897,6 +899,46 @@ def test_a_basis_state_splits_into_the_shared_start_blocks(case):
     else:
         shared = blocked._BASIS_BLOCKS["0"] + blocked._BASIS_BLOCKS["1"]
         assert not any(b is s for b in got for s in shared)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(st.sampled_from([gen_block_local, gen_entangle_disentangle]),
+       st.integers(4, 12), st.integers(2, 3), st.integers(30, 60),
+       st.integers(0, 1 << 16))
+def test_finest_factorization_is_the_blocked_split(generate, width, p, steps,
+                                                   seed):
+    """On every block a blocked run splits, at every p up to the one the
+    circuit was made for, the finest-factorization search over the block's
+    nonzero map, the label of rank r owning the row and column bits of its
+    position, gives the parts `split_exact` returns, and None exactly where
+    `split_exact` raises PBlockError."""
+    circuit = generate(width, p, steps, seed)
+
+    def checked_split(block, run_p):
+        k = len(block.labels)
+        ranked = sorted(block.labels)
+        masks = [m << k | m for m in
+                 (target_offsets(k, (j,))[-1]
+                  for j in rank_positions(block.labels))]
+        want = finest_factorization(block.nonzeros, masks, run_p)
+        try:
+            got = split_exact(block, run_p)
+        except PBlockError:
+            assert want is None
+            raise
+        assert want is not None
+        assert [tuple(sorted(b.labels)) for b in got] == \
+            [tuple(ranked[r] for r in part) for part in want]
+        return got
+
+    for run_p in range(1, p + 1):
+        state = init_blocked(circuit)
+        try:
+            for step in circuit.steps:
+                state = advance(state, step, run_p,
+                                lambda block: checked_split(block, run_p))
+        except PBlockError:
+            pass
 
 
 @settings(PROPERTY, max_examples=60)
