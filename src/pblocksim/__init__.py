@@ -13,7 +13,7 @@ Plus an analyzer for the blockedness of arithmetic-progression states and a
 fair-coin sampler for the output distributions.
 """
 
-from .exact import BigRational, ExactScalar, parse_scalar
+from .exact import ExactScalar, parse_scalar
 from .matrices import (ExactMatrix, DensityBlock, mat_mul, is_unitary,
                        trace_norm_float, DimensionMismatch, NotHermitian)
 from .circuits import (GateDef, CircuitStep, Circuit, builtin_library,

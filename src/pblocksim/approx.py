@@ -176,9 +176,6 @@ class PerturbedCircuit:
     base_p: int = field(default=0, compare=False)
     input_blocks = ()   # not a field: every qubit starts in a basis state
 
-    def depth(self) -> int:
-        return len(self.steps)
-
 
 # the identity and every two-qubit library gate, in the order ties keep
 _EXACT_CANDIDATES = (_IDENTITY4,) + tuple(

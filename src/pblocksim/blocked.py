@@ -88,9 +88,6 @@ class BlockedState:
     def block_of(self, qubit: int) -> DensityBlock:
         return self.assignment[qubit]
 
-    def max_block_size(self) -> int:
-        return max(len(b.labels) for b in self.assignment)
-
     def global_density(self) -> DensityBlock:
         """kron of all blocks in ascending qubit order (small widths only)."""
         return kron_blocks(self.blocks, range(self.width))
@@ -163,21 +160,15 @@ def _basis_blocks(qubits, bits) -> list[DensityBlock]:
 
 
 def init_blocked(circuit: Circuit) -> BlockedState:
-    """The circuit's start state: its input blocks, and |b><b| for each
-    other qubit."""
+    """The circuit's start state: the shared |b><b| on every qubit, from
+    its input bits, and then each input block on the qubits it covers."""
     bits = circuit.input_bits
-    width = len(bits)
-    if not circuit.input_blocks:
-        return BlockedState(width, _basis_blocks(range(width), bits))
-    assignment = [None] * width
+    assignment = _basis_blocks(range(len(bits)), bits)
     for blk in circuit.input_blocks:
         block = DensityBlock(blk.labels, nonzeros=nonzero_map(blk.matrix))
         for q in blk.labels:
             assignment[q] = block
-    free = [q for q in range(width) if assignment[q] is None]
-    for q, block in zip(free, _basis_blocks(free, [bits[q] for q in free])):
-        assignment[q] = block
-    return BlockedState(width, assignment)
+    return BlockedState(len(bits), assignment)
 
 
 @cache

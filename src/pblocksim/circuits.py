@@ -19,6 +19,7 @@ built; the parser only reads text and puts the line on their `CircuitError`.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -314,9 +315,6 @@ class Circuit:
             if not 0 <= q < self.width:
                 raise QubitOutOfRange(f"input block qubit {q} out of range")
 
-    def depth(self) -> int:
-        return len(self.steps)
-
 
 # -- text format ---
 
@@ -391,6 +389,8 @@ def parse_circuit(text: str) -> Circuit:
             width = parse_int(toks[1], lineno, "qubit count")
             if width < 1:
                 fail(lineno, "qubit count must be positive")
+            if width > sys.maxsize:
+                fail(lineno, f"qubit count exceeds {sys.maxsize}")
         elif head == "input":
             if input_bits is not None:
                 fail(lineno, "duplicate 'input' line")

@@ -1,10 +1,11 @@
 """Command-line interface: simulate, compare, analyze-ap.
 
-Exit codes: 0 success, 1 usage or parse failure, 2 a blocked run hit a state
-that does not factor or a blocked or approx run got an input block larger
-than p (PBlockError), 3 a stabilizer run hit a gate that is not Clifford by
-its matrix.  stdout is deterministic for fixed flags and
-seed; timing goes to stderr.
+Exit codes: 0 success, 1 usage or parse failure (or memory ran out while
+loading or running a circuit), 2 a blocked run hit a state that does not
+factor or a blocked or approx run got an input block larger than p
+(PBlockError), 3 a stabilizer run hit a gate that is not Clifford by its
+matrix.  stdout is deterministic for fixed flags and seed; timing goes to
+stderr.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ _ENGINE_FLAGS = (("p", ("blocked", "approx")),
 # exit code of each engine failure; the first row that matches wins
 _FAILURE_CODES = ((PBlockError, EXIT_PBLOCK),
                   (NonCliffordGate, EXIT_NONCLIFFORD),
-                  (ValueError, EXIT_USAGE))  # WidthCapExceeded among them
+                  (ValueError, EXIT_USAGE),  # WidthCapExceeded among them
+                  (MemoryError, EXIT_USAGE))
 _ENGINE_FAILURES = tuple(kind for kind, _ in _FAILURE_CODES)
 
 
@@ -64,6 +66,11 @@ def _failure_code(exc: Exception) -> int:
                 if isinstance(exc, kind))
 
 
+def _describe(exc: Exception) -> str:
+    """The failure's message; a MemoryError seldom carries one."""
+    return "out of memory" if isinstance(exc, MemoryError) else str(exc)
+
+
 def _load_circuit(path: str) -> Circuit:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -72,8 +79,8 @@ def _load_circuit(path: str) -> Circuit:
         raise _CliError(EXIT_USAGE, f"cannot read {path}: {exc}")
     try:
         return parse_circuit(text)
-    except CircuitError as exc:
-        raise _CliError(EXIT_USAGE, f"{path}: {exc}")
+    except (CircuitError, MemoryError) as exc:
+        raise _CliError(EXIT_USAGE, f"{path}: {_describe(exc)}")
 
 
 def _check_engine(engine: str, p: int | None) -> None:
@@ -137,7 +144,7 @@ def cmd_simulate(args) -> None:
     except _ENGINE_FAILURES as exc:
         code = _failure_code(exc)
         raise _CliError(code, f"not p-blocked: {exc}"
-                        if code == EXIT_PBLOCK else str(exc))
+                        if code == EXIT_PBLOCK else _describe(exc))
     wall = time.perf_counter() - started
     # drawn before anything prints, so a distribution that cannot be
     # sampled leaves stdout empty
@@ -190,7 +197,7 @@ def cmd_compare(args) -> int:
         except _ENGINE_FAILURES as exc:
             failures[engine] = code = _failure_code(exc)
             print(f"{engine}: not p-blocked ({exc})"
-                  if code == EXIT_PBLOCK else f"{engine}: {exc}")
+                  if code == EXIT_PBLOCK else f"{engine}: {_describe(exc)}")
     names = [e for e in engines if e in results]
     for i, a in enumerate(names):
         for b in names[i + 1:]:

@@ -42,20 +42,6 @@ class StateVector:
     def from_bits(cls, bits: str) -> "StateVector":
         return cls(len(bits), {int(bits, 2): ONE})
 
-    @classmethod
-    def from_support(cls, width: int, support, amplitude: ExactScalar
-                     ) -> "StateVector":
-        return cls(width, dict.fromkeys(support, amplitude))
-
-    def norm_squared(self) -> ExactScalar:
-        acc = ZERO
-        for a in self.amps.values():
-            acc = acc + a.abs_squared()
-        return acc
-
-    def is_normalized(self) -> bool:
-        return self.norm_squared() == ONE
-
     def nonzeros(self) -> dict[int, ExactScalar]:
         return self.amps
 

@@ -13,9 +13,6 @@ unique, so equality is plain component comparison and hashing works.
 A product with the shared ``ONE`` on either side is the other factor itself,
 made without arithmetic; ``ONE * ONE`` is ``ONE``, so a state built from the
 basis blocks keeps that shortcut from step to step.
-
-``BigRational`` is the standard library Fraction, which already guarantees a
-positive denominator and a reduced numerator/denominator pair.
 """
 
 from __future__ import annotations
@@ -23,8 +20,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-
-BigRational = Fraction
 
 _SQRT2_FLOAT = math.sqrt(2.0)
 # sqrt(2) to 60 decimal digits, for the high-precision float conversion path.
@@ -74,7 +69,7 @@ class ExactScalar:
         out.xa, out.xb, out.xc, out.xd, out.den = xa, xb, xc, xd, den
         return out
 
-    # -- component views (the four BigRational fields) ---
+    # -- component views (the four rational components, reduced) ---
 
     @property
     def a(self) -> Fraction:
@@ -99,9 +94,6 @@ class ExactScalar:
 
     def is_real(self) -> bool:
         return self.xb == 0 and self.xd == 0
-
-    def is_rational(self) -> bool:
-        return self.xb == 0 and self.xc == 0 and self.xd == 0
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -186,9 +178,6 @@ class ExactScalar:
         nc = -den * (xc * yr + xd * yi)
         nd = -den * (xd * yr - xc * yi)
         return ExactScalar._raw(na, nb, nc, nd, ynorm)
-
-    def __truediv__(self, other: "ExactScalar") -> "ExactScalar":
-        return self * other.inverse()
 
     def abs_squared(self) -> "ExactScalar":
         """Exact |x|^2 = x * conj(x), a real element of Q(sqrt2)."""

@@ -77,10 +77,6 @@ class ExactMatrix:
         return cls(n, n, ent)
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols, [ZERO] * (rows * cols))
-
-    @classmethod
     def from_nonzeros(cls, dim: int,
                       nonzeros: dict[int, ExactScalar]) -> "ExactMatrix":
         """dim x dim matrix of a nonzero map {row * dim + col: value}."""
@@ -107,22 +103,6 @@ class ExactMatrix:
         for i in range(self.rows):
             acc = acc + self.entries[i * self.cols + i]
         return acc
-
-    def add(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch("matrix add shape mismatch")
-        return ExactMatrix(self.rows, self.cols,
-                           [x + y for x, y in zip(self.entries, other.entries)])
-
-    def sub(self, other: "ExactMatrix") -> "ExactMatrix":
-        """Entrywise difference."""
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch("matrix sub shape mismatch")
-        return ExactMatrix(self.rows, self.cols,
-                           [x - y for x, y in zip(self.entries, other.entries)])
-
-    def scale(self, s: ExactScalar) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, [s * x for x in self.entries])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
@@ -255,9 +235,6 @@ class DensityBlock:
         if self._nonzeros is None:
             return nonzero_map(self._matrix)
         return self._nonzeros
-
-    def size(self) -> int:
-        return len(self.labels)
 
     def validate(self) -> None:
         if not is_hermitian(self.matrix):

@@ -260,13 +260,25 @@ def classical_bits(circuit: Circuit) -> str | None:
     return "".join(str(b) for b in bits)
 
 
+def combine(*terms) -> ExactMatrix:
+    """The sum of c * m over the (c, m) pairs in `terms`, entry by entry,
+    for matrices of one shape: combine((ONE, a), (MINUS_ONE, b)) is
+    a - b, and combine((c, a)) is c times a."""
+    (c, first), *rest = terms
+    entries = [c * x for x in first.entries]
+    for c, m in rest:
+        assert (m.rows, m.cols) == (first.rows, first.cols)
+        entries = [e + c * x for e, x in zip(entries, m.entries)]
+    return ExactMatrix(first.rows, first.cols, entries)
+
+
 def char_poly(h: ExactMatrix) -> list[Fraction]:
     """Characteristic polynomial coefficients of an exact matrix with
     rational entries, by Faddeev-LeVerrier: returns [c_n, ..., c_0] with
     p(x) = c_n x^n + ... + c_0 and c_n = 1."""
     n = h.rows
     for e in h.entries:
-        if not e.is_rational():
+        if (e.b, e.c, e.d) != (0, 0, 0):
             raise ValueError("char_poly expects rational entries")
     m = ExactMatrix.identity(n)
     coeffs = [Fraction(1)]
@@ -276,7 +288,7 @@ def char_poly(h: ExactMatrix) -> list[Fraction]:
         tr = a_m.trace()
         c = -tr.a / k
         coeffs.append(c)
-        m = a_m.add(ExactMatrix.identity(n).scale(ExactScalar(c)))
+        m = combine((ONE, a_m), (ExactScalar(c), ExactMatrix.identity(n)))
     return coeffs
 
 
@@ -368,12 +380,9 @@ def random_mixed_density(rng: CounterRng, qubits: int,
     """Exact rational convex mixture of random pure densities."""
     weights = [1 + rng.randrange(8) for _ in range(terms)]
     total = sum(weights)
-    dim = 1 << qubits
-    acc = ExactMatrix.zeros(dim, dim)
-    for w in weights:
-        pure = random_pure_density(rng, qubits)
-        acc = acc.add(pure.matrix.scale(ExactScalar(Fraction(w, total))))
-    return DensityBlock(tuple(range(qubits)), acc)
+    return DensityBlock(tuple(range(qubits)), combine(
+        *[(ExactScalar(Fraction(w, total)),
+           random_pure_density(rng, qubits).matrix) for w in weights]))
 
 
 def random_clifford_circuit(rng: CounterRng, n: int, steps: int) -> Circuit:

@@ -7,7 +7,7 @@ import math
 import time
 from fractions import Fraction
 
-from pblocksim.exact import ExactScalar
+from pblocksim.exact import ExactScalar, ONE, MINUS_ONE
 from pblocksim.matrices import trace_norm_float
 from pblocksim.circuits import gen_block_local, gen_entangle_disentangle
 from pblocksim.dense import (StateVector, dense_run, dense_marginal,
@@ -21,7 +21,7 @@ from pblocksim.ap import build_ap, analyze_blockedness, census
 from pblocksim.sampling import CoinSource, coin_sample
 from pblocksim.prng import CounterRng
 
-from helpers import (ghz_circuit, random_clifford_circuit,
+from helpers import (combine, ghz_circuit, random_clifford_circuit,
                      random_mixed_density, random_pure_density,
                      reduced_by_definition)
 
@@ -69,8 +69,9 @@ def test_02_polynomial_scaling():
         refused = True
     # entries stored: at most n blocks, each at most 4^p entries -> O(n)
     blocks_linear = (len(state.blocks) <= 200
-                     and state.max_block_size() <= 2
-                     and sum(1 << (2 * b.size())
+                     and max(len(b.labels)
+                             for b in state.assignment) <= 2
+                     and sum(1 << (2 * len(b.labels))
                              for b in state.blocks.values()) <= 200 * 16)
     _verdict("02 polynomial-scaling",
              elapsed < 10.0 and refused and blocks_linear,
@@ -84,7 +85,7 @@ def test_03_ap1_reproduction():
     ok = combinatorial == [(0, 2), (1, 3)]  # bit positions {3,1} and {2,0}
     ok &= analyze_blockedness(state, 1) is None
     amp = ExactScalar(Fraction(1, 2))
-    sv = StateVector.from_support(4, (3, 6, 9, 12), amp)
+    sv = StateVector(4, dict.fromkeys((3, 6, 9, 12), amp))
     dense_parts = dense_blockedness(sv, 2)
     # circuit qubit q carries bit position 3-q
     converted = None if dense_parts is None else \
@@ -242,10 +243,11 @@ def test_10_trace_norm_checks():
     for _ in range(20):
         rho = random_mixed_density(rng, 2)
         sigma = random_mixed_density(rng, 2)
-        whole = trace_norm_float(rho.matrix.sub(sigma.matrix))
+        whole = trace_norm_float(combine((ONE, rho.matrix),
+                                         (MINUS_ONE, sigma.matrix)))
         part = trace_norm_float(
-            reduced_by_definition(rho, (0,)).matrix.sub(
-                reduced_by_definition(sigma, (0,)).matrix))
+            combine((ONE, reduced_by_definition(rho, (0,)).matrix),
+                    (MINUS_ONE, reduced_by_definition(sigma, (0,)).matrix)))
         if part > whole + 1e-9:
             ok = False
     elapsed = time.perf_counter() - started

@@ -90,8 +90,8 @@ class TestAnalyze:
         assert analyze_blockedness(s, 2) is None
         assert analyze_blockedness(s, 3) == [(0, 1, 2)]
         # and the quantum state behind it agrees
-        sv = StateVector.from_support(3, (0, 3, 5, 6),
-                                      ExactScalar(Fraction(1, 2)))
+        sv = StateVector(3, dict.fromkeys((0, 3, 5, 6),
+                                          ExactScalar(Fraction(1, 2))))
         assert dense_blockedness(sv, 2) is None
 
     def test_agrees_with_set_reference_up_to_width_7(self):
@@ -125,7 +125,7 @@ class TestAnalyze:
     def _check_against_dense(s):
         one = ExactScalar(1)
         n = s.width
-        sv = StateVector.from_support(n, s.support, one)
+        sv = StateVector(n, dict.fromkeys(s.support, one))
         for p in (1, 2, 3):
             got = analyze_blockedness(s, p)
             want = dense_blockedness(sv, p)

@@ -288,12 +288,13 @@ class TestPerturbed:
         # after the Bell projection the surrogate is I/2 x I/2; the true
         # state is the Bell projector; their distance is the recorded d
         from pblocksim.matrices import trace_norm_float, ExactMatrix
-        from helpers import density_from_statevector, full_amps
+        from helpers import combine, density_from_statevector, full_amps
         from pblocksim.dense import dense_run
         true_rho = density_from_statevector(full_amps(dense_run(BELL)))
-        from pblocksim.exact import ExactScalar
+        from pblocksim.exact import ExactScalar, ONE
         from fractions import Fraction
-        quarter = ExactScalar(Fraction(1, 4))
-        surrogate = ExactMatrix.identity(4).scale(quarter)
-        gap = trace_norm_float(true_rho.sub(surrogate))
+        minus_quarter = ExactScalar(Fraction(-1, 4))
+        gap = trace_norm_float(combine((ONE, true_rho),
+                                       (minus_quarter,
+                                        ExactMatrix.identity(4))))
         assert abs(gap - ledger.entries[1].d) <= 1e-9

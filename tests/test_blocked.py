@@ -39,7 +39,6 @@ class TestInit:
 
     def test_every_block_singleton(self):
         state = init_blocked(Circuit(4, "0110", ()))
-        assert state.max_block_size() == 1
         assert [b.labels for b in state.assignment] == [(0,), (1,), (2,), (3,)]
 
     def test_basis_blocks_share_one_map_and_one_matrix_per_bit(self):
@@ -62,6 +61,33 @@ class TestInit:
         assert {bit: list(m.values()) for bit, m in maps.items()} == \
             {"0": [{0: ONE}], "1": [{3: ONE}]}
         assert [len(ids) for ids in matrices.values()] == [1, 1]
+
+    def test_input_block_lies_over_the_shared_basis_blocks(self):
+        """A wide start state with an input block holds, on every qubit the
+        block leaves uncovered, the very |b><b| block the same circuit
+        without it holds; both covered qubits hold the one input block, and
+        a run from it gives the dense density oracle's marginal."""
+        from pblocksim.circuits import InputBlock
+        rng = CounterRng(9, "input over basis")
+        bits = "".join("01"[rng.randrange(2)] for _ in range(600))
+        labels = (301, 5)
+        rho = random_mixed_density(rng, 2).matrix
+        steps = tuple(CircuitStep(LIBRARY[name], targets) for name, targets in
+                      (("H", (5,)), ("CNOT", (5, 301)), ("T", (301,)),
+                       ("H", (301,))))
+        plain = init_blocked(Circuit(600, bits, steps, 5))
+        circuit = Circuit(600, bits, steps, 5, (InputBlock(labels, rho),))
+        start = init_blocked(circuit)
+        for q in range(600):
+            if q not in labels:
+                assert start.block_of(q) is plain.block_of(q)
+        block = start.block_of(5)
+        assert start.block_of(301) is block
+        assert block.labels == labels and block.matrix == rho
+        _, dist = run_blocked_full(circuit, 2)
+        final = evolve_density_exact(circuit, DensityBlock(labels, rho))
+        marginal = reduced_by_definition(final, (5,)).matrix
+        assert (dist.p0, dist.p1) == (marginal.at(0, 0), marginal.at(1, 1))
 
 
 class TestApply:
@@ -261,7 +287,7 @@ class TestRunBlocked:
         c = parse_circuit(text)
         state, dist = run_blocked_full(c, 2)
         assert dist.exact_eq(dense_marginal(dense_run(c), 0))
-        assert state.max_block_size() == 2  # amalgamation persists
+        assert state.block_of(0).labels == (0, 1)  # amalgamation persists
 
     def test_mixed_input_matches_density_oracle(self):
         """Mixed per-block inputs; full-width exact density as the oracle."""

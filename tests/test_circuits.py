@@ -137,6 +137,9 @@ MALFORMED = {
     "block-out-of-range": ("qubits 2\ninputblock 2\n1 0\n0 0\n",
                            QubitOutOfRange, 2),
     "measure-out-of-range": ("qubits 2\nmeasure 2\n", QubitOutOfRange, 2),
+    # past sys.maxsize no string or list of that length can be indexed
+    "width-past-maxsize": ("# huge\nqubits 100000000000000000000\n",
+                           CircuitSyntaxError, 2),
 }
 
 
@@ -167,7 +170,7 @@ class TestParse:
         c = parse_circuit(BELL_TEXT)
         assert c.width == 2
         assert c.input_bits == "00"
-        assert c.depth() == 2
+        assert len(c.steps) == 2
         assert [s.gate.name for s in c.steps] == ["H", "CNOT"]
         assert c.measured_qubit == 0
 
@@ -296,5 +299,5 @@ class TestGenerators:
             assert len({cell_of[q] for q in s.targets}) == 1
 
     def test_requested_length(self):
-        assert gen_block_local(5, 2, 37, 9).depth() == 37
-        assert gen_entangle_disentangle(5, 2, 37, 9).depth() == 37
+        assert len(gen_block_local(5, 2, 37, 9).steps) == 37
+        assert len(gen_entangle_disentangle(5, 2, 37, 9).steps) == 37

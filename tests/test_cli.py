@@ -91,6 +91,27 @@ class TestSimulate:
                               "--circuit", str(bad)])
         assert code == EXIT_USAGE
 
+    def test_memory_error_while_loading_exit1(self, bell_path, monkeypatch):
+        def exhausted(text):
+            raise MemoryError()
+        monkeypatch.setattr(cli, "parse_circuit", exhausted)
+        code, out, err = run_cli(["simulate", "--engine", "dense",
+                                  "--circuit", bell_path])
+        assert (code, out, err) == (EXIT_USAGE, "",
+                                    f"{bell_path}: out of memory\n")
+
+    def test_memory_error_while_running_exit1(self, bell_path, monkeypatch):
+        def exhausted(circuit):
+            raise MemoryError()
+        monkeypatch.setattr(cli, "dense_run", exhausted)
+        code, out, err = run_cli(["simulate", "--engine", "dense",
+                                  "--circuit", bell_path])
+        assert (code, out, err) == (EXIT_USAGE, "", "out of memory\n")
+        code, out, _ = run_cli(["compare", "--engines", "blocked,dense",
+                                "--p", "2", "--circuit", bell_path])
+        assert code == EXIT_USAGE
+        assert out.splitlines()[-1] == "dense: out of memory"
+
     def test_missing_flag_exit1(self, bell_path):
         code, _, _ = run_cli(["simulate", "--engine", "blocked",
                               "--circuit", bell_path])
@@ -267,6 +288,8 @@ def test_stdout_byte_identical(bell_path):
 OVER_ONE = ("qubits 1\ninputblock 0\n1000000000001/1000000000000 0\n"
             "0 -1/1000000000000\nmeasure 0\n")
 
+HUGE_WIDTH = "qubits 100000000000000000000\ngate H 0\nmeasure 0\n"
+
 REJECTED = [
     ["simulate", "--engine", "approx", "--p", "1", "--circuit", "{bell}",
      "--ledger", "{tmp}/no/such/dir/ledger.txt"],
@@ -308,6 +331,8 @@ REJECTED = [
     ["simulate", "--engine", "blocked", "--p", "1", "--circuit",
      "{tmp}/over_one.qc"],
     ["simulate", "--engine", "dense", "--circuit", "{tmp}/two_inputs.qc"],
+    # a qubit count past sys.maxsize, which no string or list can index
+    ["simulate", "--engine", "dense", "--circuit", "{tmp}/huge_width.qc"],
 ]
 
 
@@ -316,6 +341,7 @@ def test_bad_input_exits_1_without_traceback(argv, bell_path, tmp_path):
     (tmp_path / "not_utf8.qc").write_bytes(b"qubits 1\n\xff\xfe gate H 0\n")
     (tmp_path / "over_one.qc").write_text(OVER_ONE)
     (tmp_path / "two_inputs.qc").write_text("qubits 1\ninput 0\ninput 1\n")
+    (tmp_path / "huge_width.qc").write_text(HUGE_WIDTH)
     argv = [a.format(bell=bell_path, tmp=tmp_path) for a in argv]
     src = os.path.dirname(os.path.dirname(pblocksim.__file__))
     out = subprocess.run([sys.executable, "-m", "pblocksim.cli", *argv],

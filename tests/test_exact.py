@@ -6,9 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from pblocksim.exact import (BigRational, ExactScalar, ZERO, ONE, MINUS_ONE,
+from pblocksim.exact import (ExactScalar, ZERO, ONE, MINUS_ONE,
                              I_UNIT, SQRT2, HALF_SQRT2, parse_scalar)
-from pblocksim.matrices import ExactMatrix
 from pblocksim.circuits import LIBRARY
 from pblocksim.prng import CounterRng
 
@@ -150,29 +149,15 @@ def test_subtraction_with_equal_and_different_denominators():
     assert kinds == {True, False}
 
 
-def test_matrix_sub():
-    rng = CounterRng(7, "matrix sub")
-    a = ExactMatrix(3, 3, [random_exact_scalar(rng) for _ in range(9)])
-    assert all(e == ZERO and e.den == 1 for e in a.sub(a).entries)
-    # b agrees with a on the diagonal only
-    b = ExactMatrix(3, 3, [x if i % 4 == 0 else random_exact_scalar(rng)
-                           for i, x in enumerate(a.entries)])
-    diff = a.sub(b)
-    assert diff.entries == [x - y for x, y in zip(a.entries, b.entries)]
-    assert [e == ZERO for e in diff.entries] == [i % 4 == 0
-                                                 for i in range(9)]
-    assert diff.add(b) == a
-
-
 def test_canonical_invariants():
     rng = CounterRng(5, "canon")
     for _ in range(100):
         x = random_exact_scalar(rng)
         assert x.den > 0
         assert math.gcd(x.xa, x.xb, x.xc, x.xd, x.den) == 1
-        # BigRational views are reduced with positive denominators
+        # the component views are reduced with positive denominators
         for comp in (x.a, x.b, x.c, x.d):
-            assert isinstance(comp, BigRational)
+            assert isinstance(comp, Fraction)
             assert comp.denominator > 0
             assert math.gcd(comp.numerator, comp.denominator) == 1
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from pblocksim.exact import ExactScalar, ZERO, ONE, HALF_SQRT2, I_UNIT
+from pblocksim.exact import (ExactScalar, ZERO, ONE, MINUS_ONE, HALF_SQRT2,
+                             I_UNIT)
 from pblocksim.matrices import (ExactMatrix, DensityBlock, DimensionMismatch,
                                 NotHermitian, BadPermutation, mat_mul,
                                 is_unitary, kron_blocks, reduced_state,
@@ -13,7 +14,7 @@ from pblocksim.circuits import LIBRARY
 from pblocksim.blocked import conjugate_block
 from pblocksim.prng import CounterRng
 
-from helpers import (char_poly, poly_eval, density_from_statevector,
+from helpers import (char_poly, combine, poly_eval, density_from_statevector,
                      full_gate, kron, product_of_marginals,
                      random_exact_scalar, random_pure_density,
                      random_mixed_density, reduced_by_definition,
@@ -63,7 +64,7 @@ class TestKron:
         p0 = ExactMatrix(2, 2, [ONE, ZERO, ZERO, ZERO])
         p1 = ExactMatrix(2, 2, [ZERO, ZERO, ZERO, ONE])
         out = kron(p0, p1)  # |01><01|
-        expect = ExactMatrix.zeros(4, 4)
+        expect = ExactMatrix(4, 4, [ZERO] * 16)
         expect.entries[1 * 4 + 1] = ONE
         assert out == expect
 
@@ -143,13 +144,15 @@ class TestTraceNorm:
             assert abs(trace_norm_float(rho.matrix) - 1.0) <= 1e-10
 
     def test_bell_minus_maximally_mixed(self):
-        diff = bell_density().sub(ExactMatrix.identity(4).scale(QUARTER))
+        diff = combine((ONE, bell_density()),
+                       (-QUARTER, ExactMatrix.identity(4)))
         assert abs(trace_norm_float(diff) - 1.5) <= 1e-10
 
     def test_bell_minus_mixed_eigable_by_char_poly(self):
         """Independent eigenvalue check: the characteristic polynomial of
         Bell - I/4 has roots 3/4 and -1/4 (triple)."""
-        diff = bell_density().sub(ExactMatrix.identity(4).scale(QUARTER))
+        diff = combine((ONE, bell_density()),
+                       (-QUARTER, ExactMatrix.identity(4)))
         coeffs = char_poly(diff)
         assert poly_eval(coeffs, Fraction(3, 4)) == 0
         assert poly_eval(coeffs, Fraction(-1, 4)) == 0
@@ -180,7 +183,7 @@ class TestTraceNorm:
         for _ in range(8):
             rho = random_mixed_density(rng, 2)
             sigma = random_mixed_density(rng, 2)
-            diff = rho.matrix.sub(sigma.matrix)
+            diff = combine((ONE, rho.matrix), (MINUS_ONE, sigma.matrix))
             conj = mat_mul(mat_mul(u, diff), u.dagger())
             assert abs(trace_norm_float(diff) - trace_norm_float(conj)) <= 1e-9
 
@@ -202,7 +205,7 @@ class TestTraceNorm:
         assert is_unitary(u)
         lam = [Fraction(i - dim // 3, 5) for i in range(dim)]
         lam[1] = lam[0]
-        diag = ExactMatrix.zeros(dim, dim)
+        diag = ExactMatrix(dim, dim, [ZERO] * (dim * dim))
         for i, x in enumerate(lam):
             diag.entries[i * dim + i] = ExactScalar(x)
         h = mat_mul(mat_mul(u, diag), u.dagger())
@@ -213,7 +216,8 @@ class TestTraceNorm:
         assert not is_psd(h)
         for shift, psd in ((min(lam), True),
                            (min(lam) + Fraction(1, 10 ** 12), False)):
-            moved = h.sub(ExactMatrix.identity(dim).scale(ExactScalar(shift)))
+            moved = combine((ONE, h), (ExactScalar(-shift),
+                                       ExactMatrix.identity(dim)))
             assert is_psd(moved) is psd
 
     def test_contractivity_under_partial_trace(self):
@@ -221,10 +225,12 @@ class TestTraceNorm:
         for _ in range(10):
             rho = random_mixed_density(rng, 2)
             sigma = random_mixed_density(rng, 2)
-            whole = trace_norm_float(rho.matrix.sub(sigma.matrix))
+            whole = trace_norm_float(combine((ONE, rho.matrix),
+                                             (MINUS_ONE, sigma.matrix)))
             ra = reduced_by_definition(rho, (0,))
             sa = reduced_by_definition(sigma, (0,))
-            part = trace_norm_float(ra.matrix.sub(sa.matrix))
+            part = trace_norm_float(combine((ONE, ra.matrix),
+                                            (MINUS_ONE, sa.matrix)))
             assert part <= whole + 1e-9
 
 

@@ -66,7 +66,7 @@ from pblocksim.prng import CounterRng
 from pblocksim.stabilizer import (StabilizerTableau, run_stabilizer,
                                   tableau_apply, tableau_marginal)
 
-from helpers import (S_H_CNOT, all_partitions, brute_blockedness,
+from helpers import (S_H_CNOT, all_partitions, brute_blockedness, combine,
                      brute_projection, density_from_statevector, full_amps,
                      full_gate, kron, kron_chain, product_of_marginals,
                      random_mixed_density, random_pure_density,
@@ -169,7 +169,7 @@ def _faulty_matrix(draw, fault, labels):
     matrix = draw(input_blocks(labels)).matrix
     dim = 1 << k
     if fault == "trace":
-        return matrix.scale(ExactScalar(2))
+        return combine((ExactScalar(2), matrix))
     if fault == "hermitian":  # entry (0, 1) no longer mirrors (1, 0)
         entries = list(matrix.entries)
         entries[1] = entries[1] + ONE
@@ -436,8 +436,8 @@ def traced_blocks(draw):
         amps = [ZERO] * (1 << k)
         for i in support:
             amps[i] = draw(st.sampled_from(_UNIT_AMPLITUDES))
-        dense = density_from_statevector(amps).scale(
-            ExactScalar(Fraction(1, len(support))))
+        dense = combine((ExactScalar(Fraction(1, len(support))),
+                         density_from_statevector(amps)))
         matrix = ExactMatrix(dense.rows, dense.cols,
                              [ExactScalar(0) if x.is_zero() else x
                               for x in dense.entries])
@@ -480,8 +480,8 @@ def conjugations(draw):
         amps = [ZERO] * (1 << k)
         for i in support:
             amps[i] = draw(st.sampled_from(_UNIT_AMPLITUDES))
-        matrix = density_from_statevector(amps).scale(
-            ExactScalar(Fraction(1, len(support))))
+        matrix = combine((ExactScalar(Fraction(1, len(support))),
+                          density_from_statevector(amps)))
     labels = tuple(draw(st.lists(st.integers(0, 20), min_size=k, max_size=k,
                                  unique=True)))
     return DensityBlock(labels, matrix), gate, _targets(draw, k, gate.arity)
@@ -543,8 +543,8 @@ def permuted_blocks(draw):
         amps = [ZERO] * (1 << k)
         for i in support:
             amps[i] = draw(st.sampled_from(_UNIT_AMPLITUDES))
-        matrix = density_from_statevector(amps).scale(
-            ExactScalar(Fraction(1, len(support))))
+        matrix = combine((ExactScalar(Fraction(1, len(support))),
+                          density_from_statevector(amps)))
     labels = tuple(draw(st.lists(st.integers(0, 20), min_size=k, max_size=k,
                                  unique=True)))
     return DensityBlock(labels, matrix), gate, _targets(draw, k, gate.arity)
@@ -601,8 +601,8 @@ def mapped_blocks(draw):
 
 
 def _sparse_block(labels, amps):
-    dense = density_from_statevector(amps).scale(
-        ExactScalar(Fraction(1, sum(1 for a in amps if a))))
+    dense = combine((ExactScalar(Fraction(1, sum(1 for a in amps if a))),
+                     density_from_statevector(amps)))
     return DensityBlock(labels, nonzeros=nonzero_map(dense))
 
 
@@ -740,7 +740,7 @@ def test_blocked_aborts_iff_a_prefix_is_not_p_blocked(circuit):
             assert failing and err.step_index == failing[0]
             continue
         assert not failing
-        assert blocked.max_block_size() <= p
+        assert max(len(b.labels) for b in blocked.assignment) <= p
         assert blocked.global_density().matrix == \
             density_from_statevector(full_amps(states[-1]))
 
@@ -758,7 +758,7 @@ def _version(state):
 
 # every way to read a blocked state or to advance from it
 READS = (lambda s: s.assignment, lambda s: s.blocks,
-         lambda s: s.block_of(0), lambda s: s.max_block_size(),
+         lambda s: s.block_of(0),
          lambda s: apply_blocked(s, CircuitStep(H_CNOT, (0, 1)), 2))
 
 
@@ -783,7 +783,7 @@ def test_only_the_newest_version_reads(generate, width, p, steps, seed):
     for j, step in enumerate(circuit.steps):
         versions.append(apply_blocked(versions[-1], step, p, j))
         assert _version(versions[-1]) == want[j + 1]
-        assert versions[-1].max_block_size() <= p
+        assert max(len(b.labels) for b in versions[-1].assignment) <= p
     for old in versions[:-1]:
         for read in READS:
             with pytest.raises(RuntimeError, match="advanced"):
